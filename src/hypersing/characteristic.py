@@ -92,7 +92,12 @@ def assemble_characteristic(mesh: Mesh) -> np.ndarray:
     """
     x = mesh.colloc[:, None]
     t = mesh.nodes[None, :]
-    return 1.0 / (x - t[:, 1:]) - 1.0 / (x - t[:, :-1])
+    # In place: at most two n x n arrays live, with the same bits as 1.0 / d.
+    out = x - t[:, 1:]
+    np.reciprocal(out, out=out)
+    left = x - t[:, :-1]
+    out -= np.reciprocal(left, out=left)
+    return out
 
 
 def _evaluate_rhs(rhs: RightHandSide, points: np.ndarray) -> np.ndarray:
@@ -107,9 +112,9 @@ def _evaluate_rhs(rhs: RightHandSide, points: np.ndarray) -> np.ndarray:
 def solve_characteristic(mesh: Mesh, rhs: RightHandSide) -> DiscreteSolution:
     """Solve the characteristic equation on the mesh by dense collocation.
 
-    Uses a pivoted LU factorization and attaches a condition-number
-    estimate to the result; a warning is logged above 1e12.  Raises
-    SingularMatrixError for a degenerate system and ValueError for a
+    Solves through LAPACK (``lu_factor``) and attaches the condition
+    estimate taken there to the result; a warning is logged above 1e12.
+    Raises SingularMatrixError for a degenerate system and ValueError for a
     nonfinite right-hand side.
     """
     if rhs.f is not None:

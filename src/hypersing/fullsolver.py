@@ -57,10 +57,12 @@ class FullProblem:
     rhs: RightHandSide
     kernel: object
 
-    @property
-    def is_complex(self) -> bool:
-        probe = np.asarray(self.rhs.fprime(np.array([self.mesh.colloc[0]])))
-        return bool(getattr(self.kernel, "is_complex", False) or np.iscomplexobj(probe))
+
+def _difference_pair(mesh: Mesh, m: int) -> tuple[float, float]:
+    # One (x_i, t_j) with x_i - t_j = (m - (n - 1) - 1/2) h, the m-th difference.
+    i = max(m - (mesh.n - 1), 0)
+    j = i - m + mesh.n - 1
+    return float(mesh.colloc[i]), float(mesh.nodes[1 + j])
 
 
 def _kernel_table(problem: FullProblem) -> np.ndarray:
@@ -68,16 +70,39 @@ def _kernel_table(problem: FullProblem) -> np.ndarray:
     kernel = problem.kernel
     n = mesh.n
     batch = getattr(kernel, "profile_batch", None)
+    if batch is None:
+        return _pointwise_table(mesh, kernel)
+    diffs = (np.arange(2 * n - 1) - (n - 1) - 0.5) * mesh.h
     try:
-        if batch is not None:
-            diffs = (np.arange(2 * n - 1) - (n - 1) - 0.5) * mesh.h
-            table = np.asarray(batch(diffs))
-            idx = np.subtract.outer(np.arange(n), np.arange(n)) + (n - 1)
-            values = table[idx]
-        else:
-            values = np.asarray(
-                kernel.eval(mesh.colloc[:, None], mesh.nodes[None, 1:])
-            )
+        table = np.asarray(batch(diffs))
+    except Exception as exc:  # locate the difference by probing each alone
+        for m in range(2 * n - 1):
+            try:
+                batch(diffs[m : m + 1])
+            except Exception:
+                x, t = _difference_pair(mesh, m)
+                raise KernelEvaluationError(
+                    f"kernel evaluation failed at (x, t) = ({x}, {t}): {exc}", x=x, t=t
+                ) from exc
+        raise KernelEvaluationError(f"kernel evaluation failed: {exc}") from exc
+    if table.shape != diffs.shape:
+        raise KernelEvaluationError(
+            f"kernel table has shape {table.shape}, expected {diffs.shape}"
+        )
+    bad = np.flatnonzero(~np.isfinite(table))
+    if bad.size:
+        x, t = _difference_pair(mesh, int(bad[0]))
+        raise KernelEvaluationError(
+            "kernel evaluation produced a nonfinite value", x=x, t=t
+        )
+    # Toeplitz view, values[i, j] = table[i - j + n - 1], without an n x n copy.
+    return np.lib.stride_tricks.sliding_window_view(table, n)[:, ::-1]
+
+
+def _pointwise_table(mesh: Mesh, kernel) -> np.ndarray:
+    n = mesh.n
+    try:
+        values = np.asarray(kernel.eval(mesh.colloc[:, None], mesh.nodes[None, 1:]))
     except Exception as exc:  # locate the pair by scalar probing
         for xi in mesh.colloc:
             for tj in mesh.nodes[1:]:
@@ -111,11 +136,15 @@ def assemble_full(problem: FullProblem) -> np.ndarray:
     With an identically zero kernel the result is bit-identical to the
     characteristic matrix.
     """
+    # Summed in place, into the real matrix unless the kernel is complex, so
+    # that no third n x n array is live at once.
     matrix = assemble_characteristic(problem.mesh)
-    table = _kernel_table(problem)
-    if np.iscomplexobj(table):
-        return matrix.astype(np.complex128) + problem.mesh.h * table
-    return matrix + problem.mesh.h * table
+    scaled = problem.mesh.h * _kernel_table(problem)
+    if np.iscomplexobj(scaled):
+        scaled += matrix
+        return scaled
+    matrix += scaled
+    return matrix
 
 
 def solve_full(problem: FullProblem) -> DiscreteSolution:
@@ -128,8 +157,6 @@ def solve_full(problem: FullProblem) -> DiscreteSolution:
         problem.rhs.validate_pair(problem.mesh.a, problem.mesh.b)
     matrix = assemble_full(problem)
     b = _evaluate_rhs(problem.rhs, problem.mesh.colloc)
-    if np.iscomplexobj(b) and not np.iscomplexobj(matrix):
-        matrix = matrix.astype(np.complex128)
     fact = lu_factor(matrix)
     values = fact.solve(b)
     condition = condition_estimate_1norm(fact)

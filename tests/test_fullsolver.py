@@ -130,6 +130,32 @@ def test_kernel_evaluation_failure_reports_offending_pair():
     assert abs(info.value.x - info.value.t) < 0.1
 
 
+def test_batch_kernel_failure_probes_differences_not_pairs():
+    # The batch path fails near d = 0 while pointwise evaluation would not:
+    # the failure must be located among the 2n - 1 differences, without
+    # falling back to n^2 pointwise calls.
+    batch_calls, eval_calls = [], []
+
+    def fragile_batch(d):
+        d = np.atleast_1d(np.asarray(d, dtype=float))
+        batch_calls.append(d.size)
+        if np.any(np.abs(d) < 0.1):
+            raise ValueError("too close")
+        return d.copy()
+
+    def pointwise(x, t):
+        eval_calls.append(1)
+        return np.asarray(x) - np.asarray(t)
+
+    kernel = RegularKernel(eval=pointwise, kind="convolution", profile_batch=fragile_batch)
+    n = 40
+    with pytest.raises(KernelEvaluationError, match="too close") as info:
+        assemble_full(benchmark_problem(n, kernel))
+    assert abs(info.value.x - info.value.t) < 0.1
+    assert len(batch_calls) <= 2 * n
+    assert not eval_calls
+
+
 def test_kernel_raising_is_wrapped():
     def angry_eval(x, t):
         raise RuntimeError("no table today")

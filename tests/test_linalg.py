@@ -51,6 +51,12 @@ def test_singular_matrix_rejected():
         lu_factor(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularMatrixError):
         lu_factor(np.zeros((3, 3)))
+    # Nonzero pivot, so LAPACK accepts it; cond_1 3.6e15 fails the rcond test.
+    with pytest.raises(SingularMatrixError):
+        lu_factor(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]))
+    # cond_1 3.5e13: every pivot stays above 1e-13 of the largest entry.
+    with pytest.raises(SingularMatrixError):
+        lu_factor(hilbert(10))
 
 
 def test_shape_and_finiteness_validation():
