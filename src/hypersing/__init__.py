@@ -20,7 +20,6 @@ It provides
 
 from hypersing.mesh import Mesh, make_mesh
 from hypersing.quadrature import QuadratureConvergenceError, adaptive_gauss
-from hypersing.special import cosine_integral
 from hypersing.hypersingular import Density, cauchy_pv, finite_part, finite_part_constant
 from hypersing.linalg import (
     LUFactorization,
@@ -73,7 +72,6 @@ __all__ = [
     "make_mesh",
     "QuadratureConvergenceError",
     "adaptive_gauss",
-    "cosine_integral",
     "Density",
     "finite_part",
     "finite_part_constant",

@@ -11,7 +11,6 @@ files.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -72,7 +71,6 @@ class RunConfig:
     density: str = "const"
     problem: str = "screen"
     normalize: bool = False
-    threads: int = 1
     out: str = "-"
     fmt: str = "csv"
 
@@ -181,7 +179,7 @@ def _run_crack(config: RunConfig) -> int:
 
 def _run_screen(config: RunConfig) -> int:
     params = ScreenParams(k=config.k, a=config.a)
-    problem = screen_problem(params, config.n, tol=config.tol, threads=config.threads)
+    problem = screen_problem(params, config.n)
     solution = solve_full(problem)
     oracle = solve_spectral(
         problem.kernel,
@@ -245,9 +243,7 @@ def _run_finite_part(config: RunConfig) -> int:
 def _run_spectral_compare(config: RunConfig) -> int:
     if config.problem == "screen":
         params = ScreenParams(k=config.k, a=config.a)
-        problem = screen_problem(
-            params, config.n, tol=config.tol, threads=config.threads
-        )
+        problem = screen_problem(params, config.n)
         interval = (-params.a, params.a)
     else:
         mesh = make_mesh(-1.0, 1.0, config.n)
@@ -328,13 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, required=True, help="wavenumber")
     p.add_argument("--a", type=float, default=1.0, help="screen half-length")
     p.add_argument("--n", type=int, default=80)
-    p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--N", type=int, default=32, help="oracle expansion terms")
     p.add_argument("--mquad", type=int, default=128, help="oracle quadrature nodes")
     p.add_argument("--normalize", action="store_true",
                    help="divide values by -pi*i*k; as k -> 0 these tend to "
                    "sqrt(a^2-x^2)/pi, i.e. sqrt(1-x^2)/pi for a=1")
-    p.add_argument("--threads", type=int, default=1)
     _add_output_flags(p)
 
     p = sub.add_parser("finite-part", help="finite-part integral of a test density")
@@ -354,8 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=80)
     p.add_argument("--N", type=int, default=32)
     p.add_argument("--mquad", type=int, default=128)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--threads", type=int, default=1)
     _add_output_flags(p)
 
     return parser
@@ -364,18 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     payload = {k: v for k, v in vars(args).items() if v is not None}
-    env_threads = os.environ.get("HYPERSING_THREADS")
-    if env_threads is not None and "threads" in payload:
-        try:
-            payload["threads"] = int(env_threads)
-        except ValueError:
-            print(
-                f"error: HYPERSING_THREADS must be an integer, got {env_threads!r}",
-                file=sys.stderr,
-            )
-            return 2
-    config = RunConfig(**payload)
-    return run(config)
+    return run(RunConfig(**payload))
 
 
 if __name__ == "__main__":

@@ -34,15 +34,15 @@ def semicircle_rhs():
 def screen_cases():
     """Factory for (problem, collocation solution, spectral oracle) per wavenumber.
 
-    Kernel synthesis dominates the suite runtime, so the three benchmark
-    wavenumbers are solved once per session at the reference resolution
-    (n=80 collocation, 32-term expansion at 128 quadrature nodes).
+    The three benchmark wavenumbers are solved once per session at the
+    reference resolution (n=80 collocation, 32-term expansion at 128
+    quadrature nodes).
     """
     cache: dict[float, tuple] = {}
 
     def get(k: float):
         if k not in cache:
-            problem = screen_problem(ScreenParams(k=k, a=1.0), 80, tol=1e-6)
+            problem = screen_problem(ScreenParams(k=k, a=1.0), 80)
             solution = solve_full(problem)
             oracle = solve_spectral(
                 problem.kernel, problem.rhs, 32, 128, interval=(-1.0, 1.0)

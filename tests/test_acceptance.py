@@ -213,7 +213,7 @@ def test_acceptance_8_screen_oracle_crosscheck(screen_cases):
         )
 
     k = 0.05
-    limit = solve_full(screen_problem(ScreenParams(k=k, a=1.0), 80, tol=1e-6))
+    limit = solve_full(screen_problem(ScreenParams(k=k, a=1.0), 80))
     limit_nodes = limit.nodes
     flow = np.sqrt(np.clip(1.0 - limit_nodes**2, 0.0, None))
     deviation = float(np.max(np.abs((limit(limit_nodes) / (-1j * k)).real - flow)))
