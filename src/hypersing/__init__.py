@@ -39,7 +39,6 @@ from hypersing.characteristic import (
     DiscreteSolution,
     assemble_characteristic,
     characteristic_determinant_closed_form,
-    solve_characteristic,
 )
 from hypersing.kernels import (
     CrackParams,
@@ -61,6 +60,7 @@ from hypersing.fullsolver import (
     KernelEvaluationError,
     assemble_full,
     fredholm_residual,
+    solve_characteristic,
     solve_full,
 )
 from hypersing.spectral import ChebyshevSolution, chebyshev_U, solve_spectral

@@ -171,8 +171,8 @@ def full_example_exact(A: float, x):
 def weighted_pv_integral(fn: Callable, a: float, b: float, m: int, x: float):
     """PV int_a^b fn(t) / ( sqrt((t-a)(b-t)) (x-t) ) dt by subtraction.
 
-    Shared by the inversion above and by the second-kind reduction
-    diagnostics; ``fn`` must accept numpy arrays.
+    Used by the second-kind reduction diagnostic
+    (``fullsolver.fredholm_residual``); ``fn`` must accept numpy arrays.
     """
     center = 0.5 * (a + b)
     radius = 0.5 * (b - a)

@@ -1,34 +1,31 @@
-"""Collocation solver for the characteristic hypersingular equation.
+"""Collocation matrix of the characteristic hypersingular equation.
 
 Over each subinterval (t_{j-1}, t_j) the finite part of the 1/(x-t)^2
 kernel integrates in closed form, so approximating the solution by one
 value per subinterval and enforcing the equation at the midpoints x_i
 gives the dense system
 
-    sum_j g_j * ( 1/(x_i - t_j) - 1/(x_i - t_{j-1}) ) = f'(x_i),
+    sum_j g_j * ( 1/(x_i - t_j) - 1/(x_i - t_{j-1}) ) = f'(x_i).
 
-whose matrix costs nothing to assemble.  The unknown attached to
-subinterval j is most accurate at the midpoint x_j, and the bounded
-solution class is zero at both endpoints; the evaluation rule between
-nodes interpolates linearly through exactly that data.
+On the uniform mesh x_i - t_j = (i - j - 1/2) h, so the entry collapses
+to c_{i-j} = 1/(((i-j)^2 - 1/4) h): a symmetric Toeplitz matrix built
+from its 2n - 1 closed-form values.  The solver is ``solve_full`` with no
+regular kernel (``fullsolver.solve_characteristic``).  The unknown
+attached to subinterval j is most accurate at the midpoint x_j, and the
+bounded solution class is zero at both endpoints; ``DiscreteSolution``
+interpolates linearly through exactly that data.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from hypersing.analytic import RightHandSide
-from hypersing.linalg import condition_estimate_1norm, lu_factor
 from hypersing.mesh import Mesh
 
-logger = logging.getLogger(__name__)
-
-_CONDITION_WARN = 1e12
 _DETERMINANT_MAX_N = 12
 
 
@@ -83,52 +80,27 @@ class DiscreteSolution:
         return out[0] if scalar else out
 
 
+def _singular_profile(mesh: Mesh) -> np.ndarray:
+    # c_m = 1/((m^2 - 1/4) h) for m = i - j = -(n-1)..n-1, at index m + n - 1.
+    m = np.arange(1 - mesh.n, mesh.n)
+    return 1.0 / ((m**2 - 0.25) * mesh.h)
+
+
+def _toeplitz(profile: np.ndarray) -> np.ndarray:
+    """Writable C-contiguous T[i, j] = profile[i - j + n - 1] from 2n - 1 values."""
+    n = (len(profile) + 1) // 2
+    return np.lib.stride_tricks.sliding_window_view(profile, n)[:, ::-1].copy()
+
+
 def assemble_characteristic(mesh: Mesh) -> np.ndarray:
     """Collocation matrix M[i, j] = 1/(x_i - t_j) - 1/(x_i - t_{j-1}).
 
-    Depends only on the mesh; the interleaving of collocation points and
-    nodes rules out any zero denominator.  Row sums telescope to the
-    finite part of the unit density.
+    Depends only on the mesh and only on i - j: the entry is
+    1/(((i-j)^2 - 1/4) h), computed once per difference, so the matrix is
+    exactly symmetric.  Row sums telescope to the finite part of the unit
+    density.
     """
-    x = mesh.colloc[:, None]
-    t = mesh.nodes[None, :]
-    # In place: at most two n x n arrays live, with the same bits as 1.0 / d.
-    out = x - t[:, 1:]
-    np.reciprocal(out, out=out)
-    left = x - t[:, :-1]
-    out -= np.reciprocal(left, out=left)
-    return out
-
-
-def _evaluate_rhs(rhs: RightHandSide, points: np.ndarray) -> np.ndarray:
-    vals = np.asarray(rhs.fprime(points))
-    if vals.ndim == 0:
-        vals = np.full(points.shape, vals[()])
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("right-hand side is nonfinite at a collocation point")
-    return vals
-
-
-def solve_characteristic(mesh: Mesh, rhs: RightHandSide) -> DiscreteSolution:
-    """Solve the characteristic equation on the mesh by dense collocation.
-
-    Solves through LAPACK (``lu_factor``) and attaches the condition
-    estimate taken there to the result; a warning is logged above 1e12.
-    Raises SingularMatrixError for a degenerate system and ValueError for a
-    nonfinite right-hand side.
-    """
-    if rhs.f is not None:
-        rhs.validate_pair(mesh.a, mesh.b)
-    matrix = assemble_characteristic(mesh)
-    b = _evaluate_rhs(rhs, mesh.colloc)
-    fact = lu_factor(matrix)
-    values = fact.solve(b)
-    condition = condition_estimate_1norm(fact)
-    if condition > _CONDITION_WARN:
-        logger.warning(
-            "collocation matrix is ill conditioned: estimate %.3e", condition
-        )
-    return DiscreteSolution(mesh=mesh, values=values, condition=condition)
+    return _toeplitz(_singular_profile(mesh))
 
 
 def characteristic_determinant_closed_form(mesh: Mesh) -> float:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,8 +22,12 @@ from hypersing.analytic import (
     full_example_exact,
     invert_characteristic,
 )
-from hypersing.fullsolver import FullProblem, KernelEvaluationError, solve_full
-from hypersing.characteristic import solve_characteristic
+from hypersing.fullsolver import (
+    FullProblem,
+    KernelEvaluationError,
+    solve_characteristic,
+    solve_full,
+)
 from hypersing.hypersingular import Density, finite_part, finite_part_constant
 from hypersing.kernels import (
     CrackParams,
@@ -50,40 +53,15 @@ _LIBRARY_ERRORS = (
 )
 
 
-@dataclass
-class RunConfig:
-    """One CLI invocation: command, interval, sizes, parameters, output."""
-
-    command: str
-    a: float = -1.0
-    b: float = 1.0
-    n: int = 40
-    A: float = 0.0
-    sigma0: float = 1.0
-    mu: float = 1.0
-    nu: float = 0.3
-    k: float = 0.5
-    tol: float = 1e-6
-    m: int = 64
-    N: int = 32
-    mquad: int = 128
-    j: int = 0
-    density: str = "const"
-    problem: str = "screen"
-    normalize: bool = False
-    out: str = "-"
-    fmt: str = "csv"
-
-
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _write_table(config: RunConfig, x, numeric, reference) -> float:
+def _write_table(args: argparse.Namespace, x, numeric, reference) -> float:
     numeric = np.asarray(numeric)
     reference = np.asarray(reference)
     abs_err = np.abs(numeric - reference)
-    sep = "\t" if config.fmt == "tsv" else ","
+    sep = "\t" if args.fmt == "tsv" else ","
     lines = []
     if np.iscomplexobj(numeric) or np.iscomplexobj(reference):
         numeric = numeric.astype(complex)
@@ -118,10 +96,10 @@ def _write_table(config: RunConfig, x, numeric, reference) -> float:
         for xi, ni, ri, ei in zip(x, numeric, reference, abs_err):
             lines.append(sep.join([_fmt(xi), _fmt(ni), _fmt(ri), _fmt(ei)]))
     text = "\n".join(lines) + "\n"
-    if config.out == "-":
+    if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(config.out, "w", newline="") as handle:
+        with open(args.out, "w", newline="") as handle:
             handle.write(text)
     return float(np.max(abs_err))
 
@@ -134,88 +112,88 @@ def _summary(max_err: float, condition: Optional[float]) -> None:
     )
 
 
-def _run_characteristic(config: RunConfig) -> int:
-    mesh = make_mesh(config.a, config.b, config.n)
+def _run_characteristic(args: argparse.Namespace) -> int:
+    mesh = make_mesh(args.a, args.b, args.n)
     rhs = RightHandSide(
         fprime=lambda x: -np.pi * np.ones_like(np.asarray(x, dtype=float)),
         f=lambda x: -np.pi * np.asarray(x, dtype=float),
         description="constant right-hand side -pi",
     )
     solution = solve_characteristic(mesh, rhs)
-    oracle = invert_characteristic(rhs, config.a, config.b, config.m).g
+    oracle = invert_characteristic(rhs, args.a, args.b, args.m).g
     nodes = solution.nodes
-    max_err = _write_table(config, nodes, solution(nodes), oracle(nodes))
+    max_err = _write_table(args, nodes, solution(nodes), oracle(nodes))
     _summary(max_err, solution.condition)
     return 0
 
 
-def _run_full(config: RunConfig) -> int:
-    mesh = make_mesh(-1.0, 1.0, config.n)
+def _run_full(args: argparse.Namespace) -> int:
+    mesh = make_mesh(-1.0, 1.0, args.n)
     rhs = RightHandSide(
         fprime=lambda x: -np.pi * np.ones_like(np.asarray(x, dtype=float)),
         f=lambda x: -np.pi * np.asarray(x, dtype=float),
         description="constant right-hand side -pi",
     )
-    problem = FullProblem(mesh=mesh, rhs=rhs, kernel=polynomial_kernel(config.A))
+    problem = FullProblem(mesh=mesh, rhs=rhs, kernel=polynomial_kernel(args.A))
     solution = solve_full(problem)
     nodes = solution.nodes
     max_err = _write_table(
-        config, nodes, solution(nodes), full_example_exact(config.A, nodes)
+        args, nodes, solution(nodes), full_example_exact(args.A, nodes)
     )
     _summary(max_err, solution.condition)
     return 0
 
 
-def _run_crack(config: RunConfig) -> int:
-    params = CrackParams(sigma0=config.sigma0, mu=config.mu, nu=config.nu, a=config.a)
-    problem = crack_problem(params, config.n)
+def _run_crack(args: argparse.Namespace) -> int:
+    params = CrackParams(sigma0=args.sigma0, mu=args.mu, nu=args.nu, a=args.a)
+    problem = crack_problem(params, args.n)
     solution = solve_full(problem)
     nodes = solution.nodes
     exact = crack_exact(params.sigma0, params.mu, params.nu, params.a, nodes)
-    max_err = _write_table(config, nodes, solution(nodes), exact)
+    max_err = _write_table(args, nodes, solution(nodes), exact)
     _summary(max_err, solution.condition)
     return 0
 
 
-def _run_screen(config: RunConfig) -> int:
-    params = ScreenParams(k=config.k, a=config.a)
-    problem = screen_problem(params, config.n)
+def _run_screen(args: argparse.Namespace) -> int:
+    params = ScreenParams(k=args.k, a=args.a)
+    problem = screen_problem(params, args.n)
     solution = solve_full(problem)
     oracle = solve_spectral(
         problem.kernel,
         problem.rhs,
-        config.N,
-        config.mquad,
+        args.N,
+        args.mquad,
         interval=(-params.a, params.a),
     )
     nodes = solution.nodes
     numeric = solution(nodes)
     reference = oracle(nodes)
-    if config.normalize:
+    if args.normalize:
         factor = -np.pi * 1j * params.k
         numeric = numeric / factor
         reference = reference / factor
-    max_err = _write_table(config, nodes, numeric, reference)
+    max_err = _write_table(args, nodes, numeric, reference)
     _summary(max_err, solution.condition)
     return 0
 
 
-def _run_finite_part(config: RunConfig) -> int:
-    mesh = make_mesh(config.a, config.b, config.n)
+def _run_finite_part(args: argparse.Namespace) -> int:
+    mesh = make_mesh(args.a, args.b, args.n)
     points = mesh.colloc
-    center = 0.5 * (config.a + config.b)
-    radius = 0.5 * (config.b - config.a)
-    if config.density == "const":
+    center = 0.5 * (args.a + args.b)
+    radius = 0.5 * (args.b - args.a)
+    if args.density == "const":
         density = Density(
             value=lambda t: np.ones_like(np.asarray(t, dtype=float)),
             deriv=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
             second_deriv=lambda t: 0.0,
         )
         reference = np.array(
-            [finite_part_constant(config.a, config.b, x) for x in points]
+            [finite_part_constant(args.a, args.b, x) for x in points]
         )
     else:
-        j = config.j
+        j = args.j
 
         def value(t):
             xi = (np.asarray(t, dtype=float) - center) / radius
@@ -233,32 +211,32 @@ def _run_finite_part(config: RunConfig) -> int:
              for x in points]
         )
     numeric = np.array(
-        [finite_part(density, config.a, config.b, float(x), config.tol) for x in points]
+        [finite_part(density, args.a, args.b, float(x), args.tol) for x in points]
     )
-    max_err = _write_table(config, points, numeric, reference)
+    max_err = _write_table(args, points, numeric, reference)
     _summary(max_err, None)
     return 0
 
 
-def _run_spectral_compare(config: RunConfig) -> int:
-    if config.problem == "screen":
-        params = ScreenParams(k=config.k, a=config.a)
-        problem = screen_problem(params, config.n)
+def _run_spectral_compare(args: argparse.Namespace) -> int:
+    if args.problem == "screen":
+        params = ScreenParams(k=args.k, a=args.a)
+        problem = screen_problem(params, args.n)
         interval = (-params.a, params.a)
     else:
-        mesh = make_mesh(-1.0, 1.0, config.n)
+        mesh = make_mesh(-1.0, 1.0, args.n)
         rhs = RightHandSide(
             fprime=lambda x: -np.pi * np.ones_like(np.asarray(x, dtype=float)),
             f=lambda x: -np.pi * np.asarray(x, dtype=float),
         )
-        problem = FullProblem(mesh=mesh, rhs=rhs, kernel=polynomial_kernel(config.A))
+        problem = FullProblem(mesh=mesh, rhs=rhs, kernel=polynomial_kernel(args.A))
         interval = (-1.0, 1.0)
     solution = solve_full(problem)
     oracle = solve_spectral(
-        problem.kernel, problem.rhs, config.N, config.mquad, interval=interval
+        problem.kernel, problem.rhs, args.N, args.mquad, interval=interval
     )
     nodes = solution.nodes
-    max_err = _write_table(config, nodes, solution(nodes), oracle(nodes))
+    max_err = _write_table(args, nodes, solution(nodes), oracle(nodes))
     _summary(max_err, solution.condition)
     return 0
 
@@ -273,10 +251,10 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute one configuration; returns the process exit status."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command line; returns the process exit status."""
     try:
-        return _RUNNERS[config.command](config)
+        return _RUNNERS[args.command](args)
     except _LIBRARY_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -354,9 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    payload = {k: v for k, v in vars(args).items() if v is not None}
-    return run(RunConfig(**payload))
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -1,11 +1,14 @@
-"""Collocation solver for the full equation with a regular kernel.
+"""Collocation solver for the hypersingular equation, with or without a regular kernel.
 
-The singular part is handled exactly as in the characteristic solver; the
-regular kernel enters through the one-point rectangle rule h*K0(x_i, t_j),
-which keeps the scheme identical to the analyzed one.  For convolution
-kernels the n x n kernel table collapses to the 2n - 1 distinct
-differences of a uniform mesh, which matters when a single kernel value
-costs an adaptive oscillatory quadrature.
+The singular part is the characteristic matrix; the regular kernel enters
+through the one-point rectangle rule h*K0(x_i, t_j), which keeps the
+scheme identical to the analyzed one.  A convolution kernel depends, like
+the singular part, only on i - j on the uniform mesh, so its table is the
+2n - 1 values at the distinct differences and the whole matrix is one
+Toeplitz matrix of their sum.  Kernels without ``profile_batch`` are
+evaluated at all n^2 pairs.  With no kernel the problem is the
+characteristic equation: ``solve_characteristic`` is that case of
+``solve_full``.
 
 ``fredholm_residual`` measures how well a solution satisfies the
 equivalent second-kind equation obtained by inverting the singular part:
@@ -28,7 +31,8 @@ import numpy as np
 from hypersing.analytic import RightHandSide, weighted_pv_integral
 from hypersing.characteristic import (
     DiscreteSolution,
-    _evaluate_rhs,
+    _singular_profile,
+    _toeplitz,
     assemble_characteristic,
 )
 from hypersing.linalg import condition_estimate_1norm, lu_factor
@@ -51,7 +55,10 @@ class KernelEvaluationError(RuntimeError):
 
 @dataclass
 class FullProblem:
-    """Mesh, right-hand side, and regular kernel of one full equation."""
+    """Mesh, right-hand side, and regular kernel of one full equation.
+
+    ``kernel`` is a RegularKernel, or None for the characteristic equation.
+    """
 
     mesh: Mesh
     rhs: RightHandSide
@@ -66,12 +73,10 @@ def _difference_pair(mesh: Mesh, m: int) -> tuple[float, float]:
 
 
 def _kernel_table(problem: FullProblem) -> np.ndarray:
+    # K0 at the 2n - 1 differences (m - 1/2) h, m = i - j, at index m + n - 1.
     mesh = problem.mesh
-    kernel = problem.kernel
     n = mesh.n
-    batch = getattr(kernel, "profile_batch", None)
-    if batch is None:
-        return _pointwise_table(mesh, kernel)
+    batch = problem.kernel.profile_batch
     diffs = (np.arange(2 * n - 1) - (n - 1) - 0.5) * mesh.h
     try:
         table = np.asarray(batch(diffs))
@@ -95,8 +100,7 @@ def _kernel_table(problem: FullProblem) -> np.ndarray:
         raise KernelEvaluationError(
             "kernel evaluation produced a nonfinite value", x=x, t=t
         )
-    # Toeplitz view, values[i, j] = table[i - j + n - 1], without an n x n copy.
-    return np.lib.stride_tricks.sliding_window_view(table, n)[:, ::-1]
+    return table
 
 
 def _pointwise_table(mesh: Mesh, kernel) -> np.ndarray:
@@ -133,25 +137,37 @@ def _pointwise_table(mesh: Mesh, kernel) -> np.ndarray:
 def assemble_full(problem: FullProblem) -> np.ndarray:
     """Collocation matrix of the full equation: characteristic part plus h*K table.
 
-    With an identically zero kernel the result is bit-identical to the
-    characteristic matrix.
+    With no kernel, or an identically zero one, the result is bit-identical
+    to the characteristic matrix.
     """
-    # Summed in place, into the real matrix unless the kernel is complex, so
-    # that no third n x n array is live at once.
-    matrix = assemble_characteristic(problem.mesh)
-    scaled = problem.mesh.h * _kernel_table(problem)
-    if np.iscomplexobj(scaled):
-        scaled += matrix
-        return scaled
-    matrix += scaled
-    return matrix
+    mesh = problem.mesh
+    if problem.kernel is None:
+        return assemble_characteristic(mesh)
+    if getattr(problem.kernel, "profile_batch", None) is None:
+        matrix = mesh.h * _pointwise_table(mesh, problem.kernel)
+        matrix += assemble_characteristic(mesh)
+        return matrix
+    return _toeplitz(_singular_profile(mesh) + mesh.h * _kernel_table(problem))
+
+
+def _evaluate_rhs(rhs: RightHandSide, points: np.ndarray) -> np.ndarray:
+    vals = np.asarray(rhs.fprime(points))
+    if vals.ndim == 0:
+        vals = np.full(points.shape, vals[()])
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("right-hand side is nonfinite at a collocation point")
+    return vals
 
 
 def solve_full(problem: FullProblem) -> DiscreteSolution:
-    """Solve the full equation by dense collocation on the problem's mesh.
+    """Solve the equation by dense collocation on the problem's mesh.
 
+    Solves through LAPACK (``lu_factor``) and attaches the condition
+    estimate taken there to the result; a warning is logged above 1e12.
     The scalar field is complex exactly when the kernel or the right-hand
-    side is complex; a real problem never leaves real arithmetic.
+    side is complex; a real problem never leaves real arithmetic.  Raises
+    SingularMatrixError for a degenerate system and ValueError for a
+    nonfinite right-hand side.
     """
     if problem.rhs.f is not None:
         problem.rhs.validate_pair(problem.mesh.a, problem.mesh.b)
@@ -162,9 +178,14 @@ def solve_full(problem: FullProblem) -> DiscreteSolution:
     condition = condition_estimate_1norm(fact)
     if condition > _CONDITION_WARN:
         logger.warning(
-            "full collocation matrix is ill conditioned: estimate %.3e", condition
+            "collocation matrix is ill conditioned: estimate %.3e", condition
         )
     return DiscreteSolution(mesh=problem.mesh, values=values, condition=condition)
+
+
+def solve_characteristic(mesh: Mesh, rhs: RightHandSide) -> DiscreteSolution:
+    """Solve the characteristic equation: ``solve_full`` with no kernel."""
+    return solve_full(FullProblem(mesh=mesh, rhs=rhs, kernel=None))
 
 
 def fredholm_residual(

@@ -66,8 +66,8 @@ def finite_part(density: Density, a: float, b: float, x: float, tol: float = 1e-
     QuadratureConvergenceError when the panel budget is exhausted.
     """
     _check_interior(a, b, x)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     phi_x = density.value(np.array([x]))[0]
     dphi_x = density.deriv(np.array([x]))[0]
     limit = 0.5 * _second_deriv_at(density, a, b, x)
@@ -96,8 +96,8 @@ def cauchy_pv(density: Density, a: float, b: float, x: float, tol: float = 1e-9)
     to phi(x) * ln((x-a)/(b-x)).
     """
     _check_interior(a, b, x)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     phi_x = density.value(np.array([x]))[0]
     dphi_x = density.deriv(np.array([x]))[0]
     eps = _SWITCH_FRACTION * (b - a)

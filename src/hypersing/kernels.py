@@ -62,7 +62,6 @@ class RegularKernel:
     """
 
     eval: Callable
-    kind: str
     k1: Optional[Callable] = None
     profile: Optional[Callable] = None
     profile_batch: Optional[Callable] = None
@@ -169,7 +168,6 @@ def zero_kernel() -> RegularKernel:
 
     return RegularKernel(
         eval=lambda x, t: np.zeros(np.broadcast(np.asarray(x), np.asarray(t)).shape),
-        kind="closed-form",
         k1=lambda x, t: np.zeros(np.broadcast(np.asarray(x), np.asarray(t)).shape),
         profile=lambda d: np.zeros(np.shape(np.asarray(d))),
         profile_batch=profile_batch,
@@ -181,15 +179,17 @@ def polynomial_kernel(A: float) -> RegularKernel:
     """Linear convolution kernel K0(x, t) = A (x - t).
 
     Carries the antiderivative K1(x, t) = A (x^2/2 - x t), so the
-    second-kind reduction diagnostics accept it.
+    second-kind reduction diagnostics accept it.  Raises ValueError for a
+    nonfinite A.
     """
+    if not math.isfinite(A):
+        raise ValueError(f"A must be finite, got {A}")
 
     def profile_batch(d):
         return A * np.atleast_1d(np.asarray(d, dtype=float))
 
     return RegularKernel(
         eval=lambda x, t: A * (np.asarray(x) - np.asarray(t)),
-        kind="convolution",
         k1=lambda x, t: A * (np.asarray(x) ** 2 / 2.0 - np.asarray(x) * np.asarray(t)),
         profile=lambda d: A * np.asarray(d, dtype=float),
         profile_batch=profile_batch,
@@ -235,7 +235,6 @@ def kernel_from_symbol(
 
     return RegularKernel(
         eval=_convolution_eval(profile_batch),
-        kind="symbol-derived",
         profile=lambda d: profile_batch(np.atleast_1d(d))[0],
         profile_batch=profile_batch,
         metadata=f"cosine transform of symbol remainder, cap={quad_cap:g}",
@@ -366,7 +365,6 @@ def acoustic_kernel(params: ScreenParams) -> RegularKernel:
 
     return RegularKernel(
         eval=_convolution_eval(profile_batch),
-        kind="convolution",
         profile=lambda d: profile_batch(np.atleast_1d(d))[0],
         profile_batch=profile_batch,
         metadata=(
@@ -398,7 +396,6 @@ def normalize_to_canonical(
     pb = kernel.profile_batch
     scaled = RegularKernel(
         eval=lambda x, t, _e=kernel.eval: factor * np.asarray(_e(x, t)),
-        kind=kernel.kind,
         k1=None if kernel.k1 is None else (lambda x, t, _k=kernel.k1: factor * np.asarray(_k(x, t))),
         profile=None if kernel.profile is None else (lambda d, _p=kernel.profile: factor * np.asarray(_p(d))),
         profile_batch=None if pb is None else (lambda d, _pb=pb: factor * _pb(d)),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +35,14 @@ def make_mesh(a: float, b: float, n: int) -> Mesh:
 
     Nodes come from the direct formula a + j*h, never from a running sum,
     so there is no accumulation drift at large n; the endpoints are stored
-    exactly.  Raises ValueError for an empty interval or n < 2.
+    exactly.  Raises ValueError for a nonfinite endpoint, an empty
+    interval or n < 2.
     """
     a = float(a)
     b = float(b)
+    for name, value in (("a", a), ("b", b)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not (b > a):
         raise ValueError(f"invalid interval: need b > a, got ({a}, {b})")
     n = int(n)

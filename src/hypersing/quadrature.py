@@ -44,8 +44,8 @@ def adaptive_gauss(
     Raises QuadratureConvergenceError when more than ``max_panels`` panels
     would be needed.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     cuts = [a] + sorted(p for p in split if a < p < b) + [b]
     stack = list(zip(cuts[:-1], cuts[1:]))
     length = b - a
@@ -89,6 +89,8 @@ def adaptive_gauss_batch(
     refinement is driven by the worst column, which keeps the result
     independent of how callers batch their members.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     stack = [(float(a), float(b))]
     length = b - a
     total = np.zeros(size, dtype=dtype)

@@ -100,7 +100,7 @@ def test_second_kind_residual_requires_antiderivatives(semicircle_rhs):
 
     problem = benchmark_problem(16, polynomial_kernel(3.0))
     solution = solve_full(problem)
-    no_k1 = RegularKernel(eval=polynomial_kernel(3.0).eval, kind="convolution")
+    no_k1 = RegularKernel(eval=polynomial_kernel(3.0).eval)
     with pytest.raises(ValueError, match="antiderivative K1"):
         fredholm_residual(
             FullProblem(mesh=problem.mesh, rhs=problem.rhs, kernel=no_k1),
@@ -123,7 +123,7 @@ def test_kernel_evaluation_failure_reports_offending_pair():
         out = np.asarray(x) - np.asarray(t)
         return np.where(np.abs(out) < 0.1, np.nan, out)
 
-    kernel = RegularKernel(eval=bad_eval, kind="closed-form")
+    kernel = RegularKernel(eval=bad_eval)
     with pytest.raises(KernelEvaluationError) as info:
         assemble_full(benchmark_problem(12, kernel))
     assert np.isfinite(info.value.x) and np.isfinite(info.value.t)
@@ -147,7 +147,7 @@ def test_batch_kernel_failure_probes_differences_not_pairs():
         eval_calls.append(1)
         return np.asarray(x) - np.asarray(t)
 
-    kernel = RegularKernel(eval=pointwise, kind="convolution", profile_batch=fragile_batch)
+    kernel = RegularKernel(eval=pointwise, profile_batch=fragile_batch)
     n = 40
     with pytest.raises(KernelEvaluationError, match="too close") as info:
         assemble_full(benchmark_problem(n, kernel))
@@ -160,7 +160,7 @@ def test_kernel_raising_is_wrapped():
     def angry_eval(x, t):
         raise RuntimeError("no table today")
 
-    kernel = RegularKernel(eval=angry_eval, kind="closed-form")
+    kernel = RegularKernel(eval=angry_eval)
     with pytest.raises(KernelEvaluationError, match="no table today"):
         assemble_full(benchmark_problem(4, kernel))
 

@@ -109,5 +109,8 @@ def test_evaluation_point_must_be_interior():
 
 
 def test_tolerance_must_be_positive():
-    with pytest.raises(ValueError):
-        finite_part(unit_density(), -1.0, 1.0, 0.0, -1e-9)
+    for tol in (-1e-9, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            finite_part(unit_density(), -1.0, 1.0, 0.0, tol)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            cauchy_pv(unit_density(), -1.0, 1.0, 0.0, tol)

@@ -284,3 +284,5 @@ def test_parameter_validation():
             values = {"k": 1.0, "a": 1.0, field: bad}
             with pytest.raises(ValueError, match=f"^{field} must be finite"):
                 ScreenParams(**values)
+        with pytest.raises(ValueError, match="^A must be finite"):
+            polynomial_kernel(bad)

@@ -24,11 +24,17 @@ def test_two_subintervals_shifted_interval():
     assert mesh.colloc.tolist() == [0.5, 1.5]
 
 
+@pytest.mark.filterwarnings("error")
 def test_invalid_interval_rejected():
     with pytest.raises(ValueError, match="invalid interval"):
         make_mesh(1.0, 1.0, 4)
     with pytest.raises(ValueError, match="invalid interval"):
         make_mesh(2.0, -1.0, 4)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="^a must be finite"):
+            make_mesh(bad, 1.0, 4)
+        with pytest.raises(ValueError, match="^b must be finite"):
+            make_mesh(-1.0, bad, 4)
 
 
 def test_too_few_subintervals_rejected():

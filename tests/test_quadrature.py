@@ -27,6 +27,14 @@ def test_panel_budget_exhaustion_raises():
         adaptive_gauss(rng_like, -1.0, 1.0, 1e-13, max_panels=8)
 
 
+def test_tolerance_must_be_positive():
+    for tol in (-1e-9, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            adaptive_gauss(np.cos, 0.0, 1.0, tol)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            adaptive_gauss_batch(lambda s: np.cos(s)[:, None], 0.0, 1.0, tol, 1)
+
+
 def test_batch_matches_scalar_path():
     scales = np.array([1.0, 2.0, 5.0])
 
