@@ -24,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from hypersing.linalg import check_dense_size
 from hypersing.mesh import Mesh
 
 _DETERMINANT_MAX_N = 12
@@ -98,8 +99,10 @@ def assemble_characteristic(mesh: Mesh) -> np.ndarray:
     Depends only on the mesh and only on i - j: the entry is
     1/(((i-j)^2 - 1/4) h), computed once per difference, so the matrix is
     exactly symmetric.  Row sums telescope to the finite part of the unit
-    density.
+    density.  An n x n matrix above ``linalg.MAX_DENSE_ELEMENTS`` is refused
+    with a ValueError before it is allocated.
     """
+    check_dense_size("n", mesh.n, mesh.n, mesh.n)
     return _toeplitz(_singular_profile(mesh))
 
 

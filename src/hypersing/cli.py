@@ -38,7 +38,7 @@ from hypersing.kernels import (
     polynomial_kernel,
     screen_problem,
 )
-from hypersing.linalg import SingularMatrixError
+from hypersing.linalg import SingularMatrixError, check_dense_size
 from hypersing.mesh import make_mesh
 from hypersing.quadrature import QuadratureConvergenceError
 from hypersing.spectral import chebyshev_U, solve_spectral
@@ -251,9 +251,21 @@ _RUNNERS = {
 }
 
 
+def _check_dense_sizes(args: argparse.Namespace) -> None:
+    # The n x n matrix, the oracle's mquad x (mquad + 1) kernel table and the
+    # inversion's n x (m + 1) grid, refused before anything is allocated.
+    if args.command != "finite-part":
+        check_dense_size("n", args.n, args.n, args.n)
+    if hasattr(args, "mquad"):
+        check_dense_size("mquad", args.mquad, args.mquad, args.mquad + 1)
+    if hasattr(args, "m"):
+        check_dense_size("m", args.m, args.n, args.m + 1)
+
+
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed command line; returns the process exit status."""
     try:
+        _check_dense_sizes(args)
         return _RUNNERS[args.command](args)
     except _LIBRARY_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -35,7 +35,7 @@ from hypersing.characteristic import (
     _toeplitz,
     assemble_characteristic,
 )
-from hypersing.linalg import condition_estimate_1norm, lu_factor
+from hypersing.linalg import check_dense_size, condition_estimate_1norm, lu_factor
 from hypersing.mesh import Mesh
 from hypersing.quadrature import gauss_legendre
 
@@ -138,11 +138,14 @@ def assemble_full(problem: FullProblem) -> np.ndarray:
     """Collocation matrix of the full equation: characteristic part plus h*K table.
 
     With no kernel, or an identically zero one, the result is bit-identical
-    to the characteristic matrix.
+    to the characteristic matrix.  An n x n matrix above
+    ``linalg.MAX_DENSE_ELEMENTS`` is refused with a ValueError before any
+    kernel is evaluated.
     """
     mesh = problem.mesh
     if problem.kernel is None:
         return assemble_characteristic(mesh)
+    check_dense_size("n", mesh.n, mesh.n, mesh.n)
     if getattr(problem.kernel, "profile_batch", None) is None:
         matrix = mesh.h * _pointwise_table(mesh, problem.kernel)
         matrix += assemble_characteristic(mesh)

@@ -5,10 +5,23 @@ an LU factorization with partial pivoting followed by the two triangular
 solves.  numpy exposes no separate factor and solve, so a factorization
 here is the checked matrix itself together with Hager's estimate of its
 1-norm condition number (W. W. Hager, "Condition estimates", SIAM J. Sci.
-Stat. Comput. 5, 1984).  The estimate is taken once, from a few such
-solves with A and A^H, when the matrix is factored; it also decides
-whether the matrix counts as singular.  No n x n array is kept besides
-the caller's matrix.
+Stat. Comput. 5, 1984).  The estimate is taken once, when the matrix is
+factored, from a few products with A^{-1} and A^{-H}; it also decides
+whether the matrix counts as singular.
+
+Every collocation matrix on the uniform mesh is Toeplitz.  For such a
+matrix one ``gesv`` call gives the first and last columns x and y of
+A^{-1}, and when x_0 != 0 the Gohberg-Semencul formula
+
+    A^{-1} = (1/x_0) [L(x) U(Jy) - L(Zy) U(ZJx)]
+
+(L(a), U(a): lower/upper triangular Toeplitz with first column/row a;
+J reversal, Z down-shift) takes every probe of Hager's sweeps in O(n^2)
+through ``numpy.convolve``, with no further factorization (I. Gohberg
+and A. Semencul, Mat. Issled. 7, 1972).  Any other matrix is probed
+through ``gesv`` with A and A^H, which factors it again on each probe.
+The caller's own solves are always ``gesv``.  No n x n array is kept
+besides the caller's matrix.
 """
 
 from __future__ import annotations
@@ -21,9 +34,22 @@ import numpy as np
 _RCOND_MIN = 1e-13
 _HAGER_MAX_SWEEPS = 6
 
+# Largest dense array, in elements, that assembly and the spectral oracle
+# may allocate: n <= 4096 for an n x n matrix (256 MiB complex).
+MAX_DENSE_ELEMENTS = 4096 * 4096
+
 
 class SingularMatrixError(ValueError):
     """Raised for an exactly zero pivot or an estimated 1/cond_1 <= 1e-13."""
+
+
+def check_dense_size(name: str, value: int, rows: int, cols: int) -> None:
+    """Raise ValueError naming ``name`` if a rows x cols array is over budget."""
+    if rows > 0 and cols > 0 and int(rows) * int(cols) > MAX_DENSE_ELEMENTS:
+        raise ValueError(
+            f"{name}={value} needs a {rows} x {cols} dense array, more than"
+            f" the {MAX_DENSE_ELEMENTS} elements allowed"
+        )
 
 
 def _gesv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -42,8 +68,10 @@ class LUFactorization:
     real arithmetic, which is the same calculation and keeps the result
     bit-identical to the real path.  ``dtype`` is the scalar type of the
     caller's matrix and ``condition`` the Hager estimate of cond_1 that
-    ``lu_factor`` took.  Each solve factors the matrix again inside LAPACK;
-    no factors, inverse or copy are stored.
+    ``lu_factor`` took.  Each solve is one ``gesv`` call, which factors the
+    matrix inside LAPACK; no factors, inverse or copy are stored.  Taking
+    the estimate cost one more ``gesv`` call for a Toeplitz matrix and a
+    few for any other.
     """
 
     matrix: np.ndarray
@@ -110,8 +138,9 @@ def lu_factor(a: np.ndarray) -> LUFactorization:
     if fact.n == 0:
         fact.condition = 1.0
         return fact
+    probes = _toeplitz_probes(matrix) or (fact.solve, fact.solve_adjoint)
     norm1 = float(np.max(np.abs(matrix).sum(axis=0)))
-    fact.condition = norm1 * _inverse_norm1_estimate(fact)
+    fact.condition = norm1 * _inverse_norm1_estimate(fact.n, matrix.dtype, *probes)
     if not fact.condition * _RCOND_MIN < 1.0:
         raise SingularMatrixError(
             f"estimated reciprocal 1-norm condition number {1.0 / fact.condition:.3e}"
@@ -128,30 +157,62 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def condition_estimate_1norm(fact: LUFactorization) -> float:
     """Hager's estimate of cond_1(A) = ||A||_1 * ||A^{-1}||_1.
 
-    ``lu_factor`` takes it once; the result is reliably within a factor of
-    10 of the true value.
+    ``lu_factor`` takes it once.  Its probes of A^{-1} and A^{-H} come
+    from the Gohberg-Semencul formula for a Toeplitz matrix and from
+    ``gesv`` otherwise; the result is reliably within a factor of 10 of
+    the true value.
     """
     return fact.condition
 
 
-def _inverse_norm1_estimate(fact: LUFactorization) -> float:
-    # Hager's sweeps: ||A^{-1}||_1 probed through solve/adjoint-solve pairs.
-    n = fact.n
-    x = np.full(n, 1.0 / n, dtype=fact.matrix.dtype)
+def _toeplitz_probes(a: np.ndarray):
+    # r -> A^{-1} r and r -> A^{-H} r of a Toeplitz matrix from the first and
+    # last columns of A^{-1}; None for any other matrix, or when x_0 = 0.
+    n = a.shape[0]
+    if not np.array_equal(a[1:, 1:], a[:-1, :-1]):
+        return None
+    ends = np.zeros((n, 2), dtype=a.dtype)
+    ends[0, 0] = ends[-1, 1] = 1.0
+    x, y = _gesv(a, ends).T
+    if x[0] == 0:
+        return None
+    jy = y[::-1]
+    zy = np.concatenate(([0.0], y[:-1]))
+    zjx = np.concatenate(([0.0], x[:0:-1]))
+
+    def lower(c, r):  # L(c) r
+        return np.convolve(c, r)[:n]
+
+    def upper(c, r):  # U(c) r = J L(c) J r
+        return np.convolve(c, r[::-1])[:n][::-1]
+
+    def inverse(r):
+        return (lower(x, upper(jy, r)) - lower(zy, upper(zjx, r))) / x[0]
+
+    def inverse_adjoint(r):
+        r = np.conj(r)
+        return np.conj((lower(jy, upper(x, r)) - lower(zjx, upper(zy, r))) / x[0])
+
+    return inverse, inverse_adjoint
+
+
+def _inverse_norm1_estimate(n: int, dtype: np.dtype, inverse, inverse_adjoint) -> float:
+    # Hager's sweeps: ||A^{-1}||_1 probed through products with A^{-1}, A^{-H}.
+    x = np.full(n, 1.0 / n, dtype=dtype)
     est = 0.0
     last_j = -1
     for _ in range(_HAGER_MAX_SWEEPS):
-        y = fact.solve(x)
+        y = inverse(x)
         mags = np.abs(y)
         est = float(mags.sum())
         if not math.isfinite(est):
             break
         xi = np.where(mags > 0, y / np.where(mags > 0, mags, 1.0), 1.0)
-        z = fact.solve_adjoint(xi)
+        z = inverse_adjoint(xi)
         j = int(np.argmax(np.abs(z)))
         if np.abs(z[j]) <= np.real(np.vdot(z, x)) or j == last_j:
             break
-        x = np.zeros(n, dtype=fact.matrix.dtype)
+        x = np.zeros(n, dtype=dtype)
         x[j] = 1.0
         last_j = j
     return est

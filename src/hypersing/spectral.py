@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from hypersing.analytic import RightHandSide
-from hypersing.linalg import lu_factor
+from hypersing.linalg import check_dense_size, lu_factor
 from hypersing.quadrature import gauss_chebyshev2
 
 _DOMAIN_SLACK = 1e-12
@@ -145,12 +145,15 @@ def solve_spectral(
     ``kernel`` is a RegularKernel or None for the characteristic equation;
     ``mquad`` fixes the tensor quadrature resolution and must be at least
     2N.  Returns the expansion on the requested interval.  Raises
-    SingularMatrixError if the truncated system degenerates.
+    SingularMatrixError if the truncated system degenerates, and
+    ValueError before any allocation if the mquad x (mquad + 1) kernel
+    table is above ``linalg.MAX_DENSE_ELEMENTS``.
     """
     if N < 2:
         raise ValueError(f"need at least 2 expansion terms, got {N}")
     if mquad < 2 * N:
         raise ValueError(f"mquad must be at least 2N = {2 * N}, got {mquad}")
+    check_dense_size("mquad", mquad, mquad, mquad + 1)
     a, b = float(interval[0]), float(interval[1])
     if not (b > a):
         raise ValueError(f"invalid interval: ({a}, {b})")

@@ -21,6 +21,19 @@ def const_pi_rhs() -> RightHandSide:
     )
 
 
+def count_gesv(monkeypatch) -> list:
+    """Record the right-hand-side shape of every numpy.linalg.solve call."""
+    calls = []
+    gesv = np.linalg.solve
+
+    def counted(a, b):
+        calls.append(np.shape(b))
+        return gesv(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
 def unit_semicircle(x):
     return np.sqrt(np.clip(1.0 - np.asarray(x, dtype=float) ** 2, 0.0, None))
 

@@ -1,5 +1,8 @@
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +129,40 @@ def test_solver_error_exits_one(tmp_path, capsys):
         status = main(args + ["--n", "8", "--out", str(tmp_path / "x.csv")])
         assert status == 1
         assert f"error: ValueError: {message}" in capsys.readouterr().err
+
+
+# Runs cli.main with the address space capped at 2 GiB, so that an
+# unchecked size fails with MemoryError instead of exhausting the host.
+_CAPPED_MAIN = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+    "from hypersing.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (["screen", "--k", "1", "--mquad", "100000000", "--N", "2", "--n", "4"], "mquad"),
+        (["spectral-compare", "--mquad", "100000000", "--N", "2", "--n", "4"], "mquad"),
+        (["crack", "--n", "100000"], "n"),
+        (["full", "--A", "3", "--n", "100000"], "n"),
+        (["characteristic", "--n", "40", "--m", "1000000000"], "m"),
+    ],
+    ids=["screen-mquad", "spectral-compare-mquad", "crack-n", "full-n", "characteristic-m"],
+)
+def test_oversized_dense_arrays_refused_by_name(args, name, tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, *args, "--out", str(tmp_path / "x.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith(f"error: ValueError: {name}=")
+    assert "dense array" in done.stderr
 
 
 def test_file_io_error_exits_one(tmp_path, capsys):

@@ -2,20 +2,24 @@ import numpy as np
 import pytest
 
 from hypersing import (
+    CrackParams,
     FullProblem,
     KernelEvaluationError,
     RegularKernel,
+    ScreenParams,
     assemble_characteristic,
     assemble_full,
+    crack_problem,
     fredholm_residual,
     full_example_exact,
     make_mesh,
     polynomial_kernel,
+    screen_problem,
     solve_characteristic,
     solve_full,
     zero_kernel,
 )
-from tests.conftest import unit_semicircle
+from tests.conftest import count_gesv, unit_semicircle
 
 
 def benchmark_problem(n: int, kernel) -> FullProblem:
@@ -173,3 +177,31 @@ def test_difference_table_matches_direct_evaluation():
     mesh = problem.mesh
     direct = mesh.h * kernel.eval(mesh.colloc[:, None], mesh.nodes[None, 1:])
     assert np.max(np.abs(table - direct)) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        pytest.param(lambda: crack_problem(CrackParams(1.0, 1.0, 0.3, 1.0), 40), id="crack"),
+        pytest.param(lambda: screen_problem(ScreenParams(k=1.3, a=1.0), 40), id="screen"),
+    ],
+)
+def test_toeplitz_solve_makes_two_lapack_calls(problem, monkeypatch):
+    # One gesv for the first and last columns of A^{-1}, which serve every
+    # probe of the condition estimate, and one for the solution.
+    problem = problem()
+    calls = count_gesv(monkeypatch)
+    solution = solve_full(problem)
+    assert calls == [(40, 2), (40,)]
+    assert solution.condition > 1.0
+
+
+def test_oversized_matrix_refused_before_assembly():
+    problem = benchmark_problem(2, polynomial_kernel(3.0))
+    mesh = make_mesh(-1.0, 1.0, 4097)
+    for call in (
+        lambda: assemble_full(FullProblem(mesh=mesh, rhs=problem.rhs, kernel=problem.kernel)),
+        lambda: assemble_characteristic(mesh),
+    ):
+        with pytest.raises(ValueError, match="n=4097 needs a 4097 x 4097 dense array"):
+            call()

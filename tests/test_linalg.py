@@ -3,12 +3,51 @@ import math
 import numpy as np
 import pytest
 
-from hypersing import SingularMatrixError, condition_estimate_1norm, lu_factor, solve
+from hypersing import (
+    CrackParams,
+    ScreenParams,
+    SingularMatrixError,
+    assemble_full,
+    condition_estimate_1norm,
+    crack_problem,
+    lu_factor,
+    screen_problem,
+    solve,
+)
+from hypersing.linalg import MAX_DENSE_ELEMENTS, _toeplitz_probes, check_dense_size
+from tests.conftest import count_gesv
 
 
 def hilbert(n: int) -> np.ndarray:
     i, j = np.indices((n, n))
     return 1.0 / (i + j + 1.0)
+
+
+def toeplitz(profile: np.ndarray) -> np.ndarray:
+    # T[i, j] = profile[i - j + n - 1] from its 2n - 1 values.
+    n = (len(profile) + 1) // 2
+    i, j = np.indices((n, n))
+    return profile[i - j + n - 1]
+
+
+def hager_reference(a: np.ndarray) -> float:
+    # Hager's sweeps with every probe a dense solve with A or A^H.
+    n = a.shape[0]
+    x = np.full(n, 1.0 / n, dtype=a.dtype)
+    est, last_j = 0.0, -1
+    for _ in range(6):
+        y = np.linalg.solve(a, x)
+        mags = np.abs(y)
+        est = float(mags.sum())
+        xi = np.where(mags > 0, y / np.where(mags > 0, mags, 1.0), 1.0)
+        z = np.linalg.solve(a.conj().T, xi)
+        j = int(np.argmax(np.abs(z)))
+        if np.abs(z[j]) <= np.real(np.vdot(z, x)) or j == last_j:
+            break
+        x = np.zeros(n, dtype=a.dtype)
+        x[j] = 1.0
+        last_j = j
+    return float(np.abs(a).sum(axis=0).max()) * est
 
 
 def hilbert_inverse_exact(n: int) -> np.ndarray:
@@ -57,6 +96,14 @@ def test_singular_matrix_rejected():
     # cond_1 3.5e13: every pivot stays above 1e-13 of the largest entry.
     with pytest.raises(SingularMatrixError):
         lu_factor(hilbert(10))
+    # Toeplitz, probed through the Gohberg-Semencul formula: the KMS matrix
+    # rho^|i-j| at rho = 1 - 1e-12 (exact cond_1 1.0e14), and the all-ones
+    # profile plus 1e-12 noise.
+    m = np.arange(-49, 50)
+    noise = 1e-12 * np.random.default_rng(5).standard_normal(99)
+    for profile in ((1.0 - 1e-12) ** np.abs(m), np.ones(99) + noise):
+        with pytest.raises(SingularMatrixError):
+            lu_factor(toeplitz(profile))
 
 
 def test_shape_and_finiteness_validation():
@@ -114,3 +161,64 @@ def test_adjoint_solve_consistent():
     c = a + 1j * rng.standard_normal((6, 6)) * 0.1
     zc = lu_factor(c).solve_adjoint(b.astype(complex))
     assert np.max(np.abs(c.conj().T @ zc - b)) <= 1e-10
+    # Complex nonsymmetric Toeplitz: the adjoint solve and the adjoint probe
+    # of the condition estimate.
+    t = toeplitz(rng.standard_normal(11) + 1j * rng.standard_normal(11)) + 4.0 * np.eye(6)
+    for zt in (lu_factor(t).solve_adjoint(b), _toeplitz_probes(t)[1](b)):
+        assert np.max(np.abs(t.conj().T @ zt - b)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_toeplitz_probes_match_dense_solves(n, kind):
+    rng = np.random.default_rng(n)
+    profile = rng.standard_normal(2 * n - 1)
+    r = rng.standard_normal(n)
+    if kind == "complex":
+        profile = profile + 1j * rng.standard_normal(2 * n - 1)
+        r = r + 1j * rng.standard_normal(n)
+    t = toeplitz(profile) + 3.0 * np.eye(n)
+    inverse, inverse_adjoint = _toeplitz_probes(t)
+    scale = np.max(np.abs(np.linalg.solve(t, r)))
+    assert np.max(np.abs(inverse(r) - np.linalg.solve(t, r))) <= 1e-13 * scale
+    want = np.linalg.solve(t.conj().T, r)
+    assert np.max(np.abs(inverse_adjoint(r) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_non_toeplitz_and_zero_corner_keep_dense_probes():
+    assert _toeplitz_probes(hilbert(4)) is None
+    # Toeplitz with (A^{-1})_00 = 0: the formula divides by it, so gesv probes.
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert _toeplitz_probes(swap) is None
+    assert condition_estimate_1norm(lu_factor(swap)) == 1.0
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        pytest.param(lambda: crack_problem(CrackParams(1.0, 1.0, 0.3, 1.0), 600), id="crack-600"),
+        *(
+            pytest.param(lambda k=k: screen_problem(ScreenParams(k=k, a=1.0), 400),
+                         id=f"screen-400-k{k}")
+            for k in (0.5, 1.3, 2.5)
+        ),
+    ],
+)
+def test_condition_estimate_of_collocation_matrices(problem, monkeypatch):
+    a = assemble_full(problem())
+    want = hager_reference(a)
+    exact = np.linalg.cond(a, 1)
+    calls = count_gesv(monkeypatch)
+    est = condition_estimate_1norm(lu_factor(a))
+    assert calls == [(a.shape[0], 2)]  # the first and last columns of A^{-1}
+    assert est == pytest.approx(want, rel=1e-10)
+    assert exact / 10.0 <= est <= exact * 10.0
+
+
+def test_dense_size_budget():
+    check_dense_size("n", 4096, 4096, 4096)
+    assert 4096 * 4096 == MAX_DENSE_ELEMENTS
+    with pytest.raises(ValueError, match="n=4097"):
+        check_dense_size("n", 4097, 4097, 4097)
+    with pytest.raises(ValueError, match="mquad=4096"):
+        check_dense_size("mquad", 4096, 4096, 4097)

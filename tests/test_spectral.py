@@ -137,3 +137,10 @@ def test_expansion_density_reproduces_eigenrelation():
     density = solution.as_density()
     got = finite_part(density, -1.0, 1.0, 0.25, 1e-10)
     assert got == pytest.approx(-2.0 * np.pi * chebyshev_U(1, 0.25), abs=1e-8)
+
+
+def test_oversized_kernel_table_refused_before_allocation():
+    # 4096 x 4097 kernel-table entries are just above linalg.MAX_DENSE_ELEMENTS.
+    with pytest.raises(ValueError, match="mquad=4096 needs a 4096 x 4097 dense array"):
+        solve_spectral(None, const_pi_rhs(), 2, 4096)
+    assert solve_spectral(None, const_pi_rhs(), 2, 4095).coeffs.shape == (2,)
