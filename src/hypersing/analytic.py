@@ -105,7 +105,7 @@ def invert_characteristic(
         xs = np.asarray(x, dtype=float)
         scalar = xs.ndim == 0
         xs = np.atleast_1d(xs)
-        if np.any((xs < a) | (xs > b)):
+        if not np.all((xs >= a) & (xs <= b)):
             raise ValueError(f"g is defined on [{a}, {b}]")
         out = np.zeros(xs.shape, dtype=fvals_m.dtype)
         interior = (xs > a) & (xs < b)
@@ -150,7 +150,7 @@ def crack_exact(sigma0: float, mu: float, nu: float, a: float, x):
     if a <= 0:
         raise ValueError(f"half-length must be positive, got {a}")
     xs = np.asarray(x, dtype=float)
-    if np.any(np.abs(xs) > a * (1 + 1e-15)):
+    if not np.all(np.abs(xs) <= a * (1 + 1e-15)):
         raise ValueError(f"|x| must not exceed the half-length {a}")
     return sigma0 / mu * (1.0 - nu) * np.sqrt(np.clip(a * a - xs * xs, 0.0, None))
 
@@ -163,7 +163,7 @@ def full_example_exact(A: float, x):
     characteristic benchmark sqrt(1-x^2).
     """
     xs = np.asarray(x, dtype=float)
-    if np.any(np.abs(xs) > 1.0 + 1e-15):
+    if not np.all(np.abs(xs) <= 1.0 + 1e-15):
         raise ValueError("|x| must not exceed 1")
     return 8.0 * np.sqrt(np.clip(1.0 - xs * xs, 0.0, None)) * (4.0 + A * xs) / (32.0 + A * A)
 

@@ -67,7 +67,7 @@ class DiscreteSolution:
         xs = np.asarray(x, dtype=float)
         scalar = xs.ndim == 0
         xs = np.atleast_1d(xs)
-        if np.any((xs < self.mesh.a) | (xs > self.mesh.b)):
+        if not np.all((xs >= self.mesh.a) & (xs <= self.mesh.b)):
             raise ValueError(f"evaluation outside [{self.mesh.a}, {self.mesh.b}]")
         xp = np.concatenate(([self.mesh.a], self.mesh.colloc, [self.mesh.b]))
         if self.is_complex:

@@ -52,7 +52,7 @@ def chebyshev_U(j: int, x):
     if j < 0:
         raise ValueError(f"degree must be nonnegative, got {j}")
     xs = np.asarray(x, dtype=float)
-    if np.any(np.abs(xs) > 1.0 + _DOMAIN_SLACK):
+    if not np.all(np.abs(xs) <= 1.0 + _DOMAIN_SLACK):
         raise ValueError("|x| must not exceed 1")
     scalar = xs.ndim == 0
     vals = _u_matrix(j + 1, np.atleast_1d(xs))[j]
@@ -73,7 +73,7 @@ class ChebyshevSolution:
     def _map(self, x) -> np.ndarray:
         a, b = self.interval
         xs = np.asarray(x, dtype=float)
-        if np.any((xs < a - _DOMAIN_SLACK) | (xs > b + _DOMAIN_SLACK)):
+        if not np.all((xs >= a - _DOMAIN_SLACK) & (xs <= b + _DOMAIN_SLACK)):
             raise ValueError(f"evaluation outside [{a}, {b}]")
         return np.clip((2.0 * xs - (a + b)) / (b - a), -1.0, 1.0)
 

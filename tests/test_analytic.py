@@ -39,8 +39,9 @@ def test_solution_vanishes_at_endpoints_and_outside_rejected():
     inv = invert_characteristic(const_pi_rhs(), -1.0, 1.0, 64)
     assert inv.g(-1.0) == 0.0
     assert inv.g(1.0) == 0.0
-    with pytest.raises(ValueError):
-        inv.g(1.5)
+    for outside in (1.5, np.nan):
+        with pytest.raises(ValueError):
+            inv.g(outside)
 
 
 def test_missing_antiderivative_rejected():
@@ -117,8 +118,9 @@ def test_crack_opening_closed_form():
 
 
 def test_crack_opening_validation():
-    with pytest.raises(ValueError, match="half-length"):
-        crack_exact(1.0, 1.0, 0.3, 1.0, 1.25)
+    for outside in (1.25, np.nan):
+        with pytest.raises(ValueError, match="half-length"):
+            crack_exact(1.0, 1.0, 0.3, 1.0, outside)
     with pytest.raises(ValueError, match="shear modulus"):
         crack_exact(1.0, -1.0, 0.3, 1.0, 0.0)
     with pytest.raises(ValueError, match="Poisson"):
@@ -130,5 +132,6 @@ def test_linear_kernel_benchmark_closed_form():
     assert full_example_exact(3.0, 1.0) == 0.0
     xs = np.linspace(-1.0, 1.0, 21)
     assert np.max(np.abs(full_example_exact(0.0, xs) - unit_semicircle(xs))) == 0.0
-    with pytest.raises(ValueError):
-        full_example_exact(3.0, 1.01)
+    for outside in (1.01, np.nan):
+        with pytest.raises(ValueError):
+            full_example_exact(3.0, outside)

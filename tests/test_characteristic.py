@@ -134,5 +134,6 @@ def test_discrete_solution_validation_and_evaluation(semicircle_rhs):
     assert sol(1.0) == 0.0
     # at a collocation midpoint the rule returns the raw unknown
     assert sol(mesh.colloc[3]) == sol.values[3]
-    with pytest.raises(ValueError, match="outside"):
-        sol(1.5)
+    for outside in (1.5, np.nan):
+        with pytest.raises(ValueError, match="outside"):
+            sol(outside)

@@ -1,3 +1,4 @@
+import argparse
 import os
 import re
 import shlex
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hypersing import cli
 from hypersing.cli import main
 
 
@@ -106,6 +108,67 @@ def test_spectral_compare_screen_problem(tmp_path):
     header, data = read_table(out)
     assert len(header) == 6  # complex columns
     assert data.shape == (12, 6)
+    # screen writes the same table as spectral-compare --problem screen
+    flags = ["--k", "1.5", "--n", "16", "--N", "8", "--mquad", "16"]
+    screen = tmp_path / "screen.csv"
+    compare = tmp_path / "compare.csv"
+    assert main(["screen", *flags, "--out", str(screen)]) == 0
+    assert main(["spectral-compare", "--problem", "screen", *flags,
+                 "--out", str(compare)]) == 0
+    assert screen.read_bytes() == compare.read_bytes()
+
+
+_EDGE = [-0.0, 5e-324, 1.7976931348623157e308, 1.0 / 3.0, np.inf, -np.inf]
+
+_REAL_HEADER = ["x", "numeric", "exact_or_oracle", "abs_error"]
+_COMPLEX_HEADER = ["x", "numeric_re", "numeric_im",
+                   "exact_or_oracle_re", "exact_or_oracle_im", "abs_error"]
+
+
+def _complex(re_parts, im_parts):
+    # complex(r, i) keeps the sign of a zero part; r + 1j * i would not.
+    return np.array([complex(r, i) for r, i in zip(re_parts, im_parts)])
+
+
+@pytest.mark.parametrize("fmt, kind", [
+    ("csv", "real-real"),
+    ("tsv", "real-complex"),
+    ("csv", "complex-complex"),
+])
+def test_table_format_is_seventeen_digits(fmt, kind, tmp_path):
+    x = np.array(_EDGE)
+    num_re = np.array(_EDGE[3:] + _EDGE[:3])
+    num_im = np.array(_EDGE[::-1])
+    ref_re = np.array(_EDGE[1:] + _EDGE[:1])
+    ref_im = np.array(_EDGE[2:] + _EDGE[:2])
+    if kind == "real-real":
+        numeric, reference = num_re, ref_re
+        header = _REAL_HEADER
+        columns = [x, num_re, ref_re]
+    elif kind == "real-complex":
+        numeric, reference = num_re, _complex(ref_re, ref_im)
+        header = _COMPLEX_HEADER
+        columns = [x, num_re, np.zeros_like(x), ref_re, ref_im]
+    else:
+        numeric, reference = _complex(num_re, num_im), _complex(ref_re, ref_im)
+        header = _COMPLEX_HEADER
+        columns = [x, num_re, num_im, ref_re, ref_im]
+    abs_err = np.abs(numeric - reference)
+    columns.append(abs_err)
+    sep = "\t" if fmt == "tsv" else ","
+    out = tmp_path / f"table.{fmt}"
+    max_err = cli._write_table(argparse.Namespace(fmt=fmt, out=str(out)),
+                               x, numeric, reference)
+    lines = out.read_text().split("\n")
+    assert lines[0] == sep.join(header)
+    assert lines[1:-1] == [
+        sep.join(format(float(col[i]), ".17g") for col in columns)
+        for i in range(len(x))
+    ]
+    assert lines[-1] == ""
+    if kind == "real-complex":
+        assert all(line.split(sep)[2] == "0" for line in lines[1:-1])
+    assert max_err == float(np.max(abs_err))
 
 
 def test_invalid_flags_exit_two():

@@ -22,8 +22,9 @@ def test_second_kind_polynomial_values():
 
 
 def test_second_kind_polynomial_domain_and_degree():
-    with pytest.raises(ValueError, match=r"\|x\|"):
-        chebyshev_U(3, 1.5)
+    for outside in (1.5, np.nan):
+        with pytest.raises(ValueError, match=r"\|x\|"):
+            chebyshev_U(3, outside)
     with pytest.raises(ValueError, match="nonnegative"):
         chebyshev_U(-1, 0.5)
 
@@ -121,8 +122,9 @@ def test_expansion_evaluation_rules():
     solution = ChebyshevSolution(coeffs=np.array([1.0, 0.5]), interval=(-1.0, 1.0))
     assert solution(-1.0) == 0.0
     assert solution(1.0) == 0.0
-    with pytest.raises(ValueError, match="outside"):
-        solution(1.2)
+    for outside in (1.2, np.nan):
+        with pytest.raises(ValueError, match="outside"):
+            solution(outside)
     step = 1e-6
     fd = (solution(0.3 + step) - solution(0.3 - step)) / (2 * step)
     assert solution.deriv(0.3) == pytest.approx(fd, abs=1e-8)
