@@ -25,6 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from hypersing.hypersingular import _check_interior
 from hypersing.quadrature import gauss_chebyshev1
 
 _NODE_CLEARANCE = 1e-12
@@ -173,7 +174,9 @@ def weighted_pv_integral(fn: Callable, a: float, b: float, m: int, x: float):
 
     Used by the second-kind reduction diagnostic
     (``fullsolver.fredholm_residual``); ``fn`` must accept numpy arrays.
+    Raises ValueError unless a < x < b (NaN included).
     """
+    _check_interior(a, b, x)
     center = 0.5 * (a + b)
     radius = 0.5 * (b - a)
     u, w = gauss_chebyshev1(m)

@@ -165,8 +165,10 @@ def _evaluate_rhs(rhs: RightHandSide, points: np.ndarray) -> np.ndarray:
 def solve_full(problem: FullProblem) -> DiscreteSolution:
     """Solve the equation by dense collocation on the problem's mesh.
 
-    Solves through LAPACK (``lu_factor``) and attaches the condition
-    estimate taken there to the result; a warning is logged above 1e12.
+    Solves through LAPACK in the ``lu_factor`` call that takes the
+    condition estimate (one ``gesv`` call for the Toeplitz matrix of a
+    difference kernel) and attaches the estimate to the result; a warning
+    is logged above 1e12.
     The scalar field is complex exactly when the kernel or the right-hand
     side is complex; a real problem never leaves real arithmetic.  Raises
     SingularMatrixError for a degenerate system and ValueError for a
@@ -176,8 +178,8 @@ def solve_full(problem: FullProblem) -> DiscreteSolution:
         problem.rhs.validate_pair(problem.mesh.a, problem.mesh.b)
     matrix = assemble_full(problem)
     b = _evaluate_rhs(problem.rhs, problem.mesh.colloc)
-    fact = lu_factor(matrix)
-    values = fact.solve(b)
+    fact = lu_factor(matrix, b)
+    values = fact.solution
     condition = condition_estimate_1norm(fact)
     if condition > _CONDITION_WARN:
         logger.warning(

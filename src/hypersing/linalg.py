@@ -18,10 +18,16 @@ A^{-1}, and when x_0 != 0 the Gohberg-Semencul formula
 (L(a), U(a): lower/upper triangular Toeplitz with first column/row a;
 J reversal, Z down-shift) takes every probe of Hager's sweeps in O(n^2)
 through ``numpy.convolve``, with no further factorization (I. Gohberg
-and A. Semencul, Mat. Issled. 7, 1972).  Any other matrix is probed
-through ``gesv`` with A and A^H, which factors it again on each probe.
-The caller's own solves are always ``gesv``.  No n x n array is kept
-besides the caller's matrix.
+and A. Semencul, Mat. Issled. 7, 1972).  The caller's right-hand side,
+given to ``lu_factor``, rides in the ``gesv`` call that gives x and y as
+one more column (two, for the real and imaginary parts of a complex b
+with a real matrix), so a Toeplitz solve factors A once and its solution
+still comes from LAPACK's LU, never from the formula.  Each column of a
+multi-column ``gesv`` gets the same bits whatever the column count
+(OpenBLAS 0.3.31, 1 and 2 threads), so the extra columns leave x, y and
+the estimate unchanged.  Any other matrix is probed through ``gesv``
+with A and A^H, which factors it again on each probe, and is solved
+after the estimate.  No n x n array is kept besides the caller's matrix.
 """
 
 from __future__ import annotations
@@ -68,15 +74,18 @@ class LUFactorization:
     real arithmetic, which is the same calculation and keeps the result
     bit-identical to the real path.  ``dtype`` is the scalar type of the
     caller's matrix and ``condition`` the Hager estimate of cond_1 that
-    ``lu_factor`` took.  Each solve is one ``gesv`` call, which factors the
-    matrix inside LAPACK; no factors, inverse or copy are stored.  Taking
-    the estimate cost one more ``gesv`` call for a Toeplitz matrix and a
-    few for any other.
+    ``lu_factor`` took.  ``solution`` is A^{-1} rhs when ``lu_factor`` was
+    given a right-hand side, else None.  Each solve is one ``gesv`` call,
+    which factors the matrix inside LAPACK; no factors, inverse or copy are
+    stored.  For a Toeplitz matrix the estimate and ``solution`` came from
+    one ``gesv`` call together; for any other the estimate cost a few
+    ``gesv`` calls and ``solution`` one more.
     """
 
     matrix: np.ndarray
     dtype: np.dtype
     condition: float = math.nan
+    solution: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -94,35 +103,52 @@ class LUFactorization:
         return np.conj(self._solve(self.matrix.T, np.conj(b)))
 
     def _solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        columns = self._columns(b)
+        if len(columns) == 1:
+            return _gesv(a, columns[0])
+        # Real matrix, complex answer: the real and imaginary parts are two
+        # single-column gesv calls of one batched solve, each the same
+        # calculation as a real solve (a two-column gesv rounds differently).
+        parts = _gesv(np.broadcast_to(a, (2, self.n, self.n)), columns[..., None])
+        return _join(parts[..., 0])
+
+    def _columns(self, b: np.ndarray) -> np.ndarray:
+        # The checked rhs as rows of gesv columns in the matrix's scalar type:
+        # b itself, or its real and imaginary parts when a real matrix must
+        # give a complex answer.
         b = np.asarray(b)
         if b.shape != (self.n,):
             raise ValueError(f"rhs must have shape ({self.n},), got {b.shape}")
         if not np.all(np.isfinite(b)):
             raise ValueError("rhs contains nonfinite entries")
-        if np.iscomplexobj(a):
-            return _gesv(a, b.astype(np.complex128))
-        if not (np.iscomplexobj(b) or self.dtype.kind == "c"):
-            return _gesv(a, b.astype(np.float64))
-        # Real matrix, complex answer: the real and imaginary parts are two
-        # single-column gesv calls of one batched solve, each the same
-        # calculation as a real solve (a two-column gesv rounds differently).
-        parts = _gesv(
-            np.broadcast_to(a, (2, self.n, self.n)),
-            np.stack([b.real, b.imag], dtype=np.float64)[..., None],
-        )
-        return parts[0, :, 0] + 1j * parts[1, :, 0]
+        if np.iscomplexobj(self.matrix):
+            return b.astype(np.complex128)[None]
+        if np.iscomplexobj(b) or self.dtype.kind == "c":
+            return np.stack([b.real, b.imag], dtype=np.float64)
+        return b.astype(np.float64)[None]
 
 
-def lu_factor(a: np.ndarray) -> LUFactorization:
+def _join(columns: np.ndarray) -> np.ndarray:
+    # Inverse of ``_columns``: one solved column, or real and imaginary parts.
+    return columns[0] if len(columns) == 1 else columns[0] + 1j * columns[1]
+
+
+def lu_factor(a: np.ndarray, rhs: np.ndarray | None = None) -> LUFactorization:
     """Check a square matrix for LAPACK solves and estimate its condition.
 
-    Raises SingularMatrixError when LAPACK meets an exactly zero pivot, or
-    when the estimated reciprocal condition number 1/cond_1 is at most
-    1e-13.  On 40 test matrices (Hilbert 2-14; rank-deficient n = 2, 5, 30
-    with noise from 1e-6 down to 0) this rejects every matrix that a test
-    of the best pivot against 1e-13 times the largest entry rejects.  It
-    also rejects five with cond_1 between 1e13 and 1.5e15 that keep every
-    pivot above that threshold, hilbert(10) and hilbert(11) among them.
+    Given ``rhs``, the result also carries ``solution`` = A^{-1} rhs, solved
+    by LAPACK's LU in the ``gesv`` call that gives the Toeplitz generators,
+    or after the estimate for any other matrix; ``rhs`` is checked for shape
+    and finiteness (ValueError) before LAPACK runs.
+
+    Raises SingularMatrixError, before any solution is returned, when
+    LAPACK meets an exactly zero pivot, or when the estimated reciprocal
+    condition number 1/cond_1 is at most 1e-13.  On 40 test matrices
+    (Hilbert 2-14; rank-deficient n = 2, 5, 30 with noise from 1e-6 down
+    to 0) this rejects every matrix that a test of the best pivot against
+    1e-13 times the largest entry rejects.  It also rejects five with
+    cond_1 between 1e13 and 1.5e15 that keep every pivot above that
+    threshold, hilbert(10) and hilbert(11) among them.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -135,23 +161,28 @@ def lu_factor(a: np.ndarray) -> LUFactorization:
         matrix = a.real.astype(np.float64, copy=False)
     dtype = np.dtype(np.complex128 if np.iscomplexobj(a) else np.float64)
     fact = LUFactorization(matrix=matrix, dtype=dtype)
+    columns = () if rhs is None else fact._columns(rhs)
+    solved = None
     if fact.n == 0:
         fact.condition = 1.0
-        return fact
-    probes = _toeplitz_probes(matrix) or (fact.solve, fact.solve_adjoint)
-    norm1 = float(np.max(np.abs(matrix).sum(axis=0)))
-    fact.condition = norm1 * _inverse_norm1_estimate(fact.n, matrix.dtype, *probes)
+    else:
+        probes, solved = _toeplitz_probes(matrix, columns)
+        probes = probes or (fact.solve, fact.solve_adjoint)
+        norm1 = float(np.max(np.abs(matrix).sum(axis=0)))
+        fact.condition = norm1 * _inverse_norm1_estimate(fact.n, matrix.dtype, *probes)
     if not fact.condition * _RCOND_MIN < 1.0:
         raise SingularMatrixError(
             f"estimated reciprocal 1-norm condition number {1.0 / fact.condition:.3e}"
             f" is at most {_RCOND_MIN:.0e}"
         )
+    if rhs is not None:
+        fact.solution = fact.solve(rhs) if solved is None else _join(solved)
     return fact
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Factor-and-solve convenience for a single system."""
-    return lu_factor(a).solve(b)
+    return lu_factor(a, b).solution
 
 
 def condition_estimate_1norm(fact: LUFactorization) -> float:
@@ -165,17 +196,21 @@ def condition_estimate_1norm(fact: LUFactorization) -> float:
     return fact.condition
 
 
-def _toeplitz_probes(a: np.ndarray):
-    # r -> A^{-1} r and r -> A^{-H} r of a Toeplitz matrix from the first and
-    # last columns of A^{-1}; None for any other matrix, or when x_0 = 0.
+def _toeplitz_probes(a: np.ndarray, columns=()):
+    # (probes, solved) of a Toeplitz matrix: one gesv call solves e_0,
+    # e_{n-1} and the rows of ``columns``.  probes are r -> A^{-1} r and
+    # r -> A^{-H} r from the first and last columns x, y of A^{-1}, or None
+    # when x_0 = 0; solved holds the solutions of ``columns``, row by row.
+    # (None, None) for any other matrix, without calling gesv.
     n = a.shape[0]
     if not np.array_equal(a[1:, 1:], a[:-1, :-1]):
-        return None
-    ends = np.zeros((n, 2), dtype=a.dtype)
-    ends[0, 0] = ends[-1, 1] = 1.0
-    x, y = _gesv(a, ends).T
+        return None, None
+    ends = np.zeros((2, n), dtype=a.dtype)
+    ends[0, 0] = ends[1, -1] = 1.0
+    x, y, *solved = _gesv(a, np.concatenate([ends, np.reshape(columns, (-1, n))]).T).T
+    solved = np.array(solved)
     if x[0] == 0:
-        return None
+        return None, solved
     jy = y[::-1]
     zy = np.concatenate(([0.0], y[:-1]))
     zjx = np.concatenate(([0.0], x[:0:-1]))
@@ -193,7 +228,7 @@ def _toeplitz_probes(a: np.ndarray):
         r = np.conj(r)
         return np.conj((lower(jy, upper(x, r)) - lower(zjx, upper(zy, r))) / x[0])
 
-    return inverse, inverse_adjoint
+    return (inverse, inverse_adjoint), solved
 
 
 def _inverse_norm1_estimate(n: int, dtype: np.dtype, inverse, inverse_adjoint) -> float:

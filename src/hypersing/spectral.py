@@ -185,5 +185,5 @@ def solve_spectral(
 
     orders = np.arange(1, N + 1)
     matrix = np.diag(-orders * (np.pi**2 / 2.0)) + k_moments
-    coeffs = lu_factor(matrix).solve(f_moments)
+    coeffs = lu_factor(matrix, f_moments).solution
     return ChebyshevSolution(coeffs=coeffs, interval=(a, b))

@@ -9,6 +9,7 @@ from hypersing import (
     full_example_exact,
     invert_characteristic,
 )
+from hypersing.analytic import weighted_pv_integral
 from tests.conftest import const_pi_rhs, unit_semicircle
 
 
@@ -135,3 +136,15 @@ def test_linear_kernel_benchmark_closed_form():
     for outside in (1.01, np.nan):
         with pytest.raises(ValueError):
             full_example_exact(3.0, outside)
+
+
+def test_weighted_pv_integral_interior_only():
+    # PV int_{-1}^{1} t / (sqrt(1-t^2) (x-t)) dt = -pi for every |x| < 1.
+    for x in (-0.9, 0.0, 0.37):
+        value = weighted_pv_integral(lambda t: t, -1.0, 1.0, 16, x)
+        assert value == pytest.approx(-np.pi, rel=1e-13)
+    # The subtraction rule only holds inside: at x = 1.5 it would give 0.0
+    # where the integral of 1 / (sqrt(1-t^2) (x-t)) is pi / sqrt(1.25).
+    for outside in (np.nan, 1.0, -1.0, 1.5):
+        with pytest.raises(ValueError, match="strictly inside"):
+            weighted_pv_integral(lambda t: np.ones_like(t), -1.0, 1.0, 16, outside)

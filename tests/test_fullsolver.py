@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from hypersing import (
     FullProblem,
     KernelEvaluationError,
     RegularKernel,
+    RightHandSide,
     ScreenParams,
     assemble_characteristic,
     assemble_full,
@@ -180,19 +183,25 @@ def test_difference_table_matches_direct_evaluation():
 
 
 @pytest.mark.parametrize(
-    "problem",
+    "problem, columns",
     [
-        pytest.param(lambda: crack_problem(CrackParams(1.0, 1.0, 0.3, 1.0), 40), id="crack"),
-        pytest.param(lambda: screen_problem(ScreenParams(k=1.3, a=1.0), 40), id="screen"),
+        pytest.param(lambda: crack_problem(CrackParams(1.0, 1.0, 0.3, 1.0), 40), 3,
+                     id="crack"),
+        pytest.param(lambda: screen_problem(ScreenParams(k=1.3, a=1.0), 40), 3, id="screen"),
+        # A real matrix with a complex load: b's real and imaginary parts.
+        pytest.param(lambda: dataclasses.replace(
+            crack_problem(CrackParams(1.0, 1.0, 0.3, 1.0), 40),
+            rhs=RightHandSide(fprime=lambda x: np.exp(1j * np.asarray(x))),
+        ), 4, id="crack-complex-rhs"),
     ],
 )
-def test_toeplitz_solve_makes_two_lapack_calls(problem, monkeypatch):
+def test_toeplitz_solve_makes_one_lapack_call(problem, columns, monkeypatch):
     # One gesv for the first and last columns of A^{-1}, which serve every
-    # probe of the condition estimate, and one for the solution.
+    # probe of the condition estimate, and the right-hand side.
     problem = problem()
     calls = count_gesv(monkeypatch)
     solution = solve_full(problem)
-    assert calls == [(40, 2), (40,)]
+    assert calls == [(40, columns)]
     assert solution.condition > 1.0
 
 

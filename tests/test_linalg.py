@@ -14,6 +14,7 @@ from hypersing import (
     screen_problem,
     solve,
 )
+from hypersing.fullsolver import _evaluate_rhs
 from hypersing.linalg import MAX_DENSE_ELEMENTS, _toeplitz_probes, check_dense_size
 from tests.conftest import count_gesv
 
@@ -106,7 +107,7 @@ def test_singular_matrix_rejected():
             lu_factor(toeplitz(profile))
 
 
-def test_shape_and_finiteness_validation():
+def test_shape_and_finiteness_validation(monkeypatch):
     with pytest.raises(ValueError, match="square"):
         lu_factor(np.ones((2, 3)))
     with pytest.raises(ValueError, match="nonfinite"):
@@ -114,6 +115,20 @@ def test_shape_and_finiteness_validation():
     fact = lu_factor(np.eye(2))
     with pytest.raises(ValueError, match="nonfinite"):
         fact.solve(np.array([1.0, np.inf]))
+    # A right-hand side handed to lu_factor is checked before LAPACK runs,
+    # on the Toeplitz route and off it.
+    calls = count_gesv(monkeypatch)
+    for matrix in (toeplitz(np.arange(1.0, 8.0)), hilbert(4)):
+        for rhs, match in (
+            (np.ones(3), "shape"),
+            (np.ones((4, 1)), "shape"),
+            (np.array([1.0, np.nan, 0.0, 0.0]), "nonfinite"),
+            (np.array([1.0, 0.0, 1j * np.inf, 0.0]), "nonfinite"),
+        ):
+            for call in (lu_factor, solve):
+                with pytest.raises(ValueError, match=match):
+                    call(matrix, rhs)
+    assert calls == []
 
 
 def test_condition_estimate_identity():
@@ -150,6 +165,22 @@ def test_complex_solve_matches_real_bit_for_bit():
     comp = lu_factor(a.astype(complex)).solve(b.astype(complex))
     assert np.array_equal(comp.real, real)
     assert np.all(comp.imag == 0.0)
+    # The same on the Toeplitz route, where b rides in the generators' gesv:
+    # three real columns against four (b's real and imaginary parts).
+    for t in (toeplitz(rng.standard_normal(79)) + 4.0 * np.eye(40),
+              assemble_full(crack_problem(CrackParams(1.0, 1.0, 0.3, 1.0), 40))):
+        b = rng.standard_normal(40)
+        real = lu_factor(t, b)
+        for comp in (lu_factor(t.astype(complex), b.astype(complex)),
+                     lu_factor(t, b.astype(complex)), lu_factor(t.astype(complex), b)):
+            assert np.array_equal(comp.solution.real, real.solution)
+            assert np.all(comp.solution.imag == 0.0)
+            assert comp.condition == real.condition
+        assert np.array_equal(solve(t.astype(complex), b).real, real.solution)
+        c = rng.standard_normal(40)
+        mixed = lu_factor(t, b + 1j * c).solution
+        assert np.array_equal(mixed.real, real.solution)
+        assert np.array_equal(mixed.imag, lu_factor(t, c).solution)
 
 
 def test_adjoint_solve_consistent():
@@ -164,7 +195,7 @@ def test_adjoint_solve_consistent():
     # Complex nonsymmetric Toeplitz: the adjoint solve and the adjoint probe
     # of the condition estimate.
     t = toeplitz(rng.standard_normal(11) + 1j * rng.standard_normal(11)) + 4.0 * np.eye(6)
-    for zt in (lu_factor(t).solve_adjoint(b), _toeplitz_probes(t)[1](b)):
+    for zt in (lu_factor(t).solve_adjoint(b), _toeplitz_probes(t)[0][1](b)):
         assert np.max(np.abs(t.conj().T @ zt - b)) <= 1e-10
 
 
@@ -178,32 +209,45 @@ def test_toeplitz_probes_match_dense_solves(n, kind):
         profile = profile + 1j * rng.standard_normal(2 * n - 1)
         r = r + 1j * rng.standard_normal(n)
     t = toeplitz(profile) + 3.0 * np.eye(n)
-    inverse, inverse_adjoint = _toeplitz_probes(t)
-    scale = np.max(np.abs(np.linalg.solve(t, r)))
-    assert np.max(np.abs(inverse(r) - np.linalg.solve(t, r))) <= 1e-13 * scale
+    (inverse, inverse_adjoint), solved = _toeplitz_probes(t, [r])
+    want = np.linalg.solve(t, r)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(inverse(r) - want)) <= 1e-13 * scale
+    assert solved.shape == (1, n)
+    assert np.max(np.abs(solved[0] - want)) <= 1e-13 * scale
     want = np.linalg.solve(t.conj().T, r)
     assert np.max(np.abs(inverse_adjoint(r) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_non_toeplitz_and_zero_corner_keep_dense_probes():
-    assert _toeplitz_probes(hilbert(4)) is None
-    # Toeplitz with (A^{-1})_00 = 0: the formula divides by it, so gesv probes.
+def test_non_toeplitz_and_zero_corner_keep_dense_probes(monkeypatch):
+    assert _toeplitz_probes(hilbert(4), [np.ones(4)]) == (None, None)
+    # Toeplitz with (A^{-1})_00 = 0: the formula divides by it, so gesv probes,
+    # but the right-hand side solved with the generators is still the answer.
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert _toeplitz_probes(swap) is None
+    probes, solved = _toeplitz_probes(swap, [[2.0, 3.0]])
+    assert probes is None
+    assert np.array_equal(solved, [[3.0, 2.0]])
+    calls = count_gesv(monkeypatch)
     assert condition_estimate_1norm(lu_factor(swap)) == 1.0
+    probe_calls = list(calls)
+    calls.clear()
+    fact = lu_factor(swap, np.array([2.0, 3.0]))
+    assert calls == [(2, 3)] + probe_calls[1:]
+    assert np.array_equal(fact.solution, [3.0, 2.0])
+    assert fact.condition == 1.0
 
 
-@pytest.mark.parametrize(
-    "problem",
-    [
-        pytest.param(lambda: crack_problem(CrackParams(1.0, 1.0, 0.3, 1.0), 600), id="crack-600"),
-        *(
-            pytest.param(lambda k=k: screen_problem(ScreenParams(k=k, a=1.0), 400),
-                         id=f"screen-400-k{k}")
-            for k in (0.5, 1.3, 2.5)
-        ),
-    ],
-)
+COLLOCATION_PROBLEMS = [
+    pytest.param(lambda: crack_problem(CrackParams(1.0, 1.0, 0.3, 1.0), 600), id="crack-600"),
+    *(
+        pytest.param(lambda k=k: screen_problem(ScreenParams(k=k, a=1.0), 400),
+                     id=f"screen-400-k{k}")
+        for k in (0.5, 1.3, 2.5)
+    ),
+]
+
+
+@pytest.mark.parametrize("problem", COLLOCATION_PROBLEMS)
 def test_condition_estimate_of_collocation_matrices(problem, monkeypatch):
     a = assemble_full(problem())
     want = hager_reference(a)
@@ -213,6 +257,21 @@ def test_condition_estimate_of_collocation_matrices(problem, monkeypatch):
     assert calls == [(a.shape[0], 2)]  # the first and last columns of A^{-1}
     assert est == pytest.approx(want, rel=1e-10)
     assert exact / 10.0 <= est <= exact * 10.0
+
+
+@pytest.mark.parametrize("problem", COLLOCATION_PROBLEMS)
+def test_fused_solve_of_collocation_matrices(problem, monkeypatch):
+    problem = problem()
+    a = assemble_full(problem)
+    b = _evaluate_rhs(problem.rhs, problem.mesh.colloc)
+    want = np.linalg.solve(a, b)
+    condition = lu_factor(a).condition
+    calls = count_gesv(monkeypatch)
+    fact = lu_factor(a, b)
+    assert calls == [(a.shape[0], 3)]  # e_0, e_{n-1} and b in one gesv
+    assert fact.solution.dtype == want.dtype
+    assert np.max(np.abs(fact.solution - want)) <= 1e-13 * np.max(np.abs(want))
+    assert fact.condition == condition
 
 
 def test_dense_size_budget():
