@@ -42,7 +42,6 @@ class RightHandSide:
 
     fprime: Callable[[np.ndarray], np.ndarray]
     f: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    description: str = ""
 
     def validate_pair(self, a: float, b: float, rtol: float = _PAIR_RTOL) -> None:
         """Check that fprime is the derivative of f at 5 interior points."""

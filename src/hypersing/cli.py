@@ -50,7 +50,6 @@ _LIBRARY_ERRORS = (QuadratureConvergenceError, KernelEvaluationError, ValueError
 _PI_LOAD = RightHandSide(
     fprime=lambda x: -np.pi * np.ones_like(np.asarray(x, dtype=float)),
     f=lambda x: -np.pi * np.asarray(x, dtype=float),
-    description="constant right-hand side -pi",
 )
 
 
@@ -287,8 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    return run(build_parser().parse_args(argv))
+    return run(_PARSER.parse_args(argv))
 
 
 if __name__ == "__main__":

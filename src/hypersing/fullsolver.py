@@ -2,13 +2,16 @@
 
 The singular part is the characteristic matrix; the regular kernel enters
 through the one-point rectangle rule h*K0(x_i, t_j), which keeps the
-scheme identical to the analyzed one.  A convolution kernel depends, like
+scheme identical to the analyzed one.  A difference kernel depends, like
 the singular part, only on i - j on the uniform mesh, so its table is the
 2n - 1 values at the distinct differences and the whole matrix is one
-Toeplitz matrix of their sum.  Kernels without ``profile_batch`` are
-evaluated at all n^2 pairs.  With no kernel the problem is the
-characteristic equation: ``solve_characteristic`` is that case of
-``solve_full``.
+Toeplitz matrix of their sum.  A general kernel (``eval`` only) is
+evaluated at all n^2 pairs.  Both tables go through one checked
+evaluation: one call for the whole table, a shape and finiteness check,
+and a failure locator that names the raising difference or pair in O(n)
+further calls, a row at a time and then the entries of the failing row.
+With no kernel the problem is the characteristic equation:
+``solve_characteristic`` is that case of ``solve_full``.
 
 ``fredholm_residual`` measures how well a solution satisfies the
 equivalent second-kind equation obtained by inverting the singular part:
@@ -65,73 +68,78 @@ class FullProblem:
     kernel: object
 
 
-def _difference_pair(mesh: Mesh, m: int) -> tuple[float, float]:
-    # One (x_i, t_j) with x_i - t_j = (m - (n - 1) - 1/2) h, the m-th difference.
-    i = max(m - (mesh.n - 1), 0)
-    j = i - m + mesh.n - 1
-    return float(mesh.colloc[i]), float(mesh.nodes[1 + j])
+def _failing_entry(evaluate: Callable, shape: tuple[int, int]):
+    # The first raising row, then the raising entry in it: at most
+    # rows + columns calls, or None when no row or entry raises alone.
+    for i in range(shape[0]):
+        try:
+            evaluate(i, slice(None))
+        except Exception:
+            for j in range(shape[1]):
+                try:
+                    evaluate(i, j)
+                except Exception:
+                    return i, j
+            return None
+    return None
 
 
 def _kernel_table(problem: FullProblem) -> np.ndarray:
-    # K0 at the 2n - 1 differences (m - 1/2) h, m = i - j, at index m + n - 1.
-    mesh = problem.mesh
+    """The regular kernel's values on the mesh, checked, as a 2-D table.
+
+    A difference kernel gives one row: K0 at the 2n - 1 differences
+    (m - 1/2) h, m = i - j, at index m + n - 1.  A general kernel gives the
+    n x n table K0(x_i, t_j).  Either is computed in one call, and a call
+    that raises, a wrong shape or a nonfinite value ends in a
+    KernelEvaluationError that names an (x, t) pair where it can.  The
+    failure locator probes a row with an array and an entry with the
+    scalars (or the one difference) alone.
+    """
+    mesh, kernel = problem.mesh, problem.kernel
     n = mesh.n
-    batch = problem.kernel.profile_batch
-    diffs = (np.arange(2 * n - 1) - (n - 1) - 0.5) * mesh.h
+    if kernel.profile_batch is not None:
+        diffs = (np.arange(2 * n - 1) - (n - 1) - 0.5) * mesh.h
+        shape = (1, 2 * n - 1)
+
+        def evaluate(i, m):
+            return np.asarray(kernel.profile_batch(np.atleast_1d(diffs[m])))[None]
+
+        def pair(_, m):
+            # One (x_i, t_j) with i - j = m - (n - 1), the m-th difference.
+            i = max(m - (n - 1), 0)
+            return float(mesh.colloc[i]), float(mesh.nodes[n + i - m])
+
+    else:
+        shape = (n, n)
+
+        def evaluate(i, j):
+            x, t = mesh.colloc[i], mesh.nodes[1:][j]
+            return kernel.eval(x[:, None] if np.ndim(x) else x, t)
+
+        def pair(i, j):
+            return float(mesh.colloc[i]), float(mesh.nodes[1 + j])
+
     try:
-        table = np.asarray(batch(diffs))
-    except Exception as exc:  # locate the difference by probing each alone
-        for m in range(2 * n - 1):
-            try:
-                batch(diffs[m : m + 1])
-            except Exception:
-                x, t = _difference_pair(mesh, m)
-                raise KernelEvaluationError(
-                    f"kernel evaluation failed at (x, t) = ({x}, {t}): {exc}", x=x, t=t
-                ) from exc
-        raise KernelEvaluationError(f"kernel evaluation failed: {exc}") from exc
-    if table.shape != diffs.shape:
+        table = np.asarray(evaluate(slice(None), slice(None)))
+    except Exception as exc:
+        where = _failing_entry(evaluate, shape)
+        if where is None:
+            raise KernelEvaluationError(f"kernel evaluation failed: {exc}") from exc
+        x, t = pair(*where)
         raise KernelEvaluationError(
-            f"kernel table has shape {table.shape}, expected {diffs.shape}"
+            f"kernel evaluation failed at (x, t) = ({x}, {t}): {exc}", x=x, t=t
+        ) from exc
+    if table.shape != shape:
+        raise KernelEvaluationError(
+            f"kernel table has shape {table.shape}, expected {shape}"
         )
-    bad = np.flatnonzero(~np.isfinite(table))
+    bad = np.argwhere(~np.isfinite(table))
     if bad.size:
-        x, t = _difference_pair(mesh, int(bad[0]))
+        x, t = pair(*bad[0])
         raise KernelEvaluationError(
             "kernel evaluation produced a nonfinite value", x=x, t=t
         )
     return table
-
-
-def _pointwise_table(mesh: Mesh, kernel) -> np.ndarray:
-    n = mesh.n
-    try:
-        values = np.asarray(kernel.eval(mesh.colloc[:, None], mesh.nodes[None, 1:]))
-    except Exception as exc:  # locate the pair by scalar probing
-        for xi in mesh.colloc:
-            for tj in mesh.nodes[1:]:
-                try:
-                    kernel.eval(xi, tj)
-                except Exception:
-                    raise KernelEvaluationError(
-                        f"kernel evaluation failed at (x, t) = ({xi}, {tj}): {exc}",
-                        x=float(xi),
-                        t=float(tj),
-                    ) from exc
-        raise KernelEvaluationError(f"kernel evaluation failed: {exc}") from exc
-    if values.shape != (n, n):
-        raise KernelEvaluationError(
-            f"kernel table has shape {values.shape}, expected {(n, n)}"
-        )
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        i, j = np.argwhere(bad)[0]
-        raise KernelEvaluationError(
-            "kernel evaluation produced a nonfinite value",
-            x=float(mesh.colloc[i]),
-            t=float(mesh.nodes[1 + j]),
-        )
-    return values
 
 
 def assemble_full(problem: FullProblem) -> np.ndarray:
@@ -146,11 +154,11 @@ def assemble_full(problem: FullProblem) -> np.ndarray:
     if problem.kernel is None:
         return assemble_characteristic(mesh)
     check_dense_size("n", mesh.n, mesh.n, mesh.n)
-    if getattr(problem.kernel, "profile_batch", None) is None:
-        matrix = mesh.h * _pointwise_table(mesh, problem.kernel)
-        matrix += assemble_characteristic(mesh)
-        return matrix
-    return _toeplitz(_singular_profile(mesh) + mesh.h * _kernel_table(problem))
+    table = mesh.h * _kernel_table(problem)
+    if problem.kernel.profile_batch is not None:
+        return _toeplitz(_singular_profile(mesh) + table[0])
+    table += assemble_characteristic(mesh)
+    return table
 
 
 def _evaluate_rhs(rhs: RightHandSide, points: np.ndarray) -> np.ndarray:

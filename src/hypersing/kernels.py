@@ -7,11 +7,14 @@ transform of L0 produces the regular part
 
     K0(x) = (1/pi) int_0^inf L0(s) cos(s x) ds.
 
-The module builds such kernels three ways: in closed form, from a symbol
-by quadrature, and the rigid-screen kernel with its radiation branch,
+A difference kernel is defined once, by its profile: ``RegularKernel``
+derives ``profile`` and ``eval`` from ``profile_batch``.  The module
+builds such kernels three ways: in closed form, from a symbol by
+quadrature, and the rigid-screen kernel with its radiation branch,
 evaluated in closed form through the Bessel functions J1 and Y1.  It
 assembles the two packaged problems in the canonical normalization where
-the singular part carries unit coefficient.
+the singular part carries unit coefficient; the crack is the
+characteristic equation itself and carries no kernel.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from hypersing.analytic import RightHandSide
 from hypersing.fullsolver import FullProblem
 from hypersing.mesh import make_mesh
-from hypersing.quadrature import adaptive_gauss_batch
+from hypersing.quadrature import adaptive_gauss
 
 _BATCH_CHUNK = 4096
 
@@ -51,21 +54,35 @@ class SymbolDecayError(ValueError):
 
 @dataclass
 class RegularKernel:
-    """Smooth kernel K0 with optional convolution and antiderivative structure.
+    """Smooth kernel K0, given by its profile or pointwise.
 
-    ``eval(x, t)`` must broadcast over numpy arrays.  Convolution kernels
-    also carry ``profile`` (K0 of the single variable x - t) and
-    ``profile_batch`` for evaluating many differences at once; solvers use
-    those to collapse the n x n kernel table to the 2n - 1 distinct
-    differences a uniform mesh produces.  ``k1``, when present, is an
-    antiderivative of the kernel in its first argument.
+    A difference kernel K0(x - t) is given by ``profile_batch``, its values
+    at a 1-D array of differences; ``profile(d)`` and ``eval(x, t)`` are
+    derived from it here (an ``eval`` passed with it is replaced), and
+    solvers use it to collapse the n x n kernel table to the 2n - 1
+    distinct differences a uniform mesh produces.  A general kernel is
+    given by ``eval(x, t)``, which must broadcast over numpy arrays.
+    ``k1``, when present, is an antiderivative of the kernel in its first
+    argument.
     """
 
-    eval: Callable
+    eval: Optional[Callable] = None
     k1: Optional[Callable] = None
-    profile: Optional[Callable] = None
     profile_batch: Optional[Callable] = None
-    metadata: str = ""
+
+    def __post_init__(self) -> None:
+        if self.profile_batch is not None:
+            self.eval = self._difference_eval
+        elif self.eval is None:
+            raise ValueError("a kernel needs profile_batch or eval")
+
+    def profile(self, d):
+        """K0 at the differences ``d``, scalar or array; difference kernels only."""
+        values = self.profile_batch(np.atleast_1d(d).ravel())
+        return values.reshape(np.shape(d)) if np.shape(d) else values[0]
+
+    def _difference_eval(self, x, t):
+        return self.profile(np.asarray(x) - np.asarray(t))
 
 
 @dataclass
@@ -89,8 +106,7 @@ class FourierSymbol:
         scale = 1.0 + np.abs(np.asarray(self.L0(s)))
         if np.any(split > 1e-10 * scale):
             raise SymbolDecayError("L(s) does not equal A|s| + L0(s) at sampled points")
-        tail = np.geomspace(10.0, 1e4, 25)
-        bound = np.abs(np.asarray(self.L0(tail))) * tail ** (1.0 + self.decay)
+        bound = self._tail_bound()
         early = float(np.max(bound[: len(bound) // 2]))
         late = float(np.max(bound[len(bound) // 2 :]))
         if late > 3.0 * early + 1e-12:
@@ -99,10 +115,13 @@ class FourierSymbol:
                 "the stated decay rate is too optimistic"
             )
 
+    def _tail_bound(self) -> np.ndarray:
+        tail = np.geomspace(10.0, 1e4, 25)
+        return np.abs(np.asarray(self.L0(tail))) * tail ** (1.0 + self.decay)
+
     def remainder_bound(self) -> float:
         """Max of |L0(s)| s^(1+delta) over the sampled high-frequency range."""
-        tail = np.geomspace(10.0, 1e4, 25)
-        return float(np.max(np.abs(np.asarray(self.L0(tail))) * tail ** (1.0 + self.decay)))
+        return float(np.max(self._tail_bound()))
 
 
 def _require_finite(params) -> None:
@@ -150,28 +169,11 @@ class ScreenParams:
             raise ValueError(f"half-length must be positive, got {self.a}")
 
 
-def _convolution_eval(profile_batch: Callable) -> Callable:
-    def eval_(x, t):
-        diff = np.asarray(x) - np.asarray(t)
-        flat = np.atleast_1d(diff).ravel()
-        vals = profile_batch(flat)
-        return vals.reshape(np.shape(diff)) if np.shape(diff) else vals[0]
-
-    return eval_
-
-
 def zero_kernel() -> RegularKernel:
     """The identically zero regular kernel (characteristic equation)."""
-
-    def profile_batch(d):
-        return np.zeros(np.shape(np.atleast_1d(d)), dtype=float)
-
     return RegularKernel(
-        eval=lambda x, t: np.zeros(np.broadcast(np.asarray(x), np.asarray(t)).shape),
         k1=lambda x, t: np.zeros(np.broadcast(np.asarray(x), np.asarray(t)).shape),
-        profile=lambda d: np.zeros(np.shape(np.asarray(d))),
-        profile_batch=profile_batch,
-        metadata="zero kernel",
+        profile_batch=lambda d: np.zeros(np.shape(np.atleast_1d(d)), dtype=float),
     )
 
 
@@ -184,16 +186,9 @@ def polynomial_kernel(A: float) -> RegularKernel:
     """
     if not math.isfinite(A):
         raise ValueError(f"A must be finite, got {A}")
-
-    def profile_batch(d):
-        return A * np.atleast_1d(np.asarray(d, dtype=float))
-
     return RegularKernel(
-        eval=lambda x, t: A * (np.asarray(x) - np.asarray(t)),
         k1=lambda x, t: A * (np.asarray(x) ** 2 / 2.0 - np.asarray(x) * np.asarray(t)),
-        profile=lambda d: A * np.asarray(d, dtype=float),
-        profile_batch=profile_batch,
-        metadata=f"linear convolution kernel, slope {A}",
+        profile_batch=lambda d: A * np.atleast_1d(np.asarray(d, dtype=float)),
     )
 
 
@@ -228,17 +223,12 @@ def kernel_from_symbol(
             def integrand(s):
                 return np.asarray(symbol.L0(s))[:, None] * np.cos(np.outer(s, chunk))
 
-            out[start : start + _BATCH_CHUNK] = adaptive_gauss_batch(
-                integrand, 0.0, quad_cap, tol * np.pi, chunk.size, dtype=dtype
+            out[start : start + _BATCH_CHUNK] = adaptive_gauss(
+                integrand, 0.0, quad_cap, tol * np.pi, max_panels=40_000
             )
         return out / np.pi
 
-    return RegularKernel(
-        eval=_convolution_eval(profile_batch),
-        profile=lambda d: profile_batch(np.atleast_1d(d))[0],
-        profile_batch=profile_batch,
-        metadata=f"cosine transform of symbol remainder, cap={quad_cap:g}",
-    )
+    return RegularKernel(profile_batch=profile_batch)
 
 
 def _two_product(a, b):
@@ -363,16 +353,7 @@ def acoustic_kernel(params: ScreenParams) -> RegularKernel:
         out *= 0.5 * k / dd
         return out
 
-    return RegularKernel(
-        eval=_convolution_eval(profile_batch),
-        profile=lambda d: profile_batch(np.atleast_1d(d))[0],
-        profile_batch=profile_batch,
-        metadata=(
-            f"rigid-screen regular kernel, k={k:g}; outgoing-wave branch "
-            "-i*sqrt(k^2-s^2) below the wavenumber, evaluated as "
-            "(k/2|d|)(Y1(k|d|) + 2/(pi k|d|) - i J1(k|d|))"
-        ),
-    )
+    return RegularKernel(profile_batch=profile_batch)
 
 
 def normalize_to_canonical(
@@ -387,41 +368,33 @@ def normalize_to_canonical(
     if coefficient == 0:
         raise ValueError("singular-part coefficient must be nonzero")
     factor = 1.0 / coefficient
-    old_f = rhs.f
-    scaled_rhs = RightHandSide(
-        fprime=lambda x, _fp=rhs.fprime: factor * np.asarray(_fp(x)),
-        f=None if old_f is None else (lambda x, _f=old_f: factor * np.asarray(_f(x))),
-        description=rhs.description,
+
+    def scaled(fn):
+        return None if fn is None else (lambda *args: factor * np.asarray(fn(*args)))
+
+    scaled_kernel = RegularKernel(
+        eval=None if kernel.profile_batch is not None else scaled(kernel.eval),
+        k1=scaled(kernel.k1),
+        profile_batch=scaled(kernel.profile_batch),
     )
-    pb = kernel.profile_batch
-    scaled = RegularKernel(
-        eval=lambda x, t, _e=kernel.eval: factor * np.asarray(_e(x, t)),
-        k1=None if kernel.k1 is None else (lambda x, t, _k=kernel.k1: factor * np.asarray(_k(x, t))),
-        profile=None if kernel.profile is None else (lambda d, _p=kernel.profile: factor * np.asarray(_p(d))),
-        profile_batch=None if pb is None else (lambda d, _pb=pb: factor * _pb(d)),
-        metadata=kernel.metadata + f"; scaled by {factor!r}",
-    )
-    return scaled_rhs, scaled
+    return RightHandSide(fprime=scaled(rhs.fprime), f=scaled(rhs.f)), scaled_kernel
 
 
 def crack_problem(params: CrackParams, n: int) -> FullProblem:
     """Collocation problem for the crack opening under constant load.
 
-    Starting from the raw convolution form with kernel -2/x^2 and
-    right-hand side 2 pi (1-nu) sigma0 / mu, normalizing by the singular
-    coefficient -2 leaves the characteristic equation with
-    f'(x) = -pi (1-nu) sigma0 / mu; the antiderivative is attached so the
+    The raw convolution form has kernel -2/x^2 and right-hand side
+    2 pi (1-nu) sigma0 / mu; dividing by the singular coefficient -2
+    leaves the characteristic equation (no regular kernel) with
+    f'(x) = -pi (1-nu) sigma0 / mu.  The antiderivative is attached so the
     closed-form inversion can serve as an oracle.
     """
-    load = 2.0 * np.pi * (1.0 - params.nu) * params.sigma0 / params.mu
-    raw = RightHandSide(
+    load = -np.pi * (1.0 - params.nu) * params.sigma0 / params.mu
+    rhs = RightHandSide(
         fprime=lambda x: load * np.ones_like(np.asarray(x, dtype=float)),
         f=lambda x: load * np.asarray(x, dtype=float),
-        description=f"crack under constant normal load sigma0={params.sigma0:g}",
     )
-    rhs, kernel = normalize_to_canonical(-2.0, raw, zero_kernel())
-    mesh = make_mesh(-params.a, params.a, n)
-    return FullProblem(mesh=mesh, rhs=rhs, kernel=kernel)
+    return FullProblem(mesh=make_mesh(-params.a, params.a, n), rhs=rhs, kernel=None)
 
 
 def screen_problem(params: ScreenParams, n: int) -> FullProblem:
@@ -443,8 +416,6 @@ def screen_problem(params: ScreenParams, n: int) -> FullProblem:
     raw = RightHandSide(
         fprime=lambda x: np.full(np.shape(np.asarray(x)), -1j * k),
         f=lambda x: -1j * k * np.asarray(x, dtype=complex),
-        description=f"rigid screen, wavenumber k={k:g}",
     )
     rhs, kernel = normalize_to_canonical(-1.0 / np.pi, raw, acoustic_kernel(params))
-    mesh = make_mesh(-params.a, params.a, n)
-    return FullProblem(mesh=mesh, rhs=rhs, kernel=kernel)
+    return FullProblem(mesh=make_mesh(-params.a, params.a, n), rhs=rhs, kernel=kernel)

@@ -27,6 +27,12 @@ def _rule(f: Callable, lo: float, hi: float):
     return r * (_WEIGHTS @ f(0.5 * (lo + hi) + r * _NODES))
 
 
+def _check_tol(tol: float) -> None:
+    """Raise ValueError unless the accuracy target is positive and finite."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
 def adaptive_gauss(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -39,13 +45,15 @@ def adaptive_gauss(
     """Integrate ``f`` over (a, b) to absolute accuracy ``tol``.
 
     ``f`` must accept a numpy array of abscissae and return values of the
-    same length (real or complex).  ``split`` lists interior points where
+    same length (real or complex), or an array of shape (len(s), k) for a
+    family of k integrands sharing one panel structure, whose error test
+    and floor take the worst member.  ``split`` lists interior points where
     the panel structure should break first, e.g. a removable singularity.
-    Raises QuadratureConvergenceError when more than ``max_panels`` panels
-    would be needed.
+    Raises ValueError unless ``tol`` is positive and finite, and
+    QuadratureConvergenceError when more than ``max_panels`` panels would
+    be needed.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     cuts = [a] + sorted(p for p in split if a < p < b) + [b]
     stack = list(zip(cuts[:-1], cuts[1:]))
     length = b - a
@@ -61,52 +69,10 @@ def adaptive_gauss(
         mid = 0.5 * (lo + hi)
         coarse = _rule(f, lo, hi)
         fine = _rule(f, lo, mid) + _rule(f, mid, hi)
-        err = abs(fine - coarse)
-        if err <= tol * (hi - lo) / length + 1e-16 * (1.0 + abs(fine)) or (
+        err = np.max(np.abs(fine - coarse))
+        if err <= tol * (hi - lo) / length + 1e-16 * (1.0 + np.max(np.abs(fine))) or (
             hi - lo
         ) <= 1e-14 * length:
-            total += fine
-        else:
-            stack.append((lo, mid))
-            stack.append((mid, hi))
-    return total
-
-
-def adaptive_gauss_batch(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    tol: float,
-    size: int,
-    *,
-    dtype=np.complex128,
-    max_panels: int = 40_000,
-) -> np.ndarray:
-    """Shared-panel quadrature for a family of integrands evaluated together.
-
-    ``f(s)`` must return an array of shape ``(len(s), size)``; one column
-    per family member.  All members share the panel structure and the
-    refinement is driven by the worst column, which keeps the result
-    independent of how callers batch their members.
-    """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    stack = [(float(a), float(b))]
-    length = b - a
-    total = np.zeros(size, dtype=dtype)
-    used = 0
-    while stack:
-        lo, hi = stack.pop()
-        used += 1
-        if used > max_panels:
-            raise QuadratureConvergenceError(
-                f"needed more than {max_panels} shared panels for tol={tol:g}"
-            )
-        mid = 0.5 * (lo + hi)
-        coarse = _rule(f, lo, hi)
-        fine = _rule(f, lo, mid) + _rule(f, mid, hi)
-        err = float(np.max(np.abs(fine - coarse)))
-        if err <= tol * (hi - lo) / length + 1e-16 or (hi - lo) <= 1e-14 * length:
             total += fine
         else:
             stack.append((lo, mid))

@@ -173,14 +173,9 @@ def solve_spectral(
     if kernel is None:
         k_moments = 0.0
     else:
-        batch = getattr(kernel, "profile_batch", None)
         x_phys = center + radius * xi_x
         t_phys = center + radius * xi_t
-        if batch is not None:
-            diffs = (x_phys[:, None] - t_phys[None, :]).ravel()
-            table = np.asarray(batch(diffs)).reshape(mquad, mquad + 1)
-        else:
-            table = np.asarray(kernel.eval(x_phys[:, None], t_phys[None, :]))
+        table = np.asarray(kernel.eval(x_phys[:, None], t_phys[None, :]))
         k_moments = ux @ (radius * radius * table) @ ut.T
 
     orders = np.arange(1, N + 1)

@@ -17,7 +17,6 @@ def const_pi_rhs() -> RightHandSide:
     return RightHandSide(
         fprime=lambda x: -np.pi * np.ones_like(np.asarray(x, dtype=float)),
         f=lambda x: -np.pi * np.asarray(x, dtype=float),
-        description="constant right-hand side -pi",
     )
 
 

@@ -188,6 +188,8 @@ def test_solver_error_exits_one(tmp_path, capsys):
         (["characteristic", "--b", "inf"], "b must be finite"),
         (["full", "--A", "nan"], "A must be finite"),
         (["finite-part", "--tol", "nan"], "tol must be positive"),
+        (["finite-part", "--density", "cheb", "--j", "2", "--tol", "inf"],
+         "tol must be positive"),
     ):
         status = main(args + ["--n", "8", "--out", str(tmp_path / "x.csv")])
         assert status == 1
@@ -226,6 +228,19 @@ def test_oversized_dense_arrays_refused_by_name(args, name, tmp_path):
     assert done.returncode == 1, done.stderr
     assert done.stderr.startswith(f"error: ValueError: {name}=")
     assert "dense array" in done.stderr
+
+
+def test_cli_import_loads_no_scipy():
+    # Importing scipy would add about 0.25 s and 26 MB to every CLI process.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = ("import sys, hypersing.cli; "
+             "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy'}))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_file_io_error_exits_one(tmp_path, capsys):

@@ -163,6 +163,25 @@ def test_batch_kernel_failure_probes_differences_not_pairs():
     assert not eval_calls
 
 
+def test_general_kernel_failure_located_in_linear_calls():
+    # A vectorized eval that raises somewhere in the n x n table is located
+    # a row at a time and then within the failing row, not pair by pair.
+    calls = []
+
+    def picky_eval(x, t):
+        calls.append(1)
+        x, t = np.asarray(x), np.asarray(t)
+        if np.any((x > 0.5) & (t > 0.25)):
+            raise ValueError("no kernel here")
+        return x - t
+
+    n = 1000
+    with pytest.raises(KernelEvaluationError, match="no kernel here") as info:
+        assemble_full(benchmark_problem(n, RegularKernel(eval=picky_eval)))
+    assert info.value.x > 0.5 and info.value.t > 0.25
+    assert len(calls) <= 2 * n + 1
+
+
 def test_kernel_raising_is_wrapped():
     def angry_eval(x, t):
         raise RuntimeError("no table today")

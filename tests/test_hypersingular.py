@@ -109,7 +109,7 @@ def test_evaluation_point_must_be_interior():
 
 
 def test_tolerance_must_be_positive():
-    for tol in (-1e-9, 0.0, float("nan")):
+    for tol in (-1e-9, 0.0, float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="tol must be positive"):
             finite_part(unit_density(), -1.0, 1.0, 0.0, tol)
         with pytest.raises(ValueError, match="tol must be positive"):

@@ -6,6 +6,7 @@ from scipy.integrate import quad as scipy_quad
 from hypersing import (
     CrackParams,
     FourierSymbol,
+    RegularKernel,
     ScreenParams,
     SymbolDecayError,
     TailTruncationError,
@@ -182,6 +183,7 @@ def test_screen_kernel_diagonal_rejected():
 def test_crack_problem_right_hand_side_and_solution():
     params = CrackParams(sigma0=1.0, mu=1.0, nu=0.3, a=1.0)
     problem = crack_problem(params, 40)
+    assert problem.kernel is None  # the characteristic equation
     assert problem.rhs.fprime(np.array([0.0]))[0] == pytest.approx(-0.7 * np.pi)
     solution = solve_full(problem)
     nodes = solution.nodes
@@ -233,8 +235,6 @@ def test_screen_outgoing_branch_sign(screen_cases):
     # square-root branch below the wavenumber.
     _, solution, _ = screen_cases(0.5)
     assert solution(0.0).imag < 0.0
-    kernel = acoustic_kernel(ScreenParams(k=0.5, a=1.0))
-    assert "branch" in kernel.metadata
 
 
 def test_normalize_to_canonical_crack_numbers():
@@ -286,3 +286,5 @@ def test_parameter_validation():
                 ScreenParams(**values)
         with pytest.raises(ValueError, match="^A must be finite"):
             polynomial_kernel(bad)
+    with pytest.raises(ValueError, match="profile_batch or eval"):
+        RegularKernel()
