@@ -11,7 +11,10 @@ of the underlying Cauchy inversion.  Both integrals are evaluated by
 Gauss-Chebyshev quadrature of the first kind; the principal value is
 handled by the subtraction f(t) -> f(t) - f(x), whose weighted remainder
 integrates to zero exactly because PV int w(t)/(x-t) dt vanishes for the
-Chebyshev weight.
+Chebyshev weight (``weighted_pv_integral``, at all points of a call at once).
+Every load value that the inversion, the pair check and both solvers read
+is checked once: a scalar is broadcast and a nonfinite value raises
+ValueError naming its point.
 
 The module also carries the two closed-form benchmark solutions used to
 validate the collocation solvers: the opening of a pressurized straight
@@ -25,11 +28,26 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from hypersing.hypersingular import _check_interior
 from hypersing.quadrature import gauss_chebyshev1
 
 _NODE_CLEARANCE = 1e-12
 _PAIR_RTOL = 1e-4
+
+
+def _load_values(fn: Callable, points: np.ndarray, name: str) -> np.ndarray:
+    """``fn`` at ``points`` (a scalar is broadcast to their shape), checked finite.
+
+    Trailing axes past ``points.ndim`` are allowed; a nonfinite value
+    raises ValueError naming its point.
+    """
+    values = np.asarray(fn(points))
+    if values.ndim == 0:
+        values = np.full(points.shape, values[()])
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        x = points[tuple(bad[0][: points.ndim])]
+        raise ValueError(f"{name} is nonfinite at x = {x}")
+    return values
 
 
 @dataclass
@@ -44,13 +62,14 @@ class RightHandSide:
     f: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def validate_pair(self, a: float, b: float, rtol: float = _PAIR_RTOL) -> None:
-        """Check that fprime is the derivative of f at 5 interior points."""
+        """Check that fprime is the derivative of f, both finite, at 5 interior points."""
         if self.f is None:
             return
         pts = a + (b - a) * np.arange(1, 6) / 6.0
         step = 1e-4 * (b - a)
-        fd = (self.f(pts + step) - self.f(pts - step)) / (2.0 * step)
-        stated = self.fprime(pts) * np.ones_like(pts)
+        fd = _load_values(self.f, pts + step, "f") - _load_values(self.f, pts - step, "f")
+        fd /= 2.0 * step
+        stated = _load_values(self.fprime, pts, "fprime")
         scale = max(1.0, float(np.max(np.abs(stated))))
         worst = float(np.max(np.abs(fd - stated)))
         if worst > rtol * scale:
@@ -83,23 +102,9 @@ def invert_characteristic(
     if m < 8:
         raise ValueError(f"need at least 8 quadrature nodes, got {m}")
     rhs.validate_pair(a, b)
-    f = rhs.f
-    center = 0.5 * (a + b)
-    radius = 0.5 * (b - a)
-
-    rules = {}
-
-    def rule(count: int):
-        if count not in rules:
-            u, w = gauss_chebyshev1(count)
-            nodes = center + radius * u
-            rules[count] = (nodes, np.asarray(f(nodes)), w)
-        return rules[count]
-
-    nodes_m, fvals_m, w_m = rule(m)
-    constant = np.sum(fvals_m) * w_m / np.pi**2
-
-    clearance = _NODE_CLEARANCE * (b - a)
+    u, w = gauss_chebyshev1(m)
+    fvals = _load_values(rhs.f, 0.5 * (a + b) + 0.5 * (b - a) * u, "f")
+    constant = np.sum(fvals) * w / np.pi**2
 
     def g(x):
         xs = np.asarray(x, dtype=float)
@@ -107,15 +112,11 @@ def invert_characteristic(
         xs = np.atleast_1d(xs)
         if not np.all((xs >= a) & (xs <= b)):
             raise ValueError(f"g is defined on [{a}, {b}]")
-        out = np.zeros(xs.shape, dtype=fvals_m.dtype)
+        out = np.zeros(xs.shape, dtype=fvals.dtype)
         interior = (xs > a) & (xs < b)
         if np.any(interior):
             xi = xs[interior]
-            nodes, fvals, w = nodes_m, fvals_m, w_m
-            if np.min(np.abs(xi[:, None] - nodes)) < clearance:
-                nodes, fvals, w = rule(m + 1)
-            fx = np.asarray(f(xi))
-            pv = w * np.sum((fvals - fx[:, None]) / (xi[:, None] - nodes), axis=1)
+            pv = weighted_pv_integral(rhs.f, a, b, m, xi)
             out[interior] = np.sqrt((xi - a) * (b - xi)) / np.pi**2 * pv
         return out[0] if scalar else out
 
@@ -168,21 +169,31 @@ def full_example_exact(A: float, x):
     return 8.0 * np.sqrt(np.clip(1.0 - xs * xs, 0.0, None)) * (4.0 + A * xs) / (32.0 + A * A)
 
 
-def weighted_pv_integral(fn: Callable, a: float, b: float, m: int, x: float):
+def weighted_pv_integral(fn: Callable, a: float, b: float, m: int, x):
     """PV int_a^b fn(t) / ( sqrt((t-a)(b-t)) (x-t) ) dt by subtraction.
 
-    Used by the second-kind reduction diagnostic
-    (``fullsolver.fredholm_residual``); ``fn`` must accept numpy arrays.
-    Raises ValueError unless a < x < b (NaN included).
+    ``x`` is a point or an array of points and ``fn`` must accept numpy
+    arrays; the result has x's shape followed by any trailing axes of fn's
+    values.  All points share the m-node rule, or the (m+1)-node rule when
+    one lands on an m-rule node.  Raises ValueError unless a < x < b (NaN
+    included) and fn is finite at the nodes and points.
     """
-    _check_interior(a, b, x)
+    xs = np.asarray(x, dtype=float)
+    outside = ~((xs > a) & (xs < b))
+    if np.any(outside):
+        raise ValueError(
+            f"evaluation point x={xs[outside].flat[0]} must lie strictly inside ({a}, {b})"
+        )
+    points = xs.ravel()
     center = 0.5 * (a + b)
     radius = 0.5 * (b - a)
     u, w = gauss_chebyshev1(m)
     nodes = center + radius * u
-    if min(abs(x - t) for t in nodes) < _NODE_CLEARANCE * (b - a):
+    if np.min(np.abs(points[:, None] - nodes)) < _NODE_CLEARANCE * (b - a):
         u, w = gauss_chebyshev1(m + 1)
         nodes = center + radius * u
-    fvals = np.asarray(fn(nodes))
-    fx = fn(np.array([x]))[0]
-    return w * np.sum((fvals - fx) / (x - nodes))
+    fvals = _load_values(fn, nodes, "integrand")
+    fx = _load_values(fn, points, "integrand")
+    gaps = (points[:, None] - nodes).reshape(points.size, -1, *(1,) * (fvals.ndim - 1))
+    pv = w * np.sum((fvals - fx[:, None]) / gaps, axis=1)
+    return pv.reshape(xs.shape + pv.shape[1:])[()]

@@ -6,10 +6,11 @@ scheme identical to the analyzed one.  A difference kernel depends, like
 the singular part, only on i - j on the uniform mesh, so its table is the
 2n - 1 values at the distinct differences and the whole matrix is one
 Toeplitz matrix of their sum.  A general kernel (``eval`` only) is
-evaluated at all n^2 pairs.  Both tables go through one checked
-evaluation: one call for the whole table, a shape and finiteness check,
-and a failure locator that names the raising difference or pair in O(n)
-further calls, a row at a time and then the entries of the failing row.
+evaluated at all n^2 pairs, by the grid table that the spectral oracle
+uses too.  Both tables go through one checked evaluation: one call for
+the whole table, a shape and finiteness check, and a failure locator
+that names the raising difference or pair in O(n) further calls, a row at
+a time and then the entries of the failing row.
 With no kernel the problem is the characteristic equation:
 ``solve_characteristic`` is that case of ``solve_full``.
 
@@ -31,7 +32,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from hypersing.analytic import RightHandSide, weighted_pv_integral
+from hypersing.analytic import RightHandSide, _load_values, weighted_pv_integral
 from hypersing.characteristic import (
     DiscreteSolution,
     _singular_profile,
@@ -84,41 +85,10 @@ def _failing_entry(evaluate: Callable, shape: tuple[int, int]):
     return None
 
 
-def _kernel_table(problem: FullProblem) -> np.ndarray:
-    """The regular kernel's values on the mesh, checked, as a 2-D table.
-
-    A difference kernel gives one row: K0 at the 2n - 1 differences
-    (m - 1/2) h, m = i - j, at index m + n - 1.  A general kernel gives the
-    n x n table K0(x_i, t_j).  Either is computed in one call, and a call
-    that raises, a wrong shape or a nonfinite value ends in a
-    KernelEvaluationError that names an (x, t) pair where it can.  The
-    failure locator probes a row with an array and an entry with the
-    scalars (or the one difference) alone.
-    """
-    mesh, kernel = problem.mesh, problem.kernel
-    n = mesh.n
-    if kernel.profile_batch is not None:
-        diffs = (np.arange(2 * n - 1) - (n - 1) - 0.5) * mesh.h
-        shape = (1, 2 * n - 1)
-
-        def evaluate(i, m):
-            return np.asarray(kernel.profile_batch(np.atleast_1d(diffs[m])))[None]
-
-        def pair(_, m):
-            # One (x_i, t_j) with i - j = m - (n - 1), the m-th difference.
-            i = max(m - (n - 1), 0)
-            return float(mesh.colloc[i]), float(mesh.nodes[n + i - m])
-
-    else:
-        shape = (n, n)
-
-        def evaluate(i, j):
-            x, t = mesh.colloc[i], mesh.nodes[1:][j]
-            return kernel.eval(x[:, None] if np.ndim(x) else x, t)
-
-        def pair(i, j):
-            return float(mesh.colloc[i]), float(mesh.nodes[1 + j])
-
+def _checked_table(evaluate: Callable, shape: tuple[int, int], pair: Callable):
+    # One call for the whole table; a call that raises, a wrong shape or a
+    # nonfinite value ends in a KernelEvaluationError naming pair(i, j)
+    # where it can.  evaluate(i, j) takes indices or slices.
     try:
         table = np.asarray(evaluate(slice(None), slice(None)))
     except Exception as exc:
@@ -142,6 +112,39 @@ def _kernel_table(problem: FullProblem) -> np.ndarray:
     return table
 
 
+def _grid_table(kernel, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Checked K0(x_i, t_j) over two 1-D point arrays, in one ``eval`` call.
+
+    The locator probes a row with x_i and all of t, an entry with scalars.
+    """
+
+    def evaluate(i, j):
+        xi = x[i]
+        return kernel.eval(xi[:, None] if np.ndim(xi) else xi, t[j])
+
+    return _checked_table(
+        evaluate, (x.size, t.size), lambda i, j: (float(x[i]), float(t[j]))
+    )
+
+
+def _difference_table(mesh: Mesh, kernel) -> np.ndarray:
+    # K0 at the 2n - 1 differences (m - 1/2) h, m = i - j, at index
+    # m + n - 1, as a checked 1 x (2n - 1) table; the locator probes one
+    # difference at a time.
+    n = mesh.n
+    diffs = (np.arange(2 * n - 1) - (n - 1) - 0.5) * mesh.h
+
+    def evaluate(i, m):
+        return np.asarray(kernel.profile_batch(np.atleast_1d(diffs[m])))[None]
+
+    def pair(_, m):
+        # One (x_i, t_j) with i - j = m - (n - 1), the m-th difference.
+        i = max(m - (n - 1), 0)
+        return float(mesh.colloc[i]), float(mesh.nodes[n + i - m])
+
+    return _checked_table(evaluate, (1, 2 * n - 1), pair)
+
+
 def assemble_full(problem: FullProblem) -> np.ndarray:
     """Collocation matrix of the full equation: characteristic part plus h*K table.
 
@@ -154,20 +157,13 @@ def assemble_full(problem: FullProblem) -> np.ndarray:
     if problem.kernel is None:
         return assemble_characteristic(mesh)
     check_dense_size("n", mesh.n, mesh.n, mesh.n)
-    table = mesh.h * _kernel_table(problem)
-    if problem.kernel.profile_batch is not None:
-        return _toeplitz(_singular_profile(mesh) + table[0])
+    kernel = problem.kernel
+    if kernel.profile_batch is not None:
+        row = mesh.h * _difference_table(mesh, kernel)[0]
+        return _toeplitz(_singular_profile(mesh) + row)
+    table = mesh.h * _grid_table(kernel, mesh.colloc, mesh.nodes[1:])
     table += assemble_characteristic(mesh)
     return table
-
-
-def _evaluate_rhs(rhs: RightHandSide, points: np.ndarray) -> np.ndarray:
-    vals = np.asarray(rhs.fprime(points))
-    if vals.ndim == 0:
-        vals = np.full(points.shape, vals[()])
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("right-hand side is nonfinite at a collocation point")
-    return vals
 
 
 def solve_full(problem: FullProblem) -> DiscreteSolution:
@@ -185,7 +181,7 @@ def solve_full(problem: FullProblem) -> DiscreteSolution:
     if problem.rhs.f is not None:
         problem.rhs.validate_pair(problem.mesh.a, problem.mesh.b)
     matrix = assemble_full(problem)
-    b = _evaluate_rhs(problem.rhs, problem.mesh.colloc)
+    b = _load_values(problem.rhs.fprime, problem.mesh.colloc, "right-hand side")
     fact = lu_factor(matrix, b)
     values = fact.solution
     condition = condition_estimate_1norm(fact)
@@ -230,23 +226,11 @@ def fredholm_residual(
     grid = a + (b - a) * np.arange(1, 12) / 12.0
     t_nodes, t_weights = gauss_legendre(m, a, b)
     g_at_t = np.asarray(solution(t_nodes))
-    worst = 0.0
-    for x in grid:
-        f1 = (
-            np.sqrt((x - a) * (b - x))
-            / np.pi**2
-            * weighted_pv_integral(problem.rhs.f, a, b, m, x)
-        )
-        n1 = (
-            np.sqrt((x - a) * (b - x))
-            / np.pi**2
-            * np.array(
-                [
-                    weighted_pv_integral(lambda tau, tq=tq: k1(tau, tq), a, b, m, x)
-                    for tq in t_nodes
-                ]
-            )
-        )
-        residual = abs(solution(x) + np.sum(t_weights * n1 * g_at_t) - f1)
-        worst = max(worst, float(residual))
-    return worst
+    scale = np.sqrt((grid - a) * (b - grid)) / np.pi**2
+    f1 = scale * weighted_pv_integral(problem.rhs.f, a, b, m, grid)
+    n1 = scale[:, None] * weighted_pv_integral(
+        lambda tau: k1(tau[:, None], t_nodes), a, b, m, grid
+    )
+    g_at_x = np.asarray(solution(grid))
+    residual = np.abs(g_at_x + np.sum(t_weights * n1 * g_at_t, axis=1) - f1)
+    return float(np.max(residual))

@@ -11,7 +11,9 @@ where k_ij is the double weighted moment of the regular kernel and f_i
 the weighted moment of the right-hand side.  All moments are computed by
 Gauss-Chebyshev quadrature with the weight built into the rule; the x and
 t tensor grids deliberately use different node counts so a convolution
-kernel is never asked for its (possibly singular) diagonal value.
+kernel is never asked for its (possibly singular) diagonal value.  The
+kernel table and the load go through the collocation solver's checks, so
+a failure names its (x, t) pair or point; the two share no arithmetic.
 
 Problems on a general interval are mapped affinely onto (-1, 1); the
 kernel picks up the squared half-width and the right-hand side one factor
@@ -25,7 +27,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from hypersing.analytic import RightHandSide
+from hypersing.analytic import RightHandSide, _load_values
+from hypersing.fullsolver import _grid_table
 from hypersing.linalg import check_dense_size, lu_factor
 from hypersing.quadrature import gauss_chebyshev2
 
@@ -147,7 +150,8 @@ def solve_spectral(
     2N.  Returns the expansion on the requested interval.  Raises
     SingularMatrixError if the truncated system degenerates, and
     ValueError before any allocation if the mquad x (mquad + 1) kernel
-    table is above ``linalg.MAX_DENSE_ELEMENTS``.
+    table is above ``linalg.MAX_DENSE_ELEMENTS``; a nonfinite load or a
+    failing kernel raises as in ``solve_full``.
     """
     if N < 2:
         raise ValueError(f"need at least 2 expansion terms, got {N}")
@@ -165,17 +169,14 @@ def solve_spectral(
     ux = _u_matrix(N, xi_x) * w_x
     ut = _u_matrix(N, xi_t) * w_t
 
-    fhat = radius * np.asarray(rhs.fprime(center + radius * xi_x))
-    if fhat.ndim == 0:
-        fhat = np.full(mquad, fhat[()])
+    x_phys = center + radius * xi_x
+    fhat = radius * _load_values(rhs.fprime, x_phys, "right-hand side")
     f_moments = ux @ fhat
 
     if kernel is None:
         k_moments = 0.0
     else:
-        x_phys = center + radius * xi_x
-        t_phys = center + radius * xi_t
-        table = np.asarray(kernel.eval(x_phys[:, None], t_phys[None, :]))
+        table = _grid_table(kernel, x_phys, center + radius * xi_t)
         k_moments = ux @ (radius * radius * table) @ ut.T
 
     orders = np.arange(1, N + 1)

@@ -49,6 +49,15 @@ def test_missing_antiderivative_rejected():
     rhs = RightHandSide(fprime=lambda x: -np.pi * np.ones_like(np.asarray(x, dtype=float)))
     with pytest.raises(ValueError, match="antiderivative"):
         invert_characteristic(rhs, -1.0, 1.0, 64)
+    # A nonfinite f: NaN above 0.5 is seen by the pair check at x = 2/3;
+    # NaN above 0.99 passes it and is seen at the outermost node of C.
+    for cut, where in ((0.5, "0.66"), (0.99, "0.99")):
+        rhs = RightHandSide(
+            fprime=const_pi_rhs().fprime,
+            f=lambda x, cut=cut: np.where(np.asarray(x) > cut, np.nan, -np.pi * np.asarray(x)),
+        )
+        with pytest.raises(ValueError, match=f"^f is nonfinite at x = {where}"):
+            invert_characteristic(rhs, -1.0, 1.0, 64)
 
 
 def test_too_few_nodes_rejected():
@@ -63,6 +72,14 @@ def test_inconsistent_pair_rejected():
     )
     with pytest.raises(ValueError, match="derivative of f"):
         rhs.validate_pair(-1.0, 1.0)
+    # A nonfinite f or fprime is named, not compared: NaN > bound is False.
+    nan_above_half = lambda x: np.where(np.asarray(x) > 0.5, np.nan, -np.pi * np.asarray(x))
+    for rhs, name in (
+        (RightHandSide(fprime=const_pi_rhs().fprime, f=nan_above_half), "f"),
+        (RightHandSide(fprime=nan_above_half, f=const_pi_rhs().f), "fprime"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} is nonfinite at x = 0.66"):
+            rhs.validate_pair(-1.0, 1.0)
 
 
 def test_scaled_interval_inversion():

@@ -11,6 +11,7 @@ from hypersing import (
     lu_factor,
     make_mesh,
     solve_characteristic,
+    solve_spectral,
 )
 from tests.conftest import unit_semicircle
 
@@ -119,8 +120,11 @@ def test_determinant_size_limit_enforced():
 
 def test_nonfinite_right_hand_side_rejected():
     rhs = RightHandSide(fprime=lambda x: np.where(np.asarray(x) > 0, np.nan, 1.0))
-    with pytest.raises(ValueError, match="nonfinite"):
+    with pytest.raises(ValueError, match="nonfinite at x = 0.125"):
         solve_characteristic(make_mesh(-1.0, 1.0, 8), rhs)
+    # The spectral oracle reads the load through the same check.
+    with pytest.raises(ValueError, match=r"nonfinite at x = 0\.99"):
+        solve_spectral(None, rhs, 8, 32)
 
 
 def test_discrete_solution_validation_and_evaluation(semicircle_rhs):

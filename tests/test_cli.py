@@ -180,16 +180,35 @@ def test_invalid_flags_exit_two():
     assert info.value.code == 2
 
 
+# Each command with the flags it needs, and every float flag it reads; the
+# flag under test comes last, so it overrides a required value given here.
+# spectral-compare reads --A only for the full problem.
+_FLOAT_FLAGS = (
+    (["characteristic"], ("a", "b")),
+    (["full", "--A", "1"], ("A",)),
+    (["crack"], ("sigma0", "mu", "nu", "a")),
+    (["screen", "--k", "1"], ("k", "a")),
+    (["finite-part"], ("a", "b", "tol")),
+    (["spectral-compare"], ("k", "a")),
+    (["spectral-compare", "--problem", "full"], ("A",)),
+)
+
+
+def _nonfinite_flag_cases():
+    for command, flags in _FLOAT_FLAGS:
+        for flag in flags:
+            message = f"{flag} must be {'positive and ' if flag == 'tol' else ''}finite"
+            for value in ("nan", "inf", "-inf"):
+                yield command + [f"--{flag}={value}"], message
+
+
 @pytest.mark.filterwarnings("error")
 def test_solver_error_exits_one(tmp_path, capsys):
     for args, message in (
         (["screen", "--k", "-2"], "wavenumber must be positive"),
-        (["screen", "--k", "inf"], "k must be finite"),
-        (["characteristic", "--b", "inf"], "b must be finite"),
-        (["full", "--A", "nan"], "A must be finite"),
-        (["finite-part", "--tol", "nan"], "tol must be positive"),
         (["finite-part", "--density", "cheb", "--j", "2", "--tol", "inf"],
          "tol must be positive"),
+        *_nonfinite_flag_cases(),
     ):
         status = main(args + ["--n", "8", "--out", str(tmp_path / "x.csv")])
         assert status == 1

@@ -20,15 +20,27 @@ from hypersing import (
     screen_problem,
     solve_characteristic,
     solve_full,
+    solve_spectral,
     zero_kernel,
 )
-from tests.conftest import count_gesv, unit_semicircle
+from hypersing.quadrature import gauss_chebyshev2
+from tests.conftest import const_pi_rhs, count_gesv, unit_semicircle
 
 
 def benchmark_problem(n: int, kernel) -> FullProblem:
-    from tests.conftest import const_pi_rhs
-
     return FullProblem(mesh=make_mesh(-1.0, 1.0, n), rhs=const_pi_rhs(), kernel=kernel)
+
+
+def assert_spectral_reports_pair(kernel, calls: list, match=None) -> None:
+    # The spectral oracle's mquad x (mquad + 1) table goes through the same
+    # check: a pair on its two grids, located in at most 2 mquad + 2 calls.
+    calls.clear()
+    with pytest.raises(KernelEvaluationError, match=match) as info:
+        solve_spectral(kernel, const_pi_rhs(), 8, 32)
+    assert info.value.x in gauss_chebyshev2(32)[0]
+    assert info.value.t in gauss_chebyshev2(33)[0]
+    assert abs(info.value.x - info.value.t) < 0.1
+    assert len(calls) <= 2 * 32 + 2
 
 
 def test_zero_kernel_matrix_is_bitwise_characteristic():
@@ -126,7 +138,10 @@ def test_second_kind_residual_requires_antiderivatives(semicircle_rhs):
 
 
 def test_kernel_evaluation_failure_reports_offending_pair():
+    calls = []
+
     def bad_eval(x, t):
+        calls.append(1)
         out = np.asarray(x) - np.asarray(t)
         return np.where(np.abs(out) < 0.1, np.nan, out)
 
@@ -135,6 +150,7 @@ def test_kernel_evaluation_failure_reports_offending_pair():
         assemble_full(benchmark_problem(12, kernel))
     assert np.isfinite(info.value.x) and np.isfinite(info.value.t)
     assert abs(info.value.x - info.value.t) < 0.1
+    assert_spectral_reports_pair(kernel, calls)
 
 
 def test_batch_kernel_failure_probes_differences_not_pairs():
@@ -183,12 +199,16 @@ def test_general_kernel_failure_located_in_linear_calls():
 
 
 def test_kernel_raising_is_wrapped():
+    calls = []
+
     def angry_eval(x, t):
+        calls.append(1)
         raise RuntimeError("no table today")
 
     kernel = RegularKernel(eval=angry_eval)
     with pytest.raises(KernelEvaluationError, match="no table today"):
         assemble_full(benchmark_problem(4, kernel))
+    assert_spectral_reports_pair(kernel, calls, match="no table today")
 
 
 def test_difference_table_matches_direct_evaluation():

@@ -14,7 +14,7 @@ from hypersing import (
     screen_problem,
     solve,
 )
-from hypersing.fullsolver import _evaluate_rhs
+from hypersing.analytic import _load_values
 from hypersing.linalg import MAX_DENSE_ELEMENTS, _toeplitz_probes, check_dense_size
 from tests.conftest import count_gesv
 
@@ -263,7 +263,7 @@ def test_condition_estimate_of_collocation_matrices(problem, monkeypatch):
 def test_fused_solve_of_collocation_matrices(problem, monkeypatch):
     problem = problem()
     a = assemble_full(problem)
-    b = _evaluate_rhs(problem.rhs, problem.mesh.colloc)
+    b = _load_values(problem.rhs.fprime, problem.mesh.colloc, "right-hand side")
     want = np.linalg.solve(a, b)
     condition = lu_factor(a).condition
     calls = count_gesv(monkeypatch)
