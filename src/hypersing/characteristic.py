@@ -1,4 +1,4 @@
-"""Collocation matrix of the characteristic hypersingular equation.
+"""Collocation matrix of the characteristic hypersingular equation, and its solve.
 
 Over each subinterval (t_{j-1}, t_j) the finite part of the 1/(x-t)^2
 kernel integrates in closed form, so approximating the solution by one
@@ -9,11 +9,26 @@ gives the dense system
 
 On the uniform mesh x_i - t_j = (i - j - 1/2) h, so the entry collapses
 to c_{i-j} = 1/(((i-j)^2 - 1/4) h): a symmetric Toeplitz matrix built
-from its 2n - 1 closed-form values.  The solver is ``solve_full`` with no
-regular kernel (``fullsolver.solve_characteristic``).  The unknown
-attached to subinterval j is most accurate at the midpoint x_j, and the
-bounded solution class is zero at both endpoints; ``DiscreteSolution``
-interpolates linearly through exactly that data.
+from its 2n - 1 closed-form values.
+
+The system is solved without forming the matrix.  Prefix sums over the
+columns of M telescope to 1/(x_i - t_j) - 1/(x_i - t_0), so
+
+    M = D1 C D2 U^{-1},   D1 = diag(1/(x_i - t_0)),  D2 = diag(t_j - t_0),
+
+with U the upper triangular matrix of ones and C[i, j] = 1/(x_i - t_j) a
+Cauchy matrix.  C has the closed-form inverse -diag(alpha) T diag(beta),
+T[j, i] = 1/(x_i - t_j) (S. Schechter, "On the inversion of certain
+matrices", Math. Tables Aids Comput. 13, 1959), and on the uniform mesh
+alpha and beta are ratios of Gamma functions (``cauchy_weights``).  So
+M^{-1} b is two diagonal scalings, one Toeplitz product by FFT and one
+reverse cumulative sum: O(n log n) time and O(n) memory
+(``solve_closed_form``).  ``fullsolver.solve_full`` takes this route for
+the characteristic equation (``fullsolver.solve_characteristic``) and
+the dense ``assemble_characteristic`` serves as its test oracle.  The
+unknown attached to subinterval j is most accurate at the midpoint x_j,
+and the bounded solution class is zero at both endpoints;
+``DiscreteSolution`` interpolates linearly through exactly that data.
 """
 
 from __future__ import annotations
@@ -24,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from hypersing.linalg import check_dense_size
+from hypersing.linalg import check_dense_size, condition_from_solves
 from hypersing.mesh import Mesh
 
 _DETERMINANT_MAX_N = 12
@@ -104,6 +119,98 @@ def assemble_characteristic(mesh: Mesh) -> np.ndarray:
     """
     check_dense_size("n", mesh.n, mesh.n, mesh.n)
     return _toeplitz(_singular_profile(mesh))
+
+
+def _fft_length(n: int) -> int:
+    # The smallest power of two >= 2n - 1: a circular convolution of that
+    # length gives outputs n - 1 .. 2n - 2 of the linear one unaliased.
+    return 1 << (2 * n - 2).bit_length()
+
+
+def check_closed_form_size(n: int) -> None:
+    """Raise ValueError naming n if the closed-form solve's FFT arrays are over budget.
+
+    Their length, the smallest power of two >= 2n - 1, is held to
+    ``linalg.MAX_DENSE_ELEMENTS``: n <= 2^23.
+    """
+    check_dense_size("n", n, 1, _fft_length(n))
+
+
+def cauchy_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights alpha_j, beta_j, j = 1..n, of the inverse of the unit-step Cauchy matrix.
+
+    With x_i = i - 1/2 and t_j = j, C[i, j] = 1/(x_i - t_j) has the inverse
+    -diag(alpha) T diag(beta), T[j, i] = 1/(x_i - t_j), where
+
+        alpha_j = Gamma(j + 1/2) Gamma(n - j + 1/2) / (pi Gamma(j) Gamma(n - j + 1)),
+        beta_j = -Gamma(j - 1/2) Gamma(n - j + 3/2) / (pi Gamma(j) Gamma(n - j + 1)).
+
+    Both come from p_k = Gamma(k + 1/2) / (sqrt(pi) k!) = binom(2k, k) / 4^k,
+    a cumulative product of (k - 1/2)/k, as alpha_j = j p_j p_{n-j} and
+    beta_j = -alpha_j (n - j + 1/2) / (j - 1/2).  Differences of ``lgamma``
+    would lose about 50 times more accuracy.
+    """
+    k = np.arange(1, n + 1)
+    p = np.concatenate(([1.0], np.cumprod((k - 0.5) / k)))
+    alpha = k * p[1:] * p[-2::-1]
+    return alpha, -alpha * (n - k + 0.5) / (k - 0.5)
+
+
+def _norm1(mesh: Mesh) -> float:
+    # ||M||_1 from the 2n - 1 profile: column j sums entries n-1-j .. 2n-2-j.
+    n = mesh.n
+    sums = np.concatenate(([0.0], np.cumsum(np.abs(_singular_profile(mesh)))))
+    return float(np.max(sums[n:] - sums[:n]))
+
+
+def solve_closed_form(mesh: Mesh, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """M^{-1} b and Hager's estimate of cond_1(M), in O(n log n) with no n x n array.
+
+    M = (1/h) D1 C D2 U^{-1} in the unit-step variables x_i - t_0 = i - 1/2
+    and t_j - t_0 = j, so
+
+        M^{-1} r = h U diag(-alpha_i / i) T diag(beta_j (j - 1/2)) r.
+
+    The weights and the FFT of T's 2n - 1 values are computed once per
+    call; each product with M^{-1} is then one forward and one inverse real
+    FFT.  M is real symmetric, so that product serves as both the A^{-1}
+    and the A^{-H} probe of the estimate, and ||M||_1 comes from the 2n - 1
+    profile.  A complex b is solved as its real and imaginary parts, so a
+    complex b with zero imaginary part gives the real solution bit for bit.
+
+    Raises ValueError, before anything of FFT length is allocated, for an
+    n over ``check_closed_form_size``'s budget, a b of the wrong shape or
+    with nonfinite entries; and SingularMatrixError, like
+    ``linalg.lu_factor``, when the estimated 1/cond_1 is at most 1e-13
+    (cond_1 is about 4n/pi).
+    """
+    n = mesh.n
+    check_closed_form_size(n)
+    b = np.asarray(b)
+    if b.shape != (n,):
+        raise ValueError(f"rhs must have shape ({n},), got {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("rhs contains nonfinite entries")
+    length = _fft_length(n)
+    alpha, beta = cauchy_weights(n)
+    k = np.arange(1, n + 1)
+    left = -mesh.h * alpha / k
+    right = beta * (k - 0.5)
+    # T[j, i] = 1/(i - j - 1/2) = c_{j-i} with c_d = -1/(d + 1/2), stored
+    # for d = 1-n..n-1, so (T v)_j is output j + n - 1 of c convolved with v.
+    d = np.arange(1 - n, n)
+    spectrum = np.fft.rfft(-1.0 / (d + 0.5), length)
+
+    def inverse(r: np.ndarray) -> np.ndarray:
+        product = np.fft.irfft(np.fft.rfft(right * r, length) * spectrum, length)
+        return np.cumsum((left * product[n - 1 : 2 * n - 1])[::-1])[::-1]
+
+    condition = condition_from_solves(
+        _norm1(mesh), n, np.dtype(np.float64), inverse, inverse
+    )
+    if np.iscomplexobj(b):
+        return inverse(b.real) + 1j * inverse(b.imag), condition
+    return inverse(b), condition
 
 
 def characteristic_determinant_closed_form(mesh: Mesh) -> float:

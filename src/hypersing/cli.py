@@ -25,6 +25,7 @@ from hypersing.analytic import (
     full_example_exact,
     invert_characteristic,
 )
+from hypersing.characteristic import check_closed_form_size
 from hypersing.fullsolver import (
     FullProblem,
     KernelEvaluationError,
@@ -193,9 +194,13 @@ _RUNNERS = {
 
 
 def _check_dense_sizes(args: argparse.Namespace) -> None:
-    # The n x n matrix, the oracle's mquad x (mquad + 1) kernel table and the
-    # inversion's n x (m + 1) grid, refused before anything is allocated.
-    if args.command != "finite-part":
+    # The largest array of each route, refused before anything is allocated:
+    # the closed-form solve's FFT arrays for the characteristic equation and
+    # the crack, the n x n matrix of the others, the oracle's
+    # mquad x (mquad + 1) kernel table and the inversion's n x (m + 1) grid.
+    if args.command in ("characteristic", "crack"):
+        check_closed_form_size(args.n)
+    elif args.command != "finite-part":
         check_dense_size("n", args.n, args.n, args.n)
     if hasattr(args, "mquad"):
         check_dense_size("mquad", args.mquad, args.mquad, args.mquad + 1)

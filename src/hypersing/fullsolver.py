@@ -12,7 +12,12 @@ the whole table, a shape and finiteness check, and a failure locator
 that names the raising difference or pair in O(n) further calls, a row at
 a time and then the entries of the failing row.
 With no kernel the problem is the characteristic equation:
-``solve_characteristic`` is that case of ``solve_full``.
+``solve_characteristic`` is that case of ``solve_full``.  ``solve_full``
+solves it, and a difference kernel whose checked table is identically
+zero, from the closed-form inverse of the characteristic matrix
+(``characteristic.solve_closed_form``) in O(n log n) with no n x n
+array; every other kernel assembles the dense matrix and goes through
+``linalg.lu_factor``.
 
 ``fredholm_residual`` measures how well a solution satisfies the
 equivalent second-kind equation obtained by inverting the singular part:
@@ -38,6 +43,7 @@ from hypersing.characteristic import (
     _singular_profile,
     _toeplitz,
     assemble_characteristic,
+    solve_closed_form,
 )
 from hypersing.linalg import check_dense_size, condition_estimate_1norm, lu_factor
 from hypersing.mesh import Mesh
@@ -145,6 +151,26 @@ def _difference_table(mesh: Mesh, kernel) -> np.ndarray:
     return _checked_table(evaluate, (1, 2 * n - 1), pair)
 
 
+def _dense_matrix(problem: FullProblem):
+    # The dense collocation matrix of a problem with a regular kernel, or None for
+    # the characteristic equation: no kernel, or a difference kernel whose
+    # checked table is identically zero (and real).  The n x n size is
+    # refused before any kernel is evaluated.
+    kernel = problem.kernel
+    if kernel is None:
+        return None
+    mesh = problem.mesh
+    check_dense_size("n", mesh.n, mesh.n, mesh.n)
+    if kernel.profile_batch is not None:
+        row = _difference_table(mesh, kernel)[0]
+        if not np.iscomplexobj(row) and not np.any(row):
+            return None
+        return _toeplitz(_singular_profile(mesh) + mesh.h * row)
+    table = mesh.h * _grid_table(kernel, mesh.colloc, mesh.nodes[1:])
+    table += assemble_characteristic(mesh)
+    return table
+
+
 def assemble_full(problem: FullProblem) -> np.ndarray:
     """Collocation matrix of the full equation: characteristic part plus h*K table.
 
@@ -153,47 +179,45 @@ def assemble_full(problem: FullProblem) -> np.ndarray:
     ``linalg.MAX_DENSE_ELEMENTS`` is refused with a ValueError before any
     kernel is evaluated.
     """
-    mesh = problem.mesh
-    if problem.kernel is None:
-        return assemble_characteristic(mesh)
-    check_dense_size("n", mesh.n, mesh.n, mesh.n)
-    kernel = problem.kernel
-    if kernel.profile_batch is not None:
-        row = mesh.h * _difference_table(mesh, kernel)[0]
-        return _toeplitz(_singular_profile(mesh) + row)
-    table = mesh.h * _grid_table(kernel, mesh.colloc, mesh.nodes[1:])
-    table += assemble_characteristic(mesh)
-    return table
+    matrix = _dense_matrix(problem)
+    return assemble_characteristic(problem.mesh) if matrix is None else matrix
 
 
 def solve_full(problem: FullProblem) -> DiscreteSolution:
-    """Solve the equation by dense collocation on the problem's mesh.
+    """Solve the equation by collocation on the problem's mesh.
 
-    Solves through LAPACK in the ``lu_factor`` call that takes the
-    condition estimate (one ``gesv`` call for the Toeplitz matrix of a
-    difference kernel) and attaches the estimate to the result; a warning
-    is logged above 1e12.
+    The characteristic equation (no kernel, or a difference kernel whose
+    table is identically zero) is solved from the closed-form inverse of
+    its matrix in O(n log n), with no n x n array
+    (``characteristic.solve_closed_form``).  Any other kernel assembles the
+    dense matrix and solves it through LAPACK in the ``lu_factor`` call
+    that takes the condition estimate (one ``gesv`` call for the Toeplitz
+    matrix of a difference kernel).  The estimate is attached to the
+    result; a warning is logged above 1e12.
     The scalar field is complex exactly when the kernel or the right-hand
     side is complex; a real problem never leaves real arithmetic.  Raises
     SingularMatrixError for a degenerate system and ValueError for a
-    nonfinite right-hand side.
+    nonfinite right-hand side or an over-budget size.
     """
+    mesh = problem.mesh
     if problem.rhs.f is not None:
-        problem.rhs.validate_pair(problem.mesh.a, problem.mesh.b)
-    matrix = assemble_full(problem)
-    b = _load_values(problem.rhs.fprime, problem.mesh.colloc, "right-hand side")
-    fact = lu_factor(matrix, b)
-    values = fact.solution
-    condition = condition_estimate_1norm(fact)
+        problem.rhs.validate_pair(mesh.a, mesh.b)
+    matrix = _dense_matrix(problem)
+    b = _load_values(problem.rhs.fprime, mesh.colloc, "right-hand side")
+    if matrix is None:
+        values, condition = solve_closed_form(mesh, b)
+    else:
+        fact = lu_factor(matrix, b)
+        values, condition = fact.solution, condition_estimate_1norm(fact)
     if condition > _CONDITION_WARN:
         logger.warning(
             "collocation matrix is ill conditioned: estimate %.3e", condition
         )
-    return DiscreteSolution(mesh=problem.mesh, values=values, condition=condition)
+    return DiscreteSolution(mesh=mesh, values=values, condition=condition)
 
 
 def solve_characteristic(mesh: Mesh, rhs: RightHandSide) -> DiscreteSolution:
-    """Solve the characteristic equation: ``solve_full`` with no kernel."""
+    """Solve the characteristic equation: ``solve_full`` with no kernel, O(n log n)."""
     return solve_full(FullProblem(mesh=mesh, rhs=rhs, kernel=None))
 
 

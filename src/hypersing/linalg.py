@@ -1,10 +1,14 @@
 """Dense solves through LAPACK, determinant, and a 1-norm condition estimate.
 
-Every solve is one ``numpy.linalg.solve`` call, that is LAPACK ``gesv``:
-an LU factorization with partial pivoting followed by the two triangular
-solves.  numpy exposes no separate factor and solve, so a factorization
-here is the checked matrix itself together with Hager's estimate of its
-1-norm condition number (W. W. Hager, "Condition estimates", SIAM J. Sci.
+Every dense solve is one ``numpy.linalg.solve`` call, that is LAPACK
+``gesv``: an LU factorization with partial pivoting followed by the two
+triangular solves.  ``solve_full`` does not bring the characteristic
+equation here: it solves it from the closed-form inverse of its matrix in
+``characteristic``, whose condition estimate goes through
+``condition_from_solves`` below.
+numpy exposes no separate factor and solve, so a factorization here is
+the checked matrix itself together with Hager's estimate of its 1-norm
+condition number (W. W. Hager, "Condition estimates", SIAM J. Sci.
 Stat. Comput. 5, 1984).  The estimate is taken once, when the matrix is
 factored, from a few products with A^{-1} and A^{-H}; it also decides
 whether the matrix counts as singular.
@@ -162,19 +166,10 @@ def lu_factor(a: np.ndarray, rhs: np.ndarray | None = None) -> LUFactorization:
     dtype = np.dtype(np.complex128 if np.iscomplexobj(a) else np.float64)
     fact = LUFactorization(matrix=matrix, dtype=dtype)
     columns = () if rhs is None else fact._columns(rhs)
-    solved = None
-    if fact.n == 0:
-        fact.condition = 1.0
-    else:
-        probes, solved = _toeplitz_probes(matrix, columns)
-        probes = probes or (fact.solve, fact.solve_adjoint)
-        norm1 = float(np.max(np.abs(matrix).sum(axis=0)))
-        fact.condition = norm1 * _inverse_norm1_estimate(fact.n, matrix.dtype, *probes)
-    if not fact.condition * _RCOND_MIN < 1.0:
-        raise SingularMatrixError(
-            f"estimated reciprocal 1-norm condition number {1.0 / fact.condition:.3e}"
-            f" is at most {_RCOND_MIN:.0e}"
-        )
+    probes, solved = _toeplitz_probes(matrix, columns) if fact.n else (None, None)
+    probes = probes or (fact.solve, fact.solve_adjoint)
+    norm1 = float(np.max(np.abs(matrix).sum(axis=0), initial=0.0))
+    fact.condition = condition_from_solves(norm1, fact.n, matrix.dtype, *probes)
     if rhs is not None:
         fact.solution = fact.solve(rhs) if solved is None else _join(solved)
     return fact
@@ -183,6 +178,27 @@ def lu_factor(a: np.ndarray, rhs: np.ndarray | None = None) -> LUFactorization:
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Factor-and-solve convenience for a single system."""
     return lu_factor(a, b).solution
+
+
+def condition_from_solves(
+    norm1: float, n: int, dtype: np.dtype, inverse, inverse_adjoint
+) -> float:
+    """Hager's estimate norm1 * ||A^{-1}||_1, refusing a numerically singular A.
+
+    ``norm1`` is ||A||_1, and ``inverse`` and ``inverse_adjoint`` map a
+    vector r of ``dtype`` to A^{-1} r and A^{-H} r.  Raises
+    SingularMatrixError when the estimated 1/cond_1 is at most 1e-13.  An
+    empty matrix has condition 1.
+    """
+    condition = 1.0
+    if n:
+        condition = norm1 * _inverse_norm1_estimate(n, dtype, inverse, inverse_adjoint)
+    if not condition * _RCOND_MIN < 1.0:
+        raise SingularMatrixError(
+            f"estimated reciprocal 1-norm condition number {1.0 / condition:.3e}"
+            f" is at most {_RCOND_MIN:.0e}"
+        )
+    return condition
 
 
 def condition_estimate_1norm(fact: LUFactorization) -> float:

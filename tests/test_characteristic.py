@@ -1,17 +1,31 @@
+from fractions import Fraction
+
+import mpmath
 import numpy as np
 import pytest
 
 from hypersing import (
+    CrackParams,
     DiscreteSolution,
+    FullProblem,
+    Mesh,
     RightHandSide,
     assemble_characteristic,
     characteristic_determinant_closed_form,
+    crack_exact,
+    crack_problem,
     finite_part_constant,
     invert_characteristic,
     lu_factor,
     make_mesh,
     solve_characteristic,
+    solve_full,
     solve_spectral,
+)
+from hypersing.characteristic import (
+    cauchy_weights,
+    check_closed_form_size,
+    solve_closed_form,
 )
 from tests.conftest import unit_semicircle
 
@@ -141,3 +155,124 @@ def test_discrete_solution_validation_and_evaluation(semicircle_rhs):
     for outside in (1.5, np.nan):
         with pytest.raises(ValueError, match="outside"):
             sol(outside)
+
+
+# The closed-form route: M^{-1} b from the Cauchy inverse in O(n log n).
+
+CRACK_LOAD = -np.pi * (1.0 - 0.3)  # crack_problem's f' at sigma0 = mu = 1, nu = 0.3
+
+
+def build_mesh(a: float, b: float, n: int) -> Mesh:
+    # make_mesh needs n >= 2; one subinterval is built by hand.
+    if n >= 2:
+        return make_mesh(a, b, n)
+    return Mesh(a=a, b=b, n=1, h=b - a, nodes=np.array([a, b]),
+                colloc=np.array([0.5 * (a + b)]))
+
+
+def solve_with_load(mesh: Mesh, b: np.ndarray) -> DiscreteSolution:
+    rhs = RightHandSide(fprime=lambda x: b)
+    return solve_full(FullProblem(mesh=mesh, rhs=rhs, kernel=None))
+
+
+def central_binomials(n: int) -> list[int]:
+    # binom(2k, k) for k = 0..n, exactly.
+    out = [1]
+    for k in range(1, n + 1):
+        out.append(out[-1] * 2 * (2 * k - 1) // k)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 160, 4096])
+def test_cauchy_weights_match_exact_rationals(n):
+    # Gamma(k + 1/2) = sqrt(pi) (2k)! / (4^k k!), so Gamma(k + 1/2) / (sqrt(pi) k!)
+    # = binom(2k, k) / 4^k and both weights are rational:
+    # alpha_j = j binom(2j, j) binom(2m, m) / 4^n with m = n - j, and
+    # beta_j = -alpha_j (m + 1/2) / (j - 1/2).
+    alpha, beta = cauchy_weights(n)
+    cb = central_binomials(n)
+    for j in range(1, n + 1):
+        m = n - j
+        exact_alpha = Fraction(j * cb[j] * cb[m], 4**n)
+        exact_beta = -exact_alpha * Fraction(2 * m + 1, 2 * j - 1)
+        assert abs(alpha[j - 1] / float(exact_alpha) - 1.0) <= 2e-14
+        assert abs(beta[j - 1] / float(exact_beta) - 1.0) <= 2e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 600, 4096])
+@pytest.mark.parametrize("interval", [(-1.0, 1.0), (1e6 - 1.0, 1e6 + 1.0)])
+def test_closed_form_solve_matches_gesv(n, interval):
+    mesh = build_mesh(*interval, n)
+    loads = [np.full(n, CRACK_LOAD), np.random.default_rng(n).standard_normal(n)]
+    want = np.linalg.solve(assemble_characteristic(mesh), np.column_stack(loads))
+    for b, ref in zip(loads, want.T):
+        got = solve_with_load(mesh, b).values
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "n, seeds", [(40, [None, 40]), (80, [None])], ids=["n40", "n80"]
+)
+def test_both_routes_match_forty_digit_solve(n, seeds):
+    # 40-digit LU of the matrix with the mesh's own h; seed None is the crack load.
+    mesh = make_mesh(-1.0, 1.0, n)
+    dense = assemble_characteristic(mesh)
+    with mpmath.workdps(40):
+        h = mpmath.mpf(mesh.h)
+        quarter = mpmath.mpf(1) / 4
+        a = mpmath.matrix([[1 / ((mpmath.mpf(i - j) ** 2 - quarter) * h)
+                            for j in range(n)] for i in range(n)])
+        for seed in seeds:
+            if seed is None:
+                b = np.full(n, CRACK_LOAD)
+            else:
+                b = np.random.default_rng(seed).standard_normal(n)
+            x = mpmath.lu_solve(a, mpmath.matrix([mpmath.mpf(v) for v in b]))
+            exact = np.array([float(v) for v in x])
+            scale = np.max(np.abs(exact))
+            for got in (solve_with_load(mesh, b).values, np.linalg.solve(dense, b)):
+                assert np.max(np.abs(got - exact)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n", [40, 600, 4096])
+def test_closed_form_condition_matches_dense_estimate(n):
+    mesh = make_mesh(-1.0, 1.0, n)
+    got = solve_with_load(mesh, np.full(n, CRACK_LOAD)).condition
+    want = lu_factor(assemble_characteristic(mesh)).condition
+    assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_closed_form_complex_load_is_two_real_solves():
+    mesh = make_mesh(-1.0, 1.0, 64)
+    re = np.cos(3.0 * mesh.colloc)
+    im = np.random.default_rng(7).standard_normal(64)
+    real = solve_with_load(mesh, re).values
+    # A complex load with zero imaginary part: the real solve bit for bit.
+    embedded = solve_with_load(mesh, re.astype(np.complex128)).values
+    assert embedded.dtype == np.complex128
+    assert np.array_equal(embedded.real, real)
+    assert np.all(embedded.imag == 0.0)
+    mixed = solve_with_load(mesh, re + 1j * im).values
+    assert np.array_equal(mixed.real, real)
+    assert np.array_equal(mixed.imag, solve_with_load(mesh, im).values)
+
+
+def test_crack_at_one_hundred_thousand_nodes():
+    params = CrackParams(1.0, 1.0, 0.3, 1.0)
+    solution = solve_full(crack_problem(params, 100_000))
+    nodes = solution.nodes
+    exact = crack_exact(1.0, 1.0, 0.3, 1.0, nodes)
+    assert np.max(np.abs(solution(nodes) - exact)) <= 1e-3 * np.max(exact)
+
+
+def test_closed_form_size_budget_and_input_checks():
+    # The FFT length, the smallest power of two >= 2n - 1, is held to the
+    # dense budget: n = 2^23 fits and 2^23 + 1 is refused by name.
+    check_closed_form_size(2**23)
+    with pytest.raises(ValueError, match="n=8388609 needs a 1 x 33554432 dense array"):
+        check_closed_form_size(2**23 + 1)
+    mesh = make_mesh(-1.0, 1.0, 8)
+    with pytest.raises(ValueError, match=r"shape \(8,\)"):
+        solve_closed_form(mesh, np.ones(7))
+    with pytest.raises(ValueError, match="nonfinite"):
+        solve_closed_form(mesh, np.full(8, np.inf))

@@ -225,28 +225,45 @@ _CAPPED_MAIN = (
 )
 
 
+def _capped_env() -> dict:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 @pytest.mark.parametrize(
     "args, name",
     [
         (["screen", "--k", "1", "--mquad", "100000000", "--N", "2", "--n", "4"], "mquad"),
         (["spectral-compare", "--mquad", "100000000", "--N", "2", "--n", "4"], "mquad"),
-        (["crack", "--n", "100000"], "n"),
+        # The crack's closed-form solve holds no n x n array: its FFT length,
+        # the smallest power of two >= 2n - 1, is what the budget refuses.
+        (["crack", "--n", "100000000"], "n"),
         (["full", "--A", "3", "--n", "100000"], "n"),
         (["characteristic", "--n", "40", "--m", "1000000000"], "m"),
     ],
     ids=["screen-mquad", "spectral-compare-mquad", "crack-n", "full-n", "characteristic-m"],
 )
 def test_oversized_dense_arrays_refused_by_name(args, name, tmp_path):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
         [sys.executable, "-c", _CAPPED_MAIN, *args, "--out", str(tmp_path / "x.csv")],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_capped_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 1, done.stderr
     assert done.stderr.startswith(f"error: ValueError: {name}=")
     assert "dense array" in done.stderr
+
+
+def test_crack_beyond_dense_cap_runs_in_capped_memory(tmp_path):
+    # n = 100000 is far above the n x n cap of 4096 but needs only O(n) memory.
+    out = tmp_path / "crack.csv"
+    args = ["crack", "--n", "100000", "--out", str(out)]
+    done = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *args], env=_capped_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    _, data = read_table(out)
+    assert data.shape == (100000, 4)
+    assert data[:, 3].max() <= 1e-3
 
 
 def test_cli_import_loads_no_scipy():
