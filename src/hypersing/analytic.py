@@ -61,7 +61,7 @@ class RightHandSide:
     fprime: Callable[[np.ndarray], np.ndarray]
     f: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    def validate_pair(self, a: float, b: float, rtol: float = _PAIR_RTOL) -> None:
+    def validate_pair(self, a: float, b: float) -> None:
         """Check that fprime is the derivative of f, both finite, at 5 interior points."""
         if self.f is None:
             return
@@ -72,10 +72,10 @@ class RightHandSide:
         stated = _load_values(self.fprime, pts, "fprime")
         scale = max(1.0, float(np.max(np.abs(stated))))
         worst = float(np.max(np.abs(fd - stated)))
-        if worst > rtol * scale:
+        if worst > _PAIR_RTOL * scale:
             raise ValueError(
                 f"fprime disagrees with the derivative of f: max deviation "
-                f"{worst:.3e} exceeds {rtol:g} * {scale:g}"
+                f"{worst:.3e} exceeds {_PAIR_RTOL:g} * {scale:g}"
             )
 
 

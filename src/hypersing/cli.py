@@ -14,6 +14,7 @@ configurations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import Optional
 
@@ -47,6 +48,10 @@ from hypersing.spectral import chebyshev_U, solve_spectral
 
 _LIBRARY_ERRORS = (QuadratureConvergenceError, KernelEvaluationError, ValueError)
 
+# Table rows formatted and written per write call: the Python floats and
+# the text of one block are alive at a time, not those of the whole table.
+_ROWS_PER_BLOCK = 16384
+
 # The constant load -pi of the characteristic and linear-kernel benchmarks.
 _PI_LOAD = RightHandSide(
     fprime=lambda x: -np.pi * np.ones_like(np.asarray(x, dtype=float)),
@@ -68,14 +73,16 @@ def _write_table(args: argparse.Namespace, x, numeric, reference) -> float:
         columns = [x, numeric, reference, abs_err]
     sep = "\t" if args.fmt == "tsv" else ","
     row = sep.join(["%.17g"] * len(columns))
-    lines = [sep.join(header)]
-    lines += [row % tuple(values) for values in np.column_stack(columns).tolist()]
-    text = "\n".join(lines) + "\n"
     if args.out == "-":
-        sys.stdout.write(text)
+        target = contextlib.nullcontext(sys.stdout)
     else:
-        with open(args.out, "w", newline="") as handle:
-            handle.write(text)
+        target = open(args.out, "w", newline="")
+    with target as handle:
+        handle.write(sep.join(header) + "\n")
+        for start in range(0, len(abs_err), _ROWS_PER_BLOCK):
+            rows = slice(start, start + _ROWS_PER_BLOCK)
+            block = np.column_stack([column[rows] for column in columns]).tolist()
+            handle.write("\n".join([row % tuple(values) for values in block]) + "\n")
     return float(np.max(abs_err))
 
 

@@ -192,8 +192,8 @@ def solve_full(problem: FullProblem) -> DiscreteSolution:
     (``characteristic.solve_closed_form``).  Any other kernel assembles the
     dense matrix and solves it through LAPACK in the ``lu_factor`` call
     that takes the condition estimate (one ``gesv`` call for the Toeplitz
-    matrix of a difference kernel).  The estimate is attached to the
-    result; a warning is logged above 1e12.
+    matrix of a difference kernel).  Either route's condition number is
+    attached to the result; a warning is logged above 1e12.
     The scalar field is complex exactly when the kernel or the right-hand
     side is complex; a real problem never leaves real arithmetic.  Raises
     SingularMatrixError for a degenerate system and ValueError for a

@@ -4,8 +4,7 @@ Every dense solve is one ``numpy.linalg.solve`` call, that is LAPACK
 ``gesv``: an LU factorization with partial pivoting followed by the two
 triangular solves.  ``solve_full`` does not bring the characteristic
 equation here: it solves it from the closed-form inverse of its matrix in
-``characteristic``, whose condition estimate goes through
-``condition_from_solves`` below.
+``characteristic``, which also gives that matrix's exact condition number.
 numpy exposes no separate factor and solve, so a factorization here is
 the checked matrix itself together with Hager's estimate of its 1-norm
 condition number (W. W. Hager, "Condition estimates", SIAM J. Sci.
@@ -120,16 +119,22 @@ class LUFactorization:
         # The checked rhs as rows of gesv columns in the matrix's scalar type:
         # b itself, or its real and imaginary parts when a real matrix must
         # give a complex answer.
-        b = np.asarray(b)
-        if b.shape != (self.n,):
-            raise ValueError(f"rhs must have shape ({self.n},), got {b.shape}")
-        if not np.all(np.isfinite(b)):
-            raise ValueError("rhs contains nonfinite entries")
+        b = _checked_rhs(b, self.n)
         if np.iscomplexobj(self.matrix):
             return b.astype(np.complex128)[None]
         if np.iscomplexobj(b) or self.dtype.kind == "c":
             return np.stack([b.real, b.imag], dtype=np.float64)
         return b.astype(np.float64)[None]
+
+
+def _checked_rhs(b, n: int) -> np.ndarray:
+    # b as an array, refused unless it has shape (n,) and finite entries.
+    b = np.asarray(b)
+    if b.shape != (n,):
+        raise ValueError(f"rhs must have shape ({n},), got {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("rhs contains nonfinite entries")
+    return b
 
 
 def _join(columns: np.ndarray) -> np.ndarray:
@@ -169,7 +174,14 @@ def lu_factor(a: np.ndarray, rhs: np.ndarray | None = None) -> LUFactorization:
     probes, solved = _toeplitz_probes(matrix, columns) if fact.n else (None, None)
     probes = probes or (fact.solve, fact.solve_adjoint)
     norm1 = float(np.max(np.abs(matrix).sum(axis=0), initial=0.0))
-    fact.condition = condition_from_solves(norm1, fact.n, matrix.dtype, *probes)
+    fact.condition = 1.0
+    if fact.n:
+        fact.condition = norm1 * _inverse_norm1_estimate(fact.n, matrix.dtype, *probes)
+    if not fact.condition * _RCOND_MIN < 1.0:
+        raise SingularMatrixError(
+            f"estimated reciprocal 1-norm condition number {1.0 / fact.condition:.3e}"
+            f" is at most {_RCOND_MIN:.0e}"
+        )
     if rhs is not None:
         fact.solution = fact.solve(rhs) if solved is None else _join(solved)
     return fact
@@ -178,27 +190,6 @@ def lu_factor(a: np.ndarray, rhs: np.ndarray | None = None) -> LUFactorization:
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Factor-and-solve convenience for a single system."""
     return lu_factor(a, b).solution
-
-
-def condition_from_solves(
-    norm1: float, n: int, dtype: np.dtype, inverse, inverse_adjoint
-) -> float:
-    """Hager's estimate norm1 * ||A^{-1}||_1, refusing a numerically singular A.
-
-    ``norm1`` is ||A||_1, and ``inverse`` and ``inverse_adjoint`` map a
-    vector r of ``dtype`` to A^{-1} r and A^{-H} r.  Raises
-    SingularMatrixError when the estimated 1/cond_1 is at most 1e-13.  An
-    empty matrix has condition 1.
-    """
-    condition = 1.0
-    if n:
-        condition = norm1 * _inverse_norm1_estimate(n, dtype, inverse, inverse_adjoint)
-    if not condition * _RCOND_MIN < 1.0:
-        raise SingularMatrixError(
-            f"estimated reciprocal 1-norm condition number {1.0 / condition:.3e}"
-            f" is at most {_RCOND_MIN:.0e}"
-        )
-    return condition
 
 
 def condition_estimate_1norm(fact: LUFactorization) -> float:

@@ -234,12 +234,34 @@ def test_both_routes_match_forty_digit_solve(n, seeds):
                 assert np.max(np.abs(got - exact)) <= 1e-14 * scale
 
 
-@pytest.mark.parametrize("n", [40, 600, 4096])
+@pytest.mark.parametrize("n", [2, 3, 7, 40, 600, 4096])
 def test_closed_form_condition_matches_dense_estimate(n):
     mesh = make_mesh(-1.0, 1.0, n)
-    got = solve_with_load(mesh, np.full(n, CRACK_LOAD)).condition
-    want = lu_factor(assemble_characteristic(mesh)).condition
-    assert got == pytest.approx(want, rel=1e-10)
+    load = np.full(n, CRACK_LOAD)
+    got = solve_closed_form(mesh, load)[1]
+    assert solve_with_load(mesh, load).condition == got
+    dense = assemble_characteristic(mesh)
+    assert got == pytest.approx(lu_factor(dense).condition, rel=1e-10)
+    if n <= 600:
+        # Exact, not an estimate: numpy's cond_1 through the explicit inverse.
+        assert got == pytest.approx(np.linalg.cond(dense, 1), rel=1e-13)
+
+
+@pytest.mark.parametrize("load, calls", [(np.ones(50), 2), (np.full(50, 1j), 3)],
+                         ids=["real", "complex"])
+def test_closed_form_fft_solves(load, calls, monkeypatch):
+    # One inverse FFT per product with M^{-1}: one for each real part of
+    # the load and one for the condition number.
+    count = []
+    irfft = np.fft.irfft
+
+    def counted(*args, **kwargs):
+        count.append(1)
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counted)
+    solve_closed_form(make_mesh(-1.0, 1.0, 50), load)
+    assert len(count) == calls
 
 
 def test_closed_form_complex_load_is_two_real_solves():

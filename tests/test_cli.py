@@ -171,6 +171,22 @@ def test_table_format_is_seventeen_digits(fmt, kind, tmp_path):
     assert max_err == float(np.max(abs_err))
 
 
+@pytest.mark.parametrize("args", [
+    ["crack", "--n", "40"],
+    ["screen", "--k", "1.3", "--format", "tsv"],
+], ids=["csv", "tsv"])
+def test_table_written_in_row_blocks(args, tmp_path, monkeypatch):
+    # 40 and 80 rows in blocks of 7, the last one short: the same bytes
+    # as one block.
+    tables = []
+    for rows in (7, 10**6):
+        monkeypatch.setattr(cli, "_ROWS_PER_BLOCK", rows)
+        out = tmp_path / f"table-{rows}"
+        assert main(args + ["--out", str(out)]) == 0
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
+
+
 def test_invalid_flags_exit_two():
     with pytest.raises(SystemExit) as info:
         main(["full", "--badflag"])
