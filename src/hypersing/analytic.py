@@ -28,6 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from hypersing.linalg import check_dense_size
 from hypersing.quadrature import gauss_chebyshev1
 
 _NODE_CLEARANCE = 1e-12
@@ -95,12 +96,14 @@ def invert_characteristic(
     ``m`` is the Gauss-Chebyshev node count; 64 gives spectral accuracy for
     smooth f.  The returned g accepts scalars or arrays on [a, b], is
     exactly zero at the endpoints, and shifts to an (m+1)-node rule for
-    any evaluation point that lands on a quadrature node.
+    any evaluation point that lands on a quadrature node.  Raises
+    ValueError naming m, before any node exists, for m + 1 over budget.
     """
     if rhs.f is None:
         raise ValueError("inversion requires the antiderivative f on the right-hand side")
     if m < 8:
         raise ValueError(f"need at least 8 quadrature nodes, got {m}")
+    check_dense_size("m", m, 1, m + 1)
     rhs.validate_pair(a, b)
     u, w = gauss_chebyshev1(m)
     fvals = _load_values(rhs.f, 0.5 * (a + b) + 0.5 * (b - a) * u, "f")
@@ -175,9 +178,13 @@ def weighted_pv_integral(fn: Callable, a: float, b: float, m: int, x):
     ``x`` is a point or an array of points and ``fn`` must accept numpy
     arrays; the result has x's shape followed by any trailing axes of fn's
     values.  All points share the m-node rule, or the (m+1)-node rule when
-    one lands on an m-rule node.  Raises ValueError unless a < x < b (NaN
-    included) and fn is finite at the nodes and points.
+    one lands on an m-rule node.  Raises ValueError unless m >= 1,
+    a < x < b (NaN included) and fn is finite at the nodes and points, and
+    names m before allocating a points x nodes table (with fn's trailing
+    axes) above ``linalg.MAX_DENSE_ELEMENTS``.
     """
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
     xs = np.asarray(x, dtype=float)
     outside = ~((xs > a) & (xs < b))
     if np.any(outside):
@@ -187,12 +194,14 @@ def weighted_pv_integral(fn: Callable, a: float, b: float, m: int, x):
     points = xs.ravel()
     center = 0.5 * (a + b)
     radius = 0.5 * (b - a)
+    check_dense_size("m", m, max(points.size, 1), m + 1)
     u, w = gauss_chebyshev1(m)
     nodes = center + radius * u
     if np.min(np.abs(points[:, None] - nodes)) < _NODE_CLEARANCE * (b - a):
         u, w = gauss_chebyshev1(m + 1)
         nodes = center + radius * u
     fvals = _load_values(fn, nodes, "integrand")
+    check_dense_size("m", m, points.size, fvals.size)
     fx = _load_values(fn, points, "integrand")
     gaps = (points[:, None] - nodes).reshape(points.size, -1, *(1,) * (fvals.ndim - 1))
     pv = w * np.sum((fvals - fx[:, None]) / gaps, axis=1)

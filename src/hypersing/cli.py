@@ -26,7 +26,6 @@ from hypersing.analytic import (
     full_example_exact,
     invert_characteristic,
 )
-from hypersing.characteristic import check_closed_form_size
 from hypersing.fullsolver import (
     FullProblem,
     KernelEvaluationError,
@@ -41,7 +40,6 @@ from hypersing.kernels import (
     polynomial_kernel,
     screen_problem,
 )
-from hypersing.linalg import check_dense_size
 from hypersing.mesh import make_mesh
 from hypersing.quadrature import QuadratureConvergenceError
 from hypersing.spectral import chebyshev_U, solve_spectral
@@ -84,14 +82,6 @@ def _write_table(args: argparse.Namespace, x, numeric, reference) -> float:
             block = np.column_stack([column[rows] for column in columns]).tolist()
             handle.write("\n".join([row % tuple(values) for values in block]) + "\n")
     return float(np.max(abs_err))
-
-
-def _summary(max_err: float, condition: Optional[float]) -> None:
-    cond = condition if condition is not None else float("nan")
-    print(
-        f"max_abs_error={max_err:.6e} condition_estimate={cond:.6e}",
-        file=sys.stderr,
-    )
 
 
 def _run_characteristic(args: argparse.Namespace):
@@ -181,7 +171,7 @@ def _run_finite_part(args: argparse.Namespace):
     numeric = np.array(
         [finite_part(density, args.a, args.b, float(x), args.tol) for x in points]
     )
-    return points, numeric, reference, None
+    return points, numeric, reference, np.nan
 
 
 def _run_spectral_compare(args: argparse.Namespace):
@@ -200,27 +190,13 @@ _RUNNERS = {
 }
 
 
-def _check_dense_sizes(args: argparse.Namespace) -> None:
-    # The largest array of each route, refused before anything is allocated:
-    # the closed-form solve's FFT arrays for the characteristic equation and
-    # the crack, the n x n matrix of the others, the oracle's
-    # mquad x (mquad + 1) kernel table and the inversion's n x (m + 1) grid.
-    if args.command in ("characteristic", "crack"):
-        check_closed_form_size(args.n)
-    elif args.command != "finite-part":
-        check_dense_size("n", args.n, args.n, args.n)
-    if hasattr(args, "mquad"):
-        check_dense_size("mquad", args.mquad, args.mquad, args.mquad + 1)
-    if hasattr(args, "m"):
-        check_dense_size("m", args.m, args.n, args.m + 1)
-
-
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed command line; returns the process exit status."""
     try:
-        _check_dense_sizes(args)
         x, numeric, reference, condition = _RUNNERS[args.command](args)
-        _summary(_write_table(args, x, numeric, reference), condition)
+        max_err = _write_table(args, x, numeric, reference)
+        print(f"max_abs_error={max_err:.6e} condition_estimate={condition:.6e}",
+              file=sys.stderr)
         return 0
     except _LIBRARY_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -25,12 +25,15 @@ and A. Semencul, Mat. Issled. 7, 1972).  The caller's right-hand side,
 given to ``lu_factor``, rides in the ``gesv`` call that gives x and y as
 one more column (two, for the real and imaginary parts of a complex b
 with a real matrix), so a Toeplitz solve factors A once and its solution
-still comes from LAPACK's LU, never from the formula.  Each column of a
-multi-column ``gesv`` gets the same bits whatever the column count
-(OpenBLAS 0.3.31, 1 and 2 threads), so the extra columns leave x, y and
-the estimate unchanged.  Any other matrix is probed through ``gesv``
-with A and A^H, which factors it again on each probe, and is solved
-after the estimate.  No n x n array is kept besides the caller's matrix.
+still comes from LAPACK's LU, never from the formula.  Any other matrix
+is probed through ``gesv`` with A and A^H, which factors it again on
+each probe, and is solved after the estimate, one single-column ``gesv``
+per real or imaginary part.  Measured with OpenBLAS 0.3.31, a one-column
+and a multi-column ``gesv`` differ in the last bits (real matrices at 1
+BLAS thread, real and complex at 2), while any two multi-column counts
+agree: so the extra columns leave x, y and the estimate unchanged, and
+both routes solve a real-valued complex b in the bits of a real one.  No
+n x n array is kept besides the caller's matrix.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ import numpy as np
 _RCOND_MIN = 1e-13
 _HAGER_MAX_SWEEPS = 6
 
-# Largest dense array, in elements, that assembly and the spectral oracle
-# may allocate: n <= 4096 for an n x n matrix (256 MiB complex).
+# Largest array, in elements, that any route allocates, each checking its
+# own where it allocates it: n <= 4096 for an n x n matrix (256 MiB complex).
 MAX_DENSE_ELEMENTS = 4096 * 4096
 
 
@@ -106,14 +109,10 @@ class LUFactorization:
         return np.conj(self._solve(self.matrix.T, np.conj(b)))
 
     def _solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        columns = self._columns(b)
-        if len(columns) == 1:
-            return _gesv(a, columns[0])
-        # Real matrix, complex answer: the real and imaginary parts are two
-        # single-column gesv calls of one batched solve, each the same
-        # calculation as a real solve (a two-column gesv rounds differently).
-        parts = _gesv(np.broadcast_to(a, (2, self.n, self.n)), columns[..., None])
-        return _join(parts[..., 0])
+        # One single-column gesv per part: the real and imaginary parts of a
+        # complex answer from a real matrix are each the same calculation as
+        # a real solve.
+        return _join([_gesv(a, column) for column in self._columns(b)])
 
     def _columns(self, b: np.ndarray) -> np.ndarray:
         # The checked rhs as rows of gesv columns in the matrix's scalar type:

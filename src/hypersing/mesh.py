@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from hypersing.linalg import check_dense_size
 
 
 @dataclass(frozen=True)
@@ -30,14 +33,8 @@ class Mesh:
         self.colloc.setflags(write=False)
 
 
-def make_mesh(a: float, b: float, n: int) -> Mesh:
-    """Build the uniform mesh on (a, b) with n >= 2 subintervals.
-
-    Nodes come from the direct formula a + j*h, never from a running sum,
-    so there is no accumulation drift at large n; the endpoints are stored
-    exactly.  Raises ValueError for a nonfinite endpoint, an empty
-    interval or n < 2.
-    """
+def _checked_interval(a: float, b: float) -> tuple[float, float]:
+    """(a, b) as floats; ValueError naming a nonfinite end, or unless b > a."""
     a = float(a)
     b = float(b)
     for name, value in (("a", a), ("b", b)):
@@ -45,9 +42,25 @@ def make_mesh(a: float, b: float, n: int) -> Mesh:
             raise ValueError(f"{name} must be finite, got {value}")
     if not (b > a):
         raise ValueError(f"invalid interval: need b > a, got ({a}, {b})")
+    return a, b
+
+
+def make_mesh(a: float, b: float, n: int) -> Mesh:
+    """Build the uniform mesh on (a, b) with n >= 2 subintervals.
+
+    Nodes come from the direct formula a + j*h, never from a running sum,
+    so there is no accumulation drift at large n; the endpoints are stored
+    exactly.  Raises ValueError for a nonfinite endpoint, an empty
+    interval, an n that is not an integer, n < 2, or n + 1 nodes over
+    ``linalg.MAX_DENSE_ELEMENTS``.
+    """
+    a, b = _checked_interval(a, b)
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"n must be an integer, got {n!r}")
     n = int(n)
     if n < 2:
         raise ValueError(f"invalid size: need n >= 2, got {n}")
+    check_dense_size("n", n, 1, n + 1)
     h = (b - a) / n
     nodes = a + np.arange(n + 1, dtype=float) * h
     nodes[0] = a

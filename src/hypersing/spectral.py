@@ -30,6 +30,7 @@ import numpy as np
 from hypersing.analytic import RightHandSide, _load_values
 from hypersing.fullsolver import _grid_table
 from hypersing.linalg import check_dense_size, lu_factor
+from hypersing.mesh import _checked_interval
 from hypersing.quadrature import gauss_chebyshev2
 
 _DOMAIN_SLACK = 1e-12
@@ -124,16 +125,18 @@ class ChebyshevSolution:
         The coefficients are c_j = (2/pi) int U_j(xi) fn(x(xi)) dxi,
         evaluated by Gauss-Chebyshev quadrature; ``fn`` must vanish like
         the square-root distance at the endpoints for the expansion to
-        converge quickly.
+        converge quickly.  Raises ValueError naming a nonfinite interval end,
+        or ``mquad`` for a count x mquad table over the dense budget.
         """
         if mquad is None:
             mquad = max(2 * count, 64)
-        a, b = interval
+        a, b = _checked_interval(*interval)
+        check_dense_size("mquad", mquad, count, mquad)
         xi, w = gauss_chebyshev2(mquad)
         x = 0.5 * (a + b) + 0.5 * (b - a) * xi
         u = np.asarray(fn(x)) / np.sqrt(1.0 - xi * xi)
         coeffs = (2.0 / np.pi) * (_u_matrix(count, xi) * w) @ u
-        return cls(coeffs=coeffs, interval=(float(a), float(b)))
+        return cls(coeffs=coeffs, interval=(a, b))
 
 
 def solve_spectral(
@@ -149,18 +152,17 @@ def solve_spectral(
     ``mquad`` fixes the tensor quadrature resolution and must be at least
     2N.  Returns the expansion on the requested interval.  Raises
     SingularMatrixError if the truncated system degenerates, and
-    ValueError before any allocation if the mquad x (mquad + 1) kernel
-    table is above ``linalg.MAX_DENSE_ELEMENTS``; a nonfinite load or a
-    failing kernel raises as in ``solve_full``.
+    ValueError for a nonfinite or empty interval, or before any allocation
+    if the mquad x (mquad + 1) kernel table is above
+    ``linalg.MAX_DENSE_ELEMENTS``; a nonfinite load or a failing kernel
+    raises as in ``solve_full``.
     """
     if N < 2:
         raise ValueError(f"need at least 2 expansion terms, got {N}")
     if mquad < 2 * N:
         raise ValueError(f"mquad must be at least 2N = {2 * N}, got {mquad}")
     check_dense_size("mquad", mquad, mquad, mquad + 1)
-    a, b = float(interval[0]), float(interval[1])
-    if not (b > a):
-        raise ValueError(f"invalid interval: ({a}, {b})")
+    a, b = _checked_interval(*interval)
     center = 0.5 * (a + b)
     radius = 0.5 * (b - a)
 

@@ -1,4 +1,7 @@
-"""Shared fixtures: benchmark right-hand sides and cached screen solutions."""
+"""Shared fixtures: benchmark right-hand sides, cached screen solutions and capped runs."""
+
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +34,21 @@ def count_gesv(monkeypatch) -> list:
 
     monkeypatch.setattr(np.linalg, "solve", counted)
     return calls
+
+
+# Head of a ``python -c`` script that caps its address space at 2 GiB, so
+# that an unchecked size fails with MemoryError instead of exhausting the host.
+CAP_ADDRESS_SPACE = (
+    "import resource\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+)
+
+
+def capped_env() -> dict:
+    """Environment of a capped subprocess: one BLAS thread and this checkout's src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
 def unit_semicircle(x):

@@ -165,3 +165,10 @@ def test_weighted_pv_integral_interior_only():
     for outside in (np.nan, 1.0, -1.0, 1.5):
         with pytest.raises(ValueError, match="strictly inside"):
             weighted_pv_integral(lambda t: np.ones_like(t), -1.0, 1.0, 16, outside)
+
+
+def test_weighted_pv_integral_needs_a_node():
+    for m in (0, -3):
+        with pytest.raises(ValueError, match=f"^m must be at least 1, got {m}"):
+            weighted_pv_integral(lambda t: t, -1.0, 1.0, m, 0.3)
+    assert weighted_pv_integral(lambda t: t, -1.0, 1.0, 1, 0.3) == pytest.approx(-np.pi)

@@ -11,6 +11,7 @@ import pytest
 
 from hypersing import cli
 from hypersing.cli import main
+from tests.conftest import CAP_ADDRESS_SPACE, capped_env
 
 
 def read_table(path, sep=","):
@@ -231,20 +232,12 @@ def test_solver_error_exits_one(tmp_path, capsys):
         assert f"error: ValueError: {message}" in capsys.readouterr().err
 
 
-# Runs cli.main with the address space capped at 2 GiB, so that an
-# unchecked size fails with MemoryError instead of exhausting the host.
-_CAPPED_MAIN = (
-    "import resource, sys\n"
-    "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+# Runs cli.main with the address space capped at 2 GiB.
+_CAPPED_MAIN = CAP_ADDRESS_SPACE + (
+    "import sys\n"
     "from hypersing.cli import main\n"
     "sys.exit(main(sys.argv[1:]))\n"
 )
-
-
-def _capped_env() -> dict:
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    return dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
 @pytest.mark.parametrize(
@@ -263,7 +256,7 @@ def _capped_env() -> dict:
 def test_oversized_dense_arrays_refused_by_name(args, name, tmp_path):
     done = subprocess.run(
         [sys.executable, "-c", _CAPPED_MAIN, *args, "--out", str(tmp_path / "x.csv")],
-        env=_capped_env(), capture_output=True, text=True, timeout=120,
+        env=capped_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 1, done.stderr
     assert done.stderr.startswith(f"error: ValueError: {name}=")
@@ -274,7 +267,7 @@ def test_crack_beyond_dense_cap_runs_in_capped_memory(tmp_path):
     # n = 100000 is far above the n x n cap of 4096 but needs only O(n) memory.
     out = tmp_path / "crack.csv"
     args = ["crack", "--n", "100000", "--out", str(out)]
-    done = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *args], env=_capped_env(),
+    done = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *args], env=capped_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     _, data = read_table(out)

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hypersing import (
 )
 from hypersing.analytic import _load_values
 from hypersing.linalg import MAX_DENSE_ELEMENTS, _toeplitz_probes, check_dense_size
-from tests.conftest import count_gesv
+from tests.conftest import CAP_ADDRESS_SPACE, capped_env, count_gesv
 
 
 def hilbert(n: int) -> np.ndarray:
@@ -281,3 +283,37 @@ def test_dense_size_budget():
         check_dense_size("n", 4097, 4097, 4097)
     with pytest.raises(ValueError, match="mquad=4096"):
         check_dense_size("mquad", 4096, 4096, 4097)
+
+
+# Each library entry point at a size whose array would not fit in the
+# 2 GiB cap: it must end in a ValueError that names its parameter, not in
+# a MemoryError from numpy.
+_CAPPED_CALL = CAP_ADDRESS_SPACE + (
+    "import numpy as np\n"
+    "from hypersing import (ChebyshevSolution, CrackParams, RightHandSide,\n"
+    "    crack_problem, invert_characteristic, make_mesh)\n"
+    "from hypersing.analytic import weighted_pv_integral\n"
+    "load = RightHandSide(fprime=lambda x: -np.pi + 0.0 * x, f=lambda x: -np.pi * x)\n"
+    "try:\n"
+    "    {call}\n"
+    "except ValueError as exc:\n"
+    "    print(exc)\n"
+)
+
+
+@pytest.mark.parametrize("call, name", [
+    ("make_mesh(-1, 1, 10**9)", "n"),
+    ("crack_problem(CrackParams(1, 1, 0.3, 1), 10**9)", "n"),
+    ("invert_characteristic(load, -1, 1, 10**9)", "m"),
+    ("weighted_pv_integral(np.cos, -1, 1, 10**5, np.linspace(-0.9, 0.9, 10**5))", "m"),
+    ("ChebyshevSolution.from_function(np.cos, 4, mquad=10**9)", "mquad"),
+], ids=["make_mesh", "crack_problem", "invert_characteristic", "weighted_pv_integral",
+        "from_function"])
+def test_library_refuses_oversized_arrays_by_name(call, name):
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CALL.format(call=call)],
+        env=capped_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(f"{name}=")
+    assert "dense array" in done.stdout

@@ -42,6 +42,14 @@ def test_too_few_subintervals_rejected():
         make_mesh(0.0, 1.0, 1)
 
 
+def test_non_integral_size_rejected():
+    # int(2.7) would quietly build 2 subintervals.
+    for bad in (2.7, 4.0, float("nan"), "4"):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            make_mesh(-1.0, 1.0, bad)
+    assert make_mesh(-1.0, 1.0, np.int64(4)).n == 4
+
+
 def test_endpoints_stored_exactly():
     # 40 * 0.05 rounds away from 2.0 in floating point; the endpoints must
     # not inherit that error.

@@ -105,6 +105,14 @@ def test_resolution_preconditions(semicircle_rhs):
         solve_spectral(None, semicircle_rhs, 8, 15)
 
 
+def test_nonfinite_interval_end_refused_by_name(semicircle_rhs):
+    for interval, name in (((0.0, np.inf), "b"), ((np.nan, 1.0), "a"), ((-np.inf, 1.0), "a")):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            solve_spectral(None, semicircle_rhs, 4, 16, interval=interval)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            ChebyshevSolution.from_function(np.cos, 4, interval=interval)
+
+
 def test_expansion_fit_round_trip():
     coeffs = np.zeros(6)
     coeffs[0], coeffs[3] = 1.0, 0.3
