@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from hypersing.linalg import check_dense_size
+from hypersing.linalg import check_dense_size, check_integer
 from hypersing.quadrature import gauss_chebyshev1
 
 _NODE_CLEARANCE = 1e-12
@@ -101,6 +101,7 @@ def invert_characteristic(
     """
     if rhs.f is None:
         raise ValueError("inversion requires the antiderivative f on the right-hand side")
+    m = check_integer("m", m)
     if m < 8:
         raise ValueError(f"need at least 8 quadrature nodes, got {m}")
     check_dense_size("m", m, 1, m + 1)
@@ -177,12 +178,14 @@ def weighted_pv_integral(fn: Callable, a: float, b: float, m: int, x):
 
     ``x`` is a point or an array of points and ``fn`` must accept numpy
     arrays; the result has x's shape followed by any trailing axes of fn's
-    values.  All points share the m-node rule, or the (m+1)-node rule when
-    one lands on an m-rule node.  Raises ValueError unless m >= 1,
-    a < x < b (NaN included) and fn is finite at the nodes and points, and
-    names m before allocating a points x nodes table (with fn's trailing
-    axes) above ``linalg.MAX_DENSE_ELEMENTS``.
+    values, and is empty for an empty x.  All points share the m-node rule,
+    or the (m+1)-node rule when one lands on an m-rule node.  Raises
+    ValueError unless m is an integer >= 1, a < x < b (NaN included) and fn
+    is finite at the nodes and points, and names m before allocating a
+    points x nodes table (with fn's trailing axes) above
+    ``linalg.MAX_DENSE_ELEMENTS``.
     """
+    m = check_integer("m", m)
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
     xs = np.asarray(x, dtype=float)
@@ -197,12 +200,12 @@ def weighted_pv_integral(fn: Callable, a: float, b: float, m: int, x):
     check_dense_size("m", m, max(points.size, 1), m + 1)
     u, w = gauss_chebyshev1(m)
     nodes = center + radius * u
-    if np.min(np.abs(points[:, None] - nodes)) < _NODE_CLEARANCE * (b - a):
+    if points.size and np.min(np.abs(points[:, None] - nodes)) < _NODE_CLEARANCE * (b - a):
         u, w = gauss_chebyshev1(m + 1)
         nodes = center + radius * u
     fvals = _load_values(fn, nodes, "integrand")
     check_dense_size("m", m, points.size, fvals.size)
     fx = _load_values(fn, points, "integrand")
-    gaps = (points[:, None] - nodes).reshape(points.size, -1, *(1,) * (fvals.ndim - 1))
+    gaps = (points[:, None] - nodes).reshape(points.size, nodes.size, *(1,) * (fvals.ndim - 1))
     pv = w * np.sum((fvals - fx[:, None]) / gaps, axis=1)
     return pv.reshape(xs.shape + pv.shape[1:])[()]

@@ -39,6 +39,7 @@ n x n array is kept besides the caller's matrix.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,13 @@ MAX_DENSE_ELEMENTS = 4096 * 4096
 
 class SingularMatrixError(ValueError):
     """Raised for an exactly zero pivot or an estimated 1/cond_1 <= 1e-13."""
+
+
+def check_integer(name: str, value) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is an integer."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def check_dense_size(name: str, value: int, rows: int, cols: int) -> None:

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from hypersing.linalg import check_dense_size
+from hypersing.linalg import check_dense_size, check_integer
 
 
 @dataclass(frozen=True)
@@ -55,9 +54,7 @@ def make_mesh(a: float, b: float, n: int) -> Mesh:
     ``linalg.MAX_DENSE_ELEMENTS``.
     """
     a, b = _checked_interval(a, b)
-    if not isinstance(n, numbers.Integral):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    n = int(n)
+    n = check_integer("n", n)
     if n < 2:
         raise ValueError(f"invalid size: need n >= 2, got {n}")
     check_dense_size("n", n, 1, n + 1)

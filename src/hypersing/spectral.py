@@ -29,7 +29,7 @@ import numpy as np
 
 from hypersing.analytic import RightHandSide, _load_values
 from hypersing.fullsolver import _grid_table
-from hypersing.linalg import check_dense_size, lu_factor
+from hypersing.linalg import check_dense_size, check_integer, lu_factor
 from hypersing.mesh import _checked_interval
 from hypersing.quadrature import gauss_chebyshev2
 
@@ -51,8 +51,10 @@ def chebyshev_U(j: int, x):
     """Chebyshev polynomial of the second kind, U_j(x) for |x| <= 1.
 
     Evaluates the recurrence U_0 = 1, U_1 = 2x,
-    U_{j+1} = 2x U_j - U_{j-1}; accepts scalars or arrays.
+    U_{j+1} = 2x U_j - U_{j-1}; accepts scalars or arrays.  Raises
+    ValueError naming j unless it is a nonnegative integer.
     """
+    j = check_integer("j", j)
     if j < 0:
         raise ValueError(f"degree must be nonnegative, got {j}")
     xs = np.asarray(x, dtype=float)
@@ -125,11 +127,14 @@ class ChebyshevSolution:
         The coefficients are c_j = (2/pi) int U_j(xi) fn(x(xi)) dxi,
         evaluated by Gauss-Chebyshev quadrature; ``fn`` must vanish like
         the square-root distance at the endpoints for the expansion to
-        converge quickly.  Raises ValueError naming a nonfinite interval end,
-        or ``mquad`` for a count x mquad table over the dense budget.
+        converge quickly.  Raises ValueError naming ``count`` unless it is an
+        integer >= 1, ``mquad`` unless it is an integer or for a count x
+        mquad table over the dense budget, and a nonfinite interval end.
         """
-        if mquad is None:
-            mquad = max(2 * count, 64)
+        count = check_integer("count", count)
+        if count < 1:
+            raise ValueError(f"count must be at least 1, got {count}")
+        mquad = max(2 * count, 64) if mquad is None else check_integer("mquad", mquad)
         a, b = _checked_interval(*interval)
         check_dense_size("mquad", mquad, count, mquad)
         xi, w = gauss_chebyshev2(mquad)
@@ -152,11 +157,13 @@ def solve_spectral(
     ``mquad`` fixes the tensor quadrature resolution and must be at least
     2N.  Returns the expansion on the requested interval.  Raises
     SingularMatrixError if the truncated system degenerates, and
-    ValueError for a nonfinite or empty interval, or before any allocation
-    if the mquad x (mquad + 1) kernel table is above
-    ``linalg.MAX_DENSE_ELEMENTS``; a nonfinite load or a failing kernel
-    raises as in ``solve_full``.
+    ValueError naming N or mquad when it is not an integer, for a nonfinite
+    or empty interval, or before any allocation if the mquad x (mquad + 1)
+    kernel table is above ``linalg.MAX_DENSE_ELEMENTS``; a nonfinite load
+    or a failing kernel raises as in ``solve_full``.
     """
+    N = check_integer("N", N)
+    mquad = check_integer("mquad", mquad)
     if N < 2:
         raise ValueError(f"need at least 2 expansion terms, got {N}")
     if mquad < 2 * N:

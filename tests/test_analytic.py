@@ -172,3 +172,14 @@ def test_weighted_pv_integral_needs_a_node():
         with pytest.raises(ValueError, match=f"^m must be at least 1, got {m}"):
             weighted_pv_integral(lambda t: t, -1.0, 1.0, m, 0.3)
     assert weighted_pv_integral(lambda t: t, -1.0, 1.0, 1, 0.3) == pytest.approx(-np.pi)
+    # A fractional m would build a rule with the wrong weight.
+    with pytest.raises(ValueError, match="^m must be an integer, got 2.5"):
+        weighted_pv_integral(np.cos, -1.0, 1.0, 2.5, 0.3)
+    with pytest.raises(ValueError, match="^m must be an integer, got 64.0"):
+        invert_characteristic(const_pi_rhs(), -1.0, 1.0, 64.0)
+
+
+def test_weighted_pv_integral_empty_points():
+    assert weighted_pv_integral(np.cos, -1.0, 1.0, 16, np.array([])).shape == (0,)
+    pair = lambda t: np.stack([np.cos(t), np.sin(t)], axis=-1)  # noqa: E731
+    assert weighted_pv_integral(pair, -1.0, 1.0, 16, np.empty((0, 3))).shape == (0, 3, 2)

@@ -157,6 +157,51 @@ def test_screen_kernel_matches_closed_form():
     assert np.all(np.isfinite(wide))
 
 
+def screen_branch_points(rng, per_range):
+    # z = k|d| on both sides of every branch edge and band edge, and spread
+    # through the series range, each Miller band and the Hankel range.
+    edges = (2.0, 4.0, 8.0, 16.0, 25.0)
+    ranges = ((1e-3, 2.0), (2.0, 4.0), (4.0, 8.0), (8.0, 16.0), (16.0, 25.0), (25.0, 400.0))
+    near = [np.nextafter(e, side) for e in edges for side in (0.0, np.inf)] + list(edges)
+    spread = [rng.uniform(lo, hi, per_range) for lo, hi in ranges]
+    return np.concatenate([near, *spread])
+
+
+def test_screen_kernel_bracket_at_branch_and_band_edges():
+    # At k = 1 the profile is (1/(2z)) (Y1~(z) - i J1(z)), so this checks the
+    # bracket of each branch and Miller start order, plus one rounding.
+    # Measured maximum: 1.5e-15, at z = 20.04 in the Miller band [16, 25).
+    z = screen_branch_points(np.random.default_rng(11), 120)
+    got = acoustic_kernel(ScreenParams(k=1.0, a=1.0)).profile_batch(z)
+    ref = screen_kernel_closed_form(z, 1.0)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
+
+
+def test_screen_kernel_value_independent_of_batch():
+    # The work per point depends on its own z only, so a difference alone
+    # and the same difference in a shuffled batch that spans every branch,
+    # every Miller band and more than one chunk of the series come out
+    # bit for bit the same.
+    rng = np.random.default_rng(12)
+    z = np.concatenate([screen_branch_points(rng, 300), rng.uniform(1e-3, 2.0, 4500)])
+    rng.shuffle(z)
+    kernel = acoustic_kernel(ScreenParams(k=1.0, a=1.0))
+    batch = kernel.profile_batch(z)
+    picks = np.concatenate([np.flatnonzero(z >= 2.0), rng.choice(z.size, 300, replace=False)])
+    alone = np.array([kernel.profile_batch(z[i : i + 1])[0] for i in picks])
+    assert np.array_equal(alone, batch[picks])
+
+
+def test_screen_kernel_nonfinite_difference_gives_nan():
+    kernel = acoustic_kernel(ScreenParams(k=1.0, a=1.0))
+    finite = np.array([0.5, 3.0, 10.0, 30.0])
+    d = np.array([np.nan, 0.5, np.inf, 3.0, -np.inf, 10.0, 30.0])
+    got = kernel.profile_batch(d)
+    assert np.all(np.isnan(got[[0, 2, 4]].real) & np.isnan(got[[0, 2, 4]].imag))
+    assert np.array_equal(got[[1, 3, 5, 6]], kernel.profile_batch(finite))
+    assert np.all(np.isnan(kernel.profile_batch(np.full(5000, np.inf))))
+
+
 def test_screen_kernel_log_singularity_ratio():
     kernel = acoustic_kernel(ScreenParams(k=1.0, a=1.0))
     ratio = kernel.profile(1e-4).real / kernel.profile(1e-2).real

@@ -105,6 +105,24 @@ def test_resolution_preconditions(semicircle_rhs):
         solve_spectral(None, semicircle_rhs, 8, 15)
 
 
+def test_counts_must_be_integers_named(semicircle_rhs):
+    with pytest.raises(ValueError, match="^count must be at least 1, got 0"):
+        ChebyshevSolution.from_function(np.cos, 0)
+    for call, name in (
+        (lambda: ChebyshevSolution.from_function(np.cos, 4.0), "count"),
+        (lambda: ChebyshevSolution.from_function(np.cos, 4, mquad=64.5), "mquad"),
+        (lambda: solve_spectral(None, semicircle_rhs, 8.0, 32), "N"),
+        (lambda: solve_spectral(None, semicircle_rhs, 8, 32.5), "mquad"),
+        (lambda: chebyshev_U(2.5, 0.3), "j"),
+        (lambda: chebyshev_U("2", 0.3), "j"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call()
+    # numpy integers are integers
+    assert chebyshev_U(np.int64(2), 0.3) == chebyshev_U(2, 0.3)
+    assert ChebyshevSolution.from_function(np.cos, np.int32(1)).coeffs.shape == (1,)
+
+
 def test_nonfinite_interval_end_refused_by_name(semicircle_rhs):
     for interval, name in (((0.0, np.inf), "b"), ((np.nan, 1.0), "a"), ((-np.inf, 1.0), "a")):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
