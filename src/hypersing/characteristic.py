@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from hypersing.linalg import _checked_rhs, check_dense_size
+from hypersing.linalg import _checked_rhs, _toeplitz_norm1, check_dense_size
 from hypersing.mesh import Mesh
 
 _DETERMINANT_MAX_N = 12
@@ -103,10 +103,10 @@ def _singular_profile(mesh: Mesh) -> np.ndarray:
     return 1.0 / ((m**2 - 0.25) * mesh.h)
 
 
-def _toeplitz(profile: np.ndarray) -> np.ndarray:
-    """Writable C-contiguous T[i, j] = profile[i - j + n - 1] from 2n - 1 values."""
+def _toeplitz_view(profile: np.ndarray) -> np.ndarray:
+    """Read-only view T[i, j] = profile[i - j + n - 1] of 2n - 1 values."""
     n = (len(profile) + 1) // 2
-    return np.lib.stride_tricks.sliding_window_view(profile, n)[:, ::-1].copy()
+    return np.lib.stride_tricks.sliding_window_view(profile, n)[:, ::-1]
 
 
 def assemble_characteristic(mesh: Mesh) -> np.ndarray:
@@ -119,7 +119,7 @@ def assemble_characteristic(mesh: Mesh) -> np.ndarray:
     with a ValueError before it is allocated.
     """
     check_dense_size("n", mesh.n, mesh.n, mesh.n)
-    return _toeplitz(_singular_profile(mesh))
+    return _toeplitz_view(_singular_profile(mesh)).copy()
 
 
 def _fft_length(n: int) -> int:
@@ -155,13 +155,6 @@ def cauchy_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
     p = np.concatenate(([1.0], np.cumprod((k - 0.5) / k)))
     alpha = k * p[1:] * p[-2::-1]
     return alpha, -alpha * (n - k + 0.5) / (k - 0.5)
-
-
-def _norm1(mesh: Mesh) -> float:
-    # ||M||_1 from the 2n - 1 profile: column j sums entries n-1-j .. 2n-2-j.
-    n = mesh.n
-    sums = np.concatenate(([0.0], np.cumsum(np.abs(_singular_profile(mesh)))))
-    return float(np.max(sums[n:] - sums[:n]))
 
 
 def solve_closed_form(mesh: Mesh, b: np.ndarray) -> tuple[np.ndarray, float]:
@@ -207,7 +200,8 @@ def solve_closed_form(mesh: Mesh, b: np.ndarray) -> tuple[np.ndarray, float]:
     # are positive, so it is strictly diagonally dominant.  Hence
     # (-M)^{-1} >= 0 entrywise, and as M is symmetric
     # ||M^{-1}||_1 = ||M^{-1}||_inf = max(-M^{-1} 1).
-    condition = _norm1(mesh) * float(np.max(-inverse(np.ones(n))))
+    norm1 = _toeplitz_norm1(_singular_profile(mesh))
+    condition = norm1 * float(np.max(-inverse(np.ones(n))))
     if np.iscomplexobj(b):
         return inverse(b.real) + 1j * inverse(b.imag), condition
     return inverse(b), condition

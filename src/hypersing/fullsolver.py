@@ -41,7 +41,7 @@ from hypersing.analytic import RightHandSide, _load_values, weighted_pv_integral
 from hypersing.characteristic import (
     DiscreteSolution,
     _singular_profile,
-    _toeplitz,
+    _toeplitz_view,
     assemble_characteristic,
     solve_closed_form,
 )
@@ -155,7 +155,12 @@ def _dense_matrix(problem: FullProblem):
     # The dense collocation matrix of a problem with a regular kernel, or None for
     # the characteristic equation: no kernel, or a difference kernel whose
     # checked table is identically zero (and real).  The n x n size is
-    # refused before any kernel is evaluated.
+    # refused before any kernel is evaluated.  A difference kernel's matrix
+    # is a read-only Toeplitz view of its 2n - 1 profile, so the solve holds
+    # no n x n array but LAPACK's own copy; a general kernel's is h times its
+    # table, a fresh array, plus the view of the singular profile.  The
+    # kernel's own table may be an integer array or a broadcast view, so it
+    # is never scaled in place.
     kernel = problem.kernel
     if kernel is None:
         return None
@@ -165,9 +170,9 @@ def _dense_matrix(problem: FullProblem):
         row = _difference_table(mesh, kernel)[0]
         if not np.iscomplexobj(row) and not np.any(row):
             return None
-        return _toeplitz(_singular_profile(mesh) + mesh.h * row)
+        return _toeplitz_view(_singular_profile(mesh) + mesh.h * row)
     table = mesh.h * _grid_table(kernel, mesh.colloc, mesh.nodes[1:])
-    table += assemble_characteristic(mesh)
+    table += _toeplitz_view(_singular_profile(mesh))
     return table
 
 
@@ -175,12 +180,14 @@ def assemble_full(problem: FullProblem) -> np.ndarray:
     """Collocation matrix of the full equation: characteristic part plus h*K table.
 
     With no kernel, or an identically zero one, the result is bit-identical
-    to the characteristic matrix.  An n x n matrix above
-    ``linalg.MAX_DENSE_ELEMENTS`` is refused with a ValueError before any
-    kernel is evaluated.
+    to the characteristic matrix.  The result is a writable array.  An
+    n x n matrix above ``linalg.MAX_DENSE_ELEMENTS`` is refused with a
+    ValueError before any kernel is evaluated.
     """
     matrix = _dense_matrix(problem)
-    return assemble_characteristic(problem.mesh) if matrix is None else matrix
+    if matrix is None:
+        return assemble_characteristic(problem.mesh)
+    return matrix if matrix.flags.writeable else matrix.copy()
 
 
 def solve_full(problem: FullProblem) -> DiscreteSolution:
@@ -191,11 +198,14 @@ def solve_full(problem: FullProblem) -> DiscreteSolution:
     its matrix in O(n log n), with no n x n array
     (``characteristic.solve_closed_form``).  Any other kernel assembles the
     dense matrix and solves it through LAPACK in the ``lu_factor`` call
-    that takes the condition estimate (one ``gesv`` call for the Toeplitz
-    matrix of a difference kernel).  Either route's condition number is
-    attached to the result; a warning is logged above 1e12.
-    The scalar field is complex exactly when the kernel or the right-hand
-    side is complex; a real problem never leaves real arithmetic.  Raises
+    that takes the condition estimate.  A difference kernel's matrix is a
+    read-only Toeplitz view of its 2n - 1 profile, checked from that
+    profile and solved in one ``gesv`` call, so the only n x n array is
+    LAPACK's copy; a general kernel's table is one more.  Either route's
+    condition number is attached to the result; a warning is logged above
+    1e12.  The scalar field is complex exactly when the kernel or the
+    right-hand side is complex; a real problem never leaves real
+    arithmetic.  Raises
     SingularMatrixError for a degenerate system and ValueError for a
     nonfinite right-hand side or an over-budget size.
     """

@@ -32,8 +32,15 @@ per real or imaginary part.  Measured with OpenBLAS 0.3.31, a one-column
 and a multi-column ``gesv`` differ in the last bits (real matrices at 1
 BLAS thread, real and complex at 2), while any two multi-column counts
 agree: so the extra columns leave x, y and the estimate unchanged, and
-both routes solve a real-valued complex b in the bits of a real one.  No
-n x n array is kept besides the caller's matrix.
+both routes solve a real-valued complex b in the bits of a real one.
+
+The caller's matrix may be a read-only strided view, such as the Toeplitz
+view of a 2n - 1 profile that ``fullsolver`` passes: ``gesv`` copies any
+layout into LAPACK's own buffer, with the same bits as from a contiguous
+copy.  A Toeplitz matrix is checked for finite and for real values, and
+its 1-norm taken, from its 2n - 1 generators in O(n), so its solve makes
+no n x n array besides LAPACK's copy.  Any other matrix is checked entry
+by entry, and its 1-norm costs one n x n temporary.
 """
 
 from __future__ import annotations
@@ -152,6 +159,13 @@ def _join(columns: np.ndarray) -> np.ndarray:
 def lu_factor(a: np.ndarray, rhs: np.ndarray | None = None) -> LUFactorization:
     """Check a square matrix for LAPACK solves and estimate its condition.
 
+    ``a`` may be any array or view.  It is never written, and copied only
+    to convert a scalar type other than float64 and complex128.  A
+    Toeplitz matrix (``a[1:, 1:] == a[:-1, :-1]``) is checked for
+    nonfinite entries, tested for nonzero imaginary parts and normed from
+    its 2n - 1 generators, its first column and row; any other from all
+    of its entries.  A nonfinite entry raises ValueError before LAPACK runs.
+
     Given ``rhs``, the result also carries ``solution`` = A^{-1} rhs, solved
     by LAPACK's LU in the ``gesv`` call that gives the Toeplitz generators,
     or after the estimate for any other matrix; ``rhs`` is checked for shape
@@ -169,18 +183,25 @@ def lu_factor(a: np.ndarray, rhs: np.ndarray | None = None) -> LUFactorization:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    toeplitz = a.size > 0 and np.array_equal(a[1:, 1:], a[:-1, :-1])
+    # A Toeplitz matrix is checked and normed from its 2n - 1 generators
+    # p[i - j + n - 1] = a[i, j]; any other matrix from all its entries.
+    entries = np.concatenate((a[:0:-1, 0], a[0])) if toeplitz else a
+    if not np.all(np.isfinite(entries)):
         raise ValueError("matrix contains nonfinite entries")
-    if np.iscomplexobj(a) and np.any(a.imag):
+    if np.iscomplexobj(a) and np.any(entries.imag):
         matrix = a.astype(np.complex128, copy=False)
     else:
         matrix = a.real.astype(np.float64, copy=False)
     dtype = np.dtype(np.complex128 if np.iscomplexobj(a) else np.float64)
     fact = LUFactorization(matrix=matrix, dtype=dtype)
     columns = () if rhs is None else fact._columns(rhs)
-    probes, solved = _toeplitz_probes(matrix, columns) if fact.n else (None, None)
+    probes, solved = _toeplitz_probes(matrix, columns) if toeplitz else (None, None)
     probes = probes or (fact.solve, fact.solve_adjoint)
-    norm1 = float(np.max(np.abs(matrix).sum(axis=0), initial=0.0))
+    if toeplitz:
+        norm1 = _toeplitz_norm1(entries)
+    else:
+        norm1 = float(np.max(np.abs(matrix).sum(axis=0), initial=0.0))
     fact.condition = 1.0
     if fact.n:
         fact.condition = norm1 * _inverse_norm1_estimate(fact.n, matrix.dtype, *probes)
@@ -210,15 +231,25 @@ def condition_estimate_1norm(fact: LUFactorization) -> float:
     return fact.condition
 
 
+def _toeplitz_norm1(profile: np.ndarray) -> float:
+    # ||A||_1 of the Toeplitz matrix with generators p[i - j + n - 1], in
+    # O(n).  Column j sums |p| over n-1-j .. 2n-2-j, a window that always
+    # holds p[n-1]: a running sum leftward from p[n-2] plus one rightward
+    # from p[n-1], both of nonnegative terms, so no difference cancels.
+    n = (len(profile) + 1) // 2
+    mags = np.abs(profile)
+    left = np.concatenate(([0.0], np.cumsum(mags[: n - 1][::-1])))
+    right = np.cumsum(mags[n - 1 :])[::-1]
+    return float(np.max(left + right))
+
+
 def _toeplitz_probes(a: np.ndarray, columns=()):
-    # (probes, solved) of a Toeplitz matrix: one gesv call solves e_0,
-    # e_{n-1} and the rows of ``columns``.  probes are r -> A^{-1} r and
-    # r -> A^{-H} r from the first and last columns x, y of A^{-1}, or None
-    # when x_0 = 0; solved holds the solutions of ``columns``, row by row.
-    # (None, None) for any other matrix, without calling gesv.
+    # (probes, solved) of a nonempty Toeplitz matrix: one gesv call solves
+    # e_0, e_{n-1} and the rows of ``columns``.  probes are r -> A^{-1} r
+    # and r -> A^{-H} r from the first and last columns x, y of A^{-1}, or
+    # None when x_0 = 0; solved holds the solutions of ``columns``, row by
+    # row.  The caller has found the matrix Toeplitz.
     n = a.shape[0]
-    if not np.array_equal(a[1:, 1:], a[:-1, :-1]):
-        return None, None
     ends = np.zeros((2, n), dtype=a.dtype)
     ends[0, 0] = ends[1, -1] = 1.0
     x, y, *solved = _gesv(a, np.concatenate([ends, np.reshape(columns, (-1, n))]).T).T

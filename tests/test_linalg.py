@@ -17,7 +17,12 @@ from hypersing import (
     solve,
 )
 from hypersing.analytic import _load_values
-from hypersing.linalg import MAX_DENSE_ELEMENTS, _toeplitz_probes, check_dense_size
+from hypersing.linalg import (
+    MAX_DENSE_ELEMENTS,
+    _toeplitz_norm1,
+    _toeplitz_probes,
+    check_dense_size,
+)
 from tests.conftest import CAP_ADDRESS_SPACE, capped_env, count_gesv
 
 
@@ -219,10 +224,18 @@ def test_toeplitz_probes_match_dense_solves(n, kind):
     assert np.max(np.abs(solved[0] - want)) <= 1e-13 * scale
     want = np.linalg.solve(t.conj().T, r)
     assert np.max(np.abs(inverse_adjoint(r) - want)) <= 1e-13 * np.max(np.abs(want))
+    # The 1-norm from the 2n - 1 generators, first column and row.
+    norm1 = _toeplitz_norm1(np.concatenate((t[:0:-1, 0], t[0])))
+    assert norm1 == pytest.approx(np.abs(t).sum(axis=0).max(), rel=1e-15, abs=0.0)
 
 
 def test_non_toeplitz_and_zero_corner_keep_dense_probes(monkeypatch):
-    assert _toeplitz_probes(hilbert(4), [np.ones(4)]) == (None, None)
+    # lu_factor finds hilbert(4) not Toeplitz: every probe and the solve are
+    # single-column gesv calls, with no generator call.
+    calls = count_gesv(monkeypatch)
+    lu_factor(hilbert(4), np.ones(4))
+    assert calls and set(calls) == {(4,)}
+    monkeypatch.undo()
     # Toeplitz with (A^{-1})_00 = 0: the formula divides by it, so gesv probes,
     # but the right-hand side solved with the generators is still the answer.
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -237,6 +250,51 @@ def test_non_toeplitz_and_zero_corner_keep_dense_probes(monkeypatch):
     assert calls == [(2, 3)] + probe_calls[1:]
     assert np.array_equal(fact.solution, [3.0, 2.0])
     assert fact.condition == 1.0
+
+
+@pytest.mark.parametrize("kind, gesv_columns", [
+    ("real", 3), ("complex", 3), ("real-valued-complex", 4),
+])
+def test_toeplitz_view_factors_like_its_copy(kind, gesv_columns, monkeypatch):
+    # A read-only strided view of the 2n - 1 profile, as the dense screen
+    # solve passes it, is checked from its generators and solved by gesv
+    # without an n x n copy: the same bits as the dense copy, in one gesv
+    # call (b's real and imaginary parts are two columns when the complex
+    # matrix holds real values).
+    n = 40
+    rng = np.random.default_rng(17)
+    profile = rng.standard_normal(2 * n - 1)
+    b = rng.standard_normal(n)
+    if kind != "real":
+        imag = rng.standard_normal(2 * n - 1) if kind == "complex" else 0.0
+        profile = profile + 1j * imag
+        b = b + 1j * rng.standard_normal(n)
+    profile[n - 1] += 4.0
+    view = np.lib.stride_tricks.sliding_window_view(profile, n)[:, ::-1]
+    assert not view.flags.writeable and not view.flags.c_contiguous
+    assert np.array_equal(view, toeplitz(profile))
+    want = lu_factor(view.copy(), b)
+    calls = count_gesv(monkeypatch)
+    got = lu_factor(view, b)
+    assert calls == [(n, gesv_columns)]
+    assert np.shares_memory(got.matrix, profile)
+    assert np.array_equal(got.solution, want.solution)
+    assert got.condition == pytest.approx(want.condition, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1j * np.inf])
+@pytest.mark.parametrize("corner", [(0, -1), (-1, 0)])
+def test_toeplitz_corner_nonfinite_refused_before_lapack(value, corner, monkeypatch):
+    # A corner is a diagonal of its own, outside the Toeplitz comparison, so
+    # the generators' check alone must catch it.
+    a = toeplitz(np.arange(1.0, 14.0)).astype(np.result_type(value))
+    a[corner] = value
+    assert np.array_equal(a[1:, 1:], a[:-1, :-1])
+    calls = count_gesv(monkeypatch)
+    for rhs in (None, np.ones(7)):
+        with pytest.raises(ValueError, match="nonfinite"):
+            lu_factor(a, rhs)
+    assert calls == []
 
 
 COLLOCATION_PROBLEMS = [
