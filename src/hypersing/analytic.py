@@ -28,11 +28,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from hypersing.linalg import check_dense_size, check_integer
+from hypersing.linalg import MAX_DENSE_ELEMENTS, check_dense_size, check_integer
 from hypersing.quadrature import gauss_chebyshev1
 
 _NODE_CLEARANCE = 1e-12
 _PAIR_RTOL = 1e-4
+_G_BLOCK = 16384  # points per weighted_pv_integral call in the inversion's g
 
 
 def _load_values(fn: Callable, points: np.ndarray, name: str) -> np.ndarray:
@@ -96,7 +97,9 @@ def invert_characteristic(
     ``m`` is the Gauss-Chebyshev node count; 64 gives spectral accuracy for
     smooth f.  The returned g accepts scalars or arrays on [a, b], is
     exactly zero at the endpoints, and shifts to an (m+1)-node rule for
-    any evaluation point that lands on a quadrature node.  Raises
+    any evaluation point that lands on a quadrature node.  It evaluates
+    its points in blocks whose points x nodes table stays within
+    ``linalg.MAX_DENSE_ELEMENTS``, so the point count has no cap.  Raises
     ValueError naming m, before any node exists, for m + 1 over budget.
     """
     if rhs.f is None:
@@ -109,6 +112,8 @@ def invert_characteristic(
     u, w = gauss_chebyshev1(m)
     fvals = _load_values(rhs.f, 0.5 * (a + b) + 0.5 * (b - a) * u, "f")
     constant = np.sum(fvals) * w / np.pi**2
+    # Room for the (m+1)-node rule's table too.
+    block = min(_G_BLOCK, MAX_DENSE_ELEMENTS // (m + 2))
 
     def g(x):
         xs = np.asarray(x, dtype=float)
@@ -118,10 +123,13 @@ def invert_characteristic(
             raise ValueError(f"g is defined on [{a}, {b}]")
         out = np.zeros(xs.shape, dtype=fvals.dtype)
         interior = (xs > a) & (xs < b)
-        if np.any(interior):
-            xi = xs[interior]
-            pv = weighted_pv_integral(rhs.f, a, b, m, xi)
-            out[interior] = np.sqrt((xi - a) * (b - xi)) / np.pi**2 * pv
+        xi = xs[interior]
+        pv = np.zeros(xi.shape, dtype=fvals.dtype)
+        for start in range(0, xi.size, block):
+            pv[start : start + block] = weighted_pv_integral(
+                rhs.f, a, b, m, xi[start : start + block]
+            )
+        out[interior] = np.sqrt((xi - a) * (b - xi)) / np.pi**2 * pv
         return out[0] if scalar else out
 
     result = InversionResult(g=g, C=constant)

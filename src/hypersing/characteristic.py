@@ -1,34 +1,27 @@
-"""Collocation matrix of the characteristic hypersingular equation, and its solve.
+"""Collocation matrix of the characteristic hypersingular equation, and its inverse.
 
 Over each subinterval (t_{j-1}, t_j) the finite part of the 1/(x-t)^2
-kernel integrates in closed form, so approximating the solution by one
-value per subinterval and enforcing the equation at the midpoints x_i
-gives the dense system
+kernel integrates in closed form, so one value per subinterval and the
+equation at the midpoints x_i give the system
 
     sum_j g_j * ( 1/(x_i - t_j) - 1/(x_i - t_{j-1}) ) = f'(x_i).
 
-On the uniform mesh x_i - t_j = (i - j - 1/2) h, so the entry collapses
-to c_{i-j} = 1/(((i-j)^2 - 1/4) h): a symmetric Toeplitz matrix built
-from its 2n - 1 closed-form values.
-
-The system is solved without forming the matrix.  Prefix sums over the
-columns of M telescope to 1/(x_i - t_j) - 1/(x_i - t_0), so
+On the uniform mesh the entry is c_{i-j} = 1/(((i-j)^2 - 1/4) h): a
+symmetric Toeplitz matrix of 2n - 1 closed-form values.  Prefix sums over
+its columns telescope to 1/(x_i - t_j) - 1/(x_i - t_0), so
 
     M = D1 C D2 U^{-1},   D1 = diag(1/(x_i - t_0)),  D2 = diag(t_j - t_0),
 
 with U the upper triangular matrix of ones and C[i, j] = 1/(x_i - t_j) a
-Cauchy matrix.  C has the closed-form inverse -diag(alpha) T diag(beta),
-T[j, i] = 1/(x_i - t_j) (S. Schechter, "On the inversion of certain
-matrices", Math. Tables Aids Comput. 13, 1959), and on the uniform mesh
-alpha and beta are ratios of Gamma functions (``cauchy_weights``).  So
-M^{-1} b is two diagonal scalings, one Toeplitz product by FFT and one
-reverse cumulative sum: O(n log n) time and O(n) memory
-(``solve_closed_form``).  ``fullsolver.solve_full`` takes this route for
-the characteristic equation (``fullsolver.solve_characteristic``) and
-the dense ``assemble_characteristic`` serves as its test oracle.  The
-unknown attached to subinterval j is most accurate at the midpoint x_j,
-and the bounded solution class is zero at both endpoints;
-``DiscreteSolution`` interpolates linearly through exactly that data.
+Cauchy matrix, whose inverse is -diag(alpha) C^T diag(beta) (S. Schechter,
+Math. Tables Aids Comput. 13, 1959; ``cauchy_weights``).  That one
+factorization, built once by ``characteristic_inverse``, gives M^{-1} r in
+O(n log n) with no n x n array, the exact cond_1(M) and log|det M|; it is
+how ``fullsolver.solve_full`` solves the characteristic equation, and the
+dense ``assemble_characteristic`` is its test oracle.  The unknown of
+subinterval j is most accurate at the midpoint x_j, and the bounded
+solution is zero at both endpoints; ``DiscreteSolution`` interpolates
+linearly through exactly that data.
 """
 
 from __future__ import annotations
@@ -39,23 +32,19 @@ from typing import Optional
 
 import numpy as np
 
-from hypersing.linalg import _checked_rhs, _toeplitz_norm1, check_dense_size
+from hypersing.linalg import _toeplitz_norm1, check_dense_size
 from hypersing.mesh import Mesh
-
-_DETERMINANT_MAX_N = 12
 
 
 @dataclass
 class DiscreteSolution:
     """Per-subinterval solution values on a mesh, real or complex.
 
-    ``values[j]`` is the unknown attached to subinterval (t_j, t_{j+1}] in
-    zero-based indexing; ``nodes`` exposes the subinterval right endpoints
-    t_1..t_n it is conventionally indexed by.  Calling the solution
-    evaluates the piecewise-linear rule anchored at the subinterval
-    midpoints with zero values pinned at both endpoints, which is where
-    the discretization carries its accuracy.  ``condition`` holds the
-    1-norm condition number of the collocation matrix as a diagnostic:
+    ``values[j]`` is the unknown of subinterval (t_j, t_{j+1}] in zero-based
+    indexing; ``nodes`` are the right endpoints t_1..t_n it is indexed by.
+    Calling the solution evaluates the piecewise-linear rule through the
+    midpoints, with zero pinned at both endpoints.  ``condition`` is the
+    1-norm condition number of the collocation matrix, a diagnostic:
     exact on the closed-form route, Hager's estimate on the dense one.
     """
 
@@ -65,9 +54,7 @@ class DiscreteSolution:
 
     def __post_init__(self) -> None:
         if len(self.values) != self.mesh.n:
-            raise ValueError(
-                f"expected {self.mesh.n} values, got {len(self.values)}"
-            )
+            raise ValueError(f"expected {self.mesh.n} values, got {len(self.values)}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("solution values contain nonfinite entries")
 
@@ -86,14 +73,10 @@ class DiscreteSolution:
         if not np.all((xs >= self.mesh.a) & (xs <= self.mesh.b)):
             raise ValueError(f"evaluation outside [{self.mesh.a}, {self.mesh.b}]")
         xp = np.concatenate(([self.mesh.a], self.mesh.colloc, [self.mesh.b]))
+        fp = np.concatenate(([0.0], self.values, [0.0]))
+        out = np.interp(xs, xp, fp.real)
         if self.is_complex:
-            fp = np.concatenate(([0.0], self.values.real, [0.0]))
-            out = np.interp(xs, xp, fp).astype(np.complex128)
-            fp = np.concatenate(([0.0], self.values.imag, [0.0]))
-            out += 1j * np.interp(xs, xp, fp)
-        else:
-            fp = np.concatenate(([0.0], self.values, [0.0]))
-            out = np.interp(xs, xp, fp)
+            out = out + 1j * np.interp(xs, xp, fp.imag)
         return out[0] if scalar else out
 
 
@@ -157,83 +140,100 @@ def cauchy_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
     return alpha, -alpha * (n - k + 0.5) / (k - 0.5)
 
 
-def solve_closed_form(mesh: Mesh, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """M^{-1} b and cond_1(M), in O(n log n) with no n x n array.
+@dataclass(frozen=True)
+class CharacteristicInverse:
+    """M^{-1}, cond_1(M) and log|det M| from Schechter's inverse of the Cauchy matrix.
 
     M = (1/h) D1 C D2 U^{-1} in the unit-step variables x_i - t_0 = i - 1/2
-    and t_j - t_0 = j, so
+    and t_j - t_0 = j, so M^{-1} r = h U diag(-alpha_i / i) T diag(beta_j (j - 1/2)) r
+    with T = C^T.  ``left`` and ``right`` are those two scalings, ``spectrum``
+    the real FFT of T's 2n - 1 values and ``norm1`` = ||M||_1.
+    """
 
-        M^{-1} r = h U diag(-alpha_i / i) T diag(beta_j (j - 1/2)) r.
+    h: float
+    left: np.ndarray
+    right: np.ndarray
+    spectrum: np.ndarray
+    norm1: float
 
-    The weights and the FFT of T's 2n - 1 values are computed once per
-    call; each product with M^{-1} is then one forward and one inverse real
-    FFT.  A complex b is solved as its real and imaginary parts, so a
-    complex b with zero imaginary part gives the real solution bit for bit.
-    The condition number is exact, not an estimate: one more product, with
-    M^{-1} 1, gives ||M^{-1}||_1, and ||M||_1 comes from the 2n - 1
-    profile.  M is nonsingular for every n, and cond_1(M) is about 4n/pi,
-    at most 1.1e7 within the size budget, so no singularity test is made.
+    def apply(self, r) -> np.ndarray:
+        """M^{-1} r for r of shape (n,) or (n, c), in one forward and one inverse real FFT.
 
-    Raises ValueError, before anything of FFT length is allocated, for an
-    n over ``check_closed_form_size``'s budget, a b of the wrong shape or
-    with nonfinite entries.
+        Each real or imaginary part is a column of its own, so a complex r
+        with zero imaginary part gives the real result bit for bit.  Raises
+        ValueError for another shape or a nonfinite entry.
+        """
+        n = len(self.left)
+        r = np.asarray(r)
+        if r.ndim not in (1, 2) or r.shape[0] != n:
+            raise ValueError(f"rhs must have shape ({n},) or ({n}, c), got {r.shape}")
+        if not np.all(np.isfinite(r)):
+            raise ValueError("rhs contains nonfinite entries")
+        columns = r.reshape(n, -1)
+        if np.iscomplexobj(r):
+            columns = np.concatenate((columns.real, columns.imag), axis=1)
+        length = _fft_length(n)
+        scaled = np.fft.rfft(self.right[:, None] * columns, length, axis=0)
+        product = np.fft.irfft(scaled * self.spectrum[:, None], length, axis=0)
+        out = np.cumsum((self.left[:, None] * product[n - 1 : 2 * n - 1])[::-1], axis=0)[::-1]
+        if np.iscomplexobj(r):
+            out = out[:, : out.shape[1] // 2] + 1j * out[:, out.shape[1] // 2 :]
+        return out.reshape(r.shape)
+
+    @property
+    def condition(self) -> float:
+        """The exact cond_1(M) = ||M||_1 max(-M^{-1} 1), about 4n/pi.
+
+        -M is a nonsingular M-matrix: its diagonal 4/h is positive, its other
+        entries -c_m negative and its row sums 1/(x_i - a) - 1/(x_i - b)
+        positive, so it is strictly diagonally dominant.  Hence (-M)^{-1} >= 0,
+        and as M is symmetric ||M^{-1}||_1 = ||M^{-1}||_inf = max(-M^{-1} 1).
+        """
+        return self.norm1 * float(np.max(-self.apply(np.ones(len(self.left)))))
+
+    def slogdet(self) -> tuple[float, float]:
+        """(sign, log|det M|) in O(n).
+
+        det U = 1, so det M = h^{-n} prod_j (j / (j - 1/2)) det C.  From
+        C^{-1} = -diag(alpha) C^T diag(beta), 1/det C = (-1)^n prod_j
+        (alpha_j beta_j) det C, and alpha_j > 0 > beta_j, so |det C|^2 =
+        1 / prod_j |alpha_j beta_j| and
+
+            log|det M| = -n log h + sum_j log(j / (j-1/2)) - sum_j log|alpha_j beta_j| / 2.
+
+        The sign is (-1)^n, as det(-M) > 0 for the M-matrix -M (``condition``).
+        """
+        n = len(self.left)
+        alpha, beta = cauchy_weights(n)
+        k = np.arange(1, n + 1)
+        logdet = -n * math.log(self.h) + np.sum(np.log(k / (k - 0.5)))
+        return (-1.0) ** n, float(logdet - 0.5 * np.sum(np.log(-alpha * beta)))
+
+
+def characteristic_inverse(mesh: Mesh) -> CharacteristicInverse:
+    """The closed-form inverse of ``mesh``'s collocation matrix, in O(n) memory.
+
+    Raises ValueError naming n past ``check_closed_form_size``'s budget.
     """
     n = mesh.n
     check_closed_form_size(n)
-    b = _checked_rhs(b, n)
-    length = _fft_length(n)
     alpha, beta = cauchy_weights(n)
     k = np.arange(1, n + 1)
-    left = -mesh.h * alpha / k
-    right = beta * (k - 0.5)
     # T[j, i] = 1/(i - j - 1/2) = c_{j-i} with c_d = -1/(d + 1/2), stored
     # for d = 1-n..n-1, so (T v)_j is output j + n - 1 of c convolved with v.
-    d = np.arange(1 - n, n)
-    spectrum = np.fft.rfft(-1.0 / (d + 0.5), length)
-
-    def inverse(r: np.ndarray) -> np.ndarray:
-        product = np.fft.irfft(np.fft.rfft(right * r, length) * spectrum, length)
-        return np.cumsum((left * product[n - 1 : 2 * n - 1])[::-1])[::-1]
-
-    # -M is a nonsingular M-matrix: its diagonal 4/h is positive, its other
-    # entries -c_m are negative, and its row sums 1/(x_i - a) - 1/(x_i - b)
-    # are positive, so it is strictly diagonally dominant.  Hence
-    # (-M)^{-1} >= 0 entrywise, and as M is symmetric
-    # ||M^{-1}||_1 = ||M^{-1}||_inf = max(-M^{-1} 1).
+    spectrum = np.fft.rfft(-1.0 / (np.arange(1 - n, n) + 0.5), _fft_length(n))
     norm1 = _toeplitz_norm1(_singular_profile(mesh))
-    condition = norm1 * float(np.max(-inverse(np.ones(n))))
-    if np.iscomplexobj(b):
-        return inverse(b.real) + 1j * inverse(b.imag), condition
-    return inverse(b), condition
+    return CharacteristicInverse(mesh.h, -mesh.h * alpha / k, beta * (k - 0.5), spectrum, norm1)
 
 
 def characteristic_determinant_closed_form(mesh: Mesh) -> float:
-    """Closed-form determinant of the collocation matrix, for n <= 12.
+    """det M from ``CharacteristicInverse.slogdet``; ValueError naming n past the float range.
 
-    The matrix reduces to a Cauchy-type determinant with the product form
-
-        prod_j (t_j - t_0) / prod_i (x_i - t_0)
-        * prod_{q<p} (t_q - t_p) * prod_{q<p} (x_p - x_q)
-        / prod_{q,p} (x_q - t_p),
-
-    all indices running over 1..n.  The factor count grows quadratically
-    and the magnitudes factorially, so sizes beyond 12 are refused rather
-    than silently overflowing.
+    On (-1, 1) |det M| overflows from n = 133 on.
     """
-    n = mesh.n
-    if n > _DETERMINANT_MAX_N:
-        raise ValueError(
-            f"closed-form determinant is limited to n <= {_DETERMINANT_MAX_N}, got {n}"
-        )
-    t0 = mesh.nodes[0]
-    t = mesh.nodes[1:]
-    x = mesh.colloc
-    head = math.prod((t[j] - t0) / (x[j] - t0) for j in range(n))
-    tq_tp = math.prod(
-        t[q] - t[p] for q in range(n) for p in range(q + 1, n)
-    )
-    xp_xq = math.prod(
-        x[p] - x[q] for q in range(n) for p in range(q + 1, n)
-    )
-    cross = math.prod(x[q] - t[p] for q in range(n) for p in range(n))
-    return head * tq_tp * xp_xq / cross
+    sign, logdet = characteristic_inverse(mesh).slogdet()
+    with np.errstate(over="ignore"):
+        det = sign * float(np.exp(logdet))
+    if det == 0.0 or not math.isfinite(det):
+        raise ValueError(f"det M at n={mesh.n} is {sign:+.0f} exp({logdet:.6g}), not a float")
+    return det

@@ -14,10 +14,10 @@ a time and then the entries of the failing row.
 With no kernel the problem is the characteristic equation:
 ``solve_characteristic`` is that case of ``solve_full``.  ``solve_full``
 solves it, and a difference kernel whose checked table is identically
-zero, from the closed-form inverse of the characteristic matrix
-(``characteristic.solve_closed_form``) in O(n log n) with no n x n
-array; every other kernel assembles the dense matrix and goes through
-``linalg.lu_factor``.
+zero, through ``characteristic.characteristic_inverse``, the closed-form
+inverse of the characteristic matrix: O(n log n) with no n x n array,
+and the exact condition number.  Every other kernel assembles the dense
+matrix and goes through ``linalg.lu_factor``.
 
 ``fredholm_residual`` measures how well a solution satisfies the
 equivalent second-kind equation obtained by inverting the singular part:
@@ -43,7 +43,7 @@ from hypersing.characteristic import (
     _singular_profile,
     _toeplitz_view,
     assemble_characteristic,
-    solve_closed_form,
+    characteristic_inverse,
 )
 from hypersing.linalg import check_dense_size, condition_estimate_1norm, lu_factor
 from hypersing.mesh import Mesh
@@ -194,9 +194,9 @@ def solve_full(problem: FullProblem) -> DiscreteSolution:
     """Solve the equation by collocation on the problem's mesh.
 
     The characteristic equation (no kernel, or a difference kernel whose
-    table is identically zero) is solved from the closed-form inverse of
-    its matrix in O(n log n), with no n x n array
-    (``characteristic.solve_closed_form``).  Any other kernel assembles the
+    table is identically zero) is solved by ``characteristic_inverse``,
+    the closed-form inverse of its matrix, in O(n log n) with no n x n
+    array; its ``condition`` is exact.  Any other kernel assembles the
     dense matrix and solves it through LAPACK in the ``lu_factor`` call
     that takes the condition estimate.  A difference kernel's matrix is a
     read-only Toeplitz view of its 2n - 1 profile, checked from that
@@ -215,7 +215,8 @@ def solve_full(problem: FullProblem) -> DiscreteSolution:
     matrix = _dense_matrix(problem)
     b = _load_values(problem.rhs.fprime, mesh.colloc, "right-hand side")
     if matrix is None:
-        values, condition = solve_closed_form(mesh, b)
+        inverse = characteristic_inverse(mesh)
+        values, condition = inverse.apply(b), inverse.condition
     else:
         fact = lu_factor(matrix, b)
         values, condition = fact.solution, condition_estimate_1norm(fact)

@@ -21,7 +21,8 @@ A^{-1}, and when x_0 != 0 the Gohberg-Semencul formula
 (L(a), U(a): lower/upper triangular Toeplitz with first column/row a;
 J reversal, Z down-shift) takes every probe of Hager's sweeps in O(n^2)
 through ``numpy.convolve``, with no further factorization (I. Gohberg
-and A. Semencul, Mat. Issled. 7, 1972).  The caller's right-hand side,
+and A. Semencul, Mat. Issled. 7, 1972); a probe of A^{-H} is one of
+A^{-1} by persymmetry, J A J = A^T.  The caller's right-hand side,
 given to ``lu_factor``, rides in the ``gesv`` call that gives x and y as
 one more column (two, for the real and imaginary parts of a complex b
 with a real matrix), so a Toeplitz solve factors A once and its solution
@@ -270,8 +271,8 @@ def _toeplitz_probes(a: np.ndarray, columns=()):
         return (lower(x, upper(jy, r)) - lower(zy, upper(zjx, r))) / x[0]
 
     def inverse_adjoint(r):
-        r = np.conj(r)
-        return np.conj((lower(jy, upper(x, r)) - lower(zjx, upper(zy, r))) / x[0])
+        # J A J = A^T for a Toeplitz A, so A^{-H} r = conj(J A^{-1} J conj(r)).
+        return np.conj(inverse(np.conj(r)[::-1]))[::-1]
 
     return (inverse, inverse_adjoint), solved
 

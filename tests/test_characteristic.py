@@ -24,8 +24,8 @@ from hypersing import (
 )
 from hypersing.characteristic import (
     cauchy_weights,
+    characteristic_inverse,
     check_closed_form_size,
-    solve_closed_form,
 )
 from tests.conftest import unit_semicircle
 
@@ -113,23 +113,36 @@ def test_determinant_two_by_two_direct():
     )
 
 
-@pytest.mark.parametrize("interval", [(-1.0, 1.0), (0.0, 3.0)])
-@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("interval", [(-1.0, 1.0), (0.0, 3.0), (1e6 - 1.0, 1e6 + 1.0)])
+@pytest.mark.parametrize("n", range(3, 13))
 def test_determinant_matches_factorization(interval, n):
+    # The closed form reads only n and h, so differences of mesh coordinates
+    # near 1e6, which cancel, cost it no accuracy.
     mesh = make_mesh(*interval, n)
     closed = characteristic_determinant_closed_form(mesh)
     numeric = lu_factor(assemble_characteristic(mesh)).determinant()
-    assert closed == pytest.approx(numeric, rel=1e-8)
+    assert closed == pytest.approx(numeric, rel=1e-13)
 
 
 def test_determinant_nonzero_up_to_limit():
-    for n in range(2, 13):
+    for n in range(2, 133):
         assert characteristic_determinant_closed_form(make_mesh(-1.0, 1.0, n)) != 0.0
 
 
 def test_determinant_size_limit_enforced():
-    with pytest.raises(ValueError, match="n <= 12"):
-        characteristic_determinant_closed_form(make_mesh(-1.0, 1.0, 13))
+    # |det M| on (-1, 1) passes the largest float at n = 133.
+    with pytest.raises(ValueError, match="n=133"):
+        characteristic_determinant_closed_form(make_mesh(-1.0, 1.0, 133))
+
+
+@pytest.mark.parametrize("n", [2, 13, 132, 600, 1000])
+@pytest.mark.parametrize("interval", [(-1.0, 1.0), (0.0, 3.0), (1e6 - 1.0, 1e6 + 1.0)])
+def test_log_determinant_matches_numpy(interval, n):
+    mesh = make_mesh(*interval, n)
+    sign, logdet = characteristic_inverse(mesh).slogdet()
+    want_sign, want = np.linalg.slogdet(assemble_characteristic(mesh))
+    assert sign == want_sign == (-1.0) ** n
+    assert abs(logdet - want) <= 1e-13 * abs(want)
 
 
 def test_nonfinite_right_hand_side_rejected():
@@ -238,7 +251,7 @@ def test_both_routes_match_forty_digit_solve(n, seeds):
 def test_closed_form_condition_matches_dense_estimate(n):
     mesh = make_mesh(-1.0, 1.0, n)
     load = np.full(n, CRACK_LOAD)
-    got = solve_closed_form(mesh, load)[1]
+    got = characteristic_inverse(mesh).condition
     assert solve_with_load(mesh, load).condition == got
     dense = assemble_characteristic(mesh)
     assert got == pytest.approx(lu_factor(dense).condition, rel=1e-10)
@@ -247,11 +260,12 @@ def test_closed_form_condition_matches_dense_estimate(n):
         assert got == pytest.approx(np.linalg.cond(dense, 1), rel=1e-13)
 
 
-@pytest.mark.parametrize("load, calls", [(np.ones(50), 2), (np.full(50, 1j), 3)],
+@pytest.mark.parametrize("load, calls", [(np.ones(50), 2), (np.full(50, 1j), 2)],
                          ids=["real", "complex"])
 def test_closed_form_fft_solves(load, calls, monkeypatch):
-    # One inverse FFT per product with M^{-1}: one for each real part of
-    # the load and one for the condition number.
+    # One inverse FFT per product with M^{-1}: one for the load, whose real
+    # and imaginary parts are two columns of one product, and one for the
+    # condition number.
     count = []
     irfft = np.fft.irfft
 
@@ -260,8 +274,22 @@ def test_closed_form_fft_solves(load, calls, monkeypatch):
         return irfft(*args, **kwargs)
 
     monkeypatch.setattr(np.fft, "irfft", counted)
-    solve_closed_form(make_mesh(-1.0, 1.0, 50), load)
+    solve_with_load(make_mesh(-1.0, 1.0, 50), load)
     assert len(count) == calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 600, 4096])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_apply_to_columns_equals_single_applies(n, kind):
+    inverse = characteristic_inverse(build_mesh(-1.0, 1.0, n))
+    rng = np.random.default_rng(n)
+    block = rng.standard_normal((n, 3))
+    if kind == "complex":
+        block = block + 1j * rng.standard_normal((n, 3))
+    got = inverse.apply(block)
+    assert got.shape == block.shape and got.dtype == block.dtype
+    for j in range(3):
+        assert np.array_equal(got[:, j], inverse.apply(block[:, j]))
 
 
 def test_closed_form_complex_load_is_two_real_solves():
@@ -293,8 +321,9 @@ def test_closed_form_size_budget_and_input_checks():
     check_closed_form_size(2**23)
     with pytest.raises(ValueError, match="n=8388609 needs a 1 x 33554432 dense array"):
         check_closed_form_size(2**23 + 1)
-    mesh = make_mesh(-1.0, 1.0, 8)
-    with pytest.raises(ValueError, match=r"shape \(8,\)"):
-        solve_closed_form(mesh, np.ones(7))
+    inverse = characteristic_inverse(make_mesh(-1.0, 1.0, 8))
+    for shape in (7, (7, 2), (8, 2, 1)):
+        with pytest.raises(ValueError, match=r"shape \(8,\) or \(8, c\)"):
+            inverse.apply(np.ones(shape))
     with pytest.raises(ValueError, match="nonfinite"):
-        solve_closed_form(mesh, np.full(8, np.inf))
+        inverse.apply(np.full(8, np.inf))

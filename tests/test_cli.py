@@ -275,6 +275,19 @@ def test_crack_beyond_dense_cap_runs_in_capped_memory(tmp_path):
     assert data[:, 3].max() <= 1e-3
 
 
+def test_characteristic_beyond_dense_cap_runs_in_capped_memory(tmp_path):
+    # The oracle evaluates its 300000 points in blocks, so its points x
+    # nodes table never meets the dense budget that --m is held to.
+    out = tmp_path / "characteristic.csv"
+    args = ["characteristic", "--n", "300000", "--out", str(out)]
+    done = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *args], env=capped_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    _, data = read_table(out)
+    assert data.shape == (300000, 4)
+    assert data[:, 3].max() <= 1e-3
+
+
 def test_cli_import_loads_no_scipy():
     # Importing scipy would add about 0.25 s and 26 MB to every CLI process.
     src = str(Path(__file__).resolve().parents[1] / "src")
