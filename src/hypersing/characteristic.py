@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from hypersing.linalg import _toeplitz_norm1, check_dense_size
+from hypersing.linalg import _fft_length, _toeplitz_norm1, check_dense_size
 from hypersing.mesh import Mesh
 
 
@@ -45,7 +45,8 @@ class DiscreteSolution:
     Calling the solution evaluates the piecewise-linear rule through the
     midpoints, with zero pinned at both endpoints.  ``condition`` is the
     1-norm condition number of the collocation matrix, a diagnostic:
-    exact on the closed-form route, Hager's estimate on the dense one.
+    exact on the closed-form route, Hager's estimate on the GMRES and
+    dense ones.
     """
 
     mesh: Mesh
@@ -103,12 +104,6 @@ def assemble_characteristic(mesh: Mesh) -> np.ndarray:
     """
     check_dense_size("n", mesh.n, mesh.n, mesh.n)
     return _toeplitz_view(_singular_profile(mesh)).copy()
-
-
-def _fft_length(n: int) -> int:
-    # The smallest power of two >= 2n - 1: a circular convolution of that
-    # length gives outputs n - 1 .. 2n - 2 of the linear one unaliased.
-    return 1 << (2 * n - 2).bit_length()
 
 
 def check_closed_form_size(n: int) -> None:
@@ -169,16 +164,18 @@ class CharacteristicInverse:
             raise ValueError(f"rhs must have shape ({n},) or ({n}, c), got {r.shape}")
         if not np.all(np.isfinite(r)):
             raise ValueError("rhs contains nonfinite entries")
-        columns = r.reshape(n, -1)
+        # Each column is a row here, so every FFT and the cumulative sum run
+        # along contiguous memory.
+        rows = r.reshape(n, -1).T
         if np.iscomplexobj(r):
-            columns = np.concatenate((columns.real, columns.imag), axis=1)
+            rows = np.concatenate((rows.real, rows.imag))
         length = _fft_length(n)
-        scaled = np.fft.rfft(self.right[:, None] * columns, length, axis=0)
-        product = np.fft.irfft(scaled * self.spectrum[:, None], length, axis=0)
-        out = np.cumsum((self.left[:, None] * product[n - 1 : 2 * n - 1])[::-1], axis=0)[::-1]
+        scaled = np.fft.rfft(self.right * rows, length)
+        product = np.fft.irfft(scaled * self.spectrum, length)
+        out = np.cumsum((self.left * product[:, n - 1 : 2 * n - 1])[:, ::-1], axis=-1)[:, ::-1]
         if np.iscomplexobj(r):
-            out = out[:, : out.shape[1] // 2] + 1j * out[:, out.shape[1] // 2 :]
-        return out.reshape(r.shape)
+            out = out[: len(out) // 2] + 1j * out[len(out) // 2 :]
+        return out.T.reshape(r.shape)
 
     @property
     def condition(self) -> float:

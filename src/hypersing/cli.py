@@ -46,8 +46,9 @@ from hypersing.spectral import chebyshev_U, solve_spectral
 
 _LIBRARY_ERRORS = (QuadratureConvergenceError, KernelEvaluationError, ValueError)
 
-# Table rows formatted and written per write call: the Python floats and
-# the text of one block are alive at a time, not those of the whole table.
+# Table rows formatted and written per write call, in one ``%`` on the row
+# format repeated per row: the Python floats and the text of one block are
+# alive at a time, not those of the whole table.
 _ROWS_PER_BLOCK = 16384
 
 # The constant load -pi of the characteristic and linear-kernel benchmarks.
@@ -70,7 +71,7 @@ def _write_table(args: argparse.Namespace, x, numeric, reference) -> float:
         header = ["x", "numeric", "exact_or_oracle", "abs_error"]
         columns = [x, numeric, reference, abs_err]
     sep = "\t" if args.fmt == "tsv" else ","
-    row = sep.join(["%.17g"] * len(columns))
+    row = sep.join(["%.17g"] * len(columns)) + "\n"
     if args.out == "-":
         target = contextlib.nullcontext(sys.stdout)
     else:
@@ -79,8 +80,8 @@ def _write_table(args: argparse.Namespace, x, numeric, reference) -> float:
         handle.write(sep.join(header) + "\n")
         for start in range(0, len(abs_err), _ROWS_PER_BLOCK):
             rows = slice(start, start + _ROWS_PER_BLOCK)
-            block = np.column_stack([column[rows] for column in columns]).tolist()
-            handle.write("\n".join([row % tuple(values) for values in block]) + "\n")
+            block = np.column_stack([column[rows] for column in columns])
+            handle.write(row * len(block) % tuple(block.ravel().tolist()))
     return float(np.max(abs_err))
 
 

@@ -15,9 +15,17 @@ With no kernel the problem is the characteristic equation:
 ``solve_characteristic`` is that case of ``solve_full``.  ``solve_full``
 solves it, and a difference kernel whose checked table is identically
 zero, through ``characteristic.characteristic_inverse``, the closed-form
-inverse of the characteristic matrix: O(n log n) with no n x n array,
-and the exact condition number.  Every other kernel assembles the dense
-matrix and goes through ``linalg.lu_factor``.
+inverse M^{-1} of the characteristic matrix: O(n log n) with no n x n
+array, and the exact condition number.  Any other difference kernel from
+n = _GMRES_MIN_N on is solved by GMRES on the second-kind form
+(I + M^{-1} T) g = M^{-1} b, with T the kernel's Toeplitz table applied
+by FFT (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986; Chan and
+Ng, SIAM Rev. 38, 1996): O(n log n) per iteration, a few to a few dozen
+iterations, and no n x n array.  Below that n, where LAPACK is faster,
+after _GMRES_MAX_ITER iterations without convergence, and for a general
+kernel, the dense matrix goes through ``linalg.lu_factor``.  Every
+Toeplitz route takes Hager's condition estimate from the first and last
+columns of A^{-1} through ``linalg._gohberg_semencul``.
 
 ``fredholm_residual`` measures how well a solution satisfies the
 equivalent second-kind equation obtained by inverting the singular part:
@@ -32,6 +40,7 @@ gates the solve path.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -45,13 +54,35 @@ from hypersing.characteristic import (
     assemble_characteristic,
     characteristic_inverse,
 )
-from hypersing.linalg import check_dense_size, condition_estimate_1norm, lu_factor
+from hypersing.linalg import (
+    SingularMatrixError,
+    _checked_condition,
+    _checked_rhs,
+    _fft_length,
+    _gohberg_semencul,
+    _toeplitz_norm1,
+    check_dense_size,
+    condition_estimate_1norm,
+    lu_factor,
+)
 from hypersing.mesh import Mesh
 from hypersing.quadrature import gauss_legendre
 
 logger = logging.getLogger(__name__)
 
 _CONDITION_WARN = 1e12
+
+# Difference-kernel systems from this n on go to GMRES: the smallest n of
+# 64, 96, 128, 192, 256, 320, 400 and 512 from which it was no slower than
+# the dense LU on the screen at k = 0.5 and 2.5 (at k = 10 it catches up
+# between 400 and 512).  An unconverged run after _GMRES_MAX_ITER
+# iterations falls back to the dense LU.  The tolerance is on the relative
+# residual of the preconditioned system: at 1e-13 the screen at k = 10 was
+# up to 1.3e-12 from the dense solution, at 1e-14 within 2.2e-13, for at
+# most one more iteration.
+_GMRES_MIN_N = 400
+_GMRES_MAX_ITER = 64
+_GMRES_TOL = 1e-14
 
 
 class KernelEvaluationError(RuntimeError):
@@ -151,16 +182,14 @@ def _difference_table(mesh: Mesh, kernel) -> np.ndarray:
     return _checked_table(evaluate, (1, 2 * n - 1), pair)
 
 
-def _dense_matrix(problem: FullProblem):
-    # The dense collocation matrix of a problem with a regular kernel, or None for
-    # the characteristic equation: no kernel, or a difference kernel whose
-    # checked table is identically zero (and real).  The n x n size is
-    # refused before any kernel is evaluated.  A difference kernel's matrix
-    # is a read-only Toeplitz view of its 2n - 1 profile, so the solve holds
-    # no n x n array but LAPACK's own copy; a general kernel's is h times its
-    # table, a fresh array, plus the view of the singular profile.  The
-    # kernel's own table may be an integer array or a broadcast view, so it
-    # is never scaled in place.
+def _kernel_table(problem: FullProblem):
+    # h K0 on the mesh, or None for the characteristic equation: no kernel,
+    # or a difference kernel whose checked table is identically zero (and
+    # real).  A difference kernel's table is its 2n - 1 profile h K0 at the
+    # differences m = i - j, at index m + n - 1; a general kernel's is the
+    # n x n array h K0(x_i, t_j), a fresh array, as the kernel's own table
+    # may be an integer array or a broadcast view and is never scaled in
+    # place.  The n x n size is refused before any kernel is evaluated.
     kernel = problem.kernel
     if kernel is None:
         return None
@@ -170,8 +199,17 @@ def _dense_matrix(problem: FullProblem):
         row = _difference_table(mesh, kernel)[0]
         if not np.iscomplexobj(row) and not np.any(row):
             return None
-        return _toeplitz_view(_singular_profile(mesh) + mesh.h * row)
-    table = mesh.h * _grid_table(kernel, mesh.colloc, mesh.nodes[1:])
+        return mesh.h * row
+    return mesh.h * _grid_table(kernel, mesh.colloc, mesh.nodes[1:])
+
+
+def _matrix(mesh: Mesh, table: np.ndarray) -> np.ndarray:
+    # The collocation matrix of a kernel table.  A profile's is the
+    # read-only Toeplitz view of its sum with the singular profile, so the
+    # dense solve holds no n x n array but LAPACK's own copy; a general
+    # table has the view of the singular profile added in place.
+    if table.ndim == 1:
+        return _toeplitz_view(_singular_profile(mesh) + table)
     table += _toeplitz_view(_singular_profile(mesh))
     return table
 
@@ -184,10 +222,139 @@ def assemble_full(problem: FullProblem) -> np.ndarray:
     n x n matrix above ``linalg.MAX_DENSE_ELEMENTS`` is refused with a
     ValueError before any kernel is evaluated.
     """
-    matrix = _dense_matrix(problem)
-    if matrix is None:
+    table = _kernel_table(problem)
+    if table is None:
         return assemble_characteristic(problem.mesh)
+    matrix = _matrix(problem.mesh, table)
     return matrix if matrix.flags.writeable else matrix.copy()
+
+
+def _gmres(operator: Callable, rhs: np.ndarray):
+    # Unrestarted GMRES from zero for operator(g) = rhs on each row of rhs
+    # (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986).  The rows
+    # step in lockstep, each in its own Krylov space: row-wise FFTs, classical
+    # Gram-Schmidt done twice by one matrix product per row, and Givens
+    # rotations in Python scalars per row, so a row's bits do not depend on
+    # the other rows.  A row stops once its relative residual is at most
+    # _GMRES_TOL or its next Arnoldi vector has norm 0; its basis then stays
+    # zero from there on, and a zero row is solved by 0.  Returns
+    # (solutions, iterations, largest relative residual), or None when a
+    # row has not converged after _GMRES_MAX_ITER steps or its Hessenberg
+    # matrix is singular.
+    rows, n = rhs.shape
+    beta = np.linalg.norm(rhs, axis=-1)
+    active = beta > 0
+    # The basis of each row, grown by doubling up to _GMRES_MAX_ITER + 1
+    # vectors: no n x _GMRES_MAX_ITER block is allocated for a run that
+    # converges early.
+    basis = np.zeros((rows, 8, n), dtype=rhs.dtype)
+    basis[active, 0] = rhs[active] / beta[active, None]
+    triangles = [[] for _ in range(rows)]  # rotated Hessenberg columns
+    rotations = [[] for _ in range(rows)]
+    residuals = [[b] for b in beta.tolist()]  # beta e_1 under the rotations
+    solutions = np.zeros_like(rhs)
+    steps, worst = 0, 0.0
+    while active.any():
+        if steps == _GMRES_MAX_ITER:
+            return None
+        if steps + 1 == basis.shape[1]:
+            extra = min(steps + 1, _GMRES_MAX_ITER - steps)
+            basis = np.concatenate((basis, np.zeros_like(basis[:, :extra])), axis=1)
+        v = basis[:, : steps + 1]
+        w = operator(v[:, -1])
+        coefficients = 0.0
+        for _ in range(2):
+            # v^H w as conj(v conj(w)): no conjugate copy of the basis.
+            projections = np.matmul(v, w.conj()[:, :, None])[:, :, 0].conj()
+            w = w - np.matmul(projections[:, None], v)[:, 0]
+            coefficients = coefficients + projections
+        norms = np.linalg.norm(w, axis=-1)
+        moving = active & (norms > 0)
+        np.divide(w, norms[:, None], out=basis[:, steps + 1], where=moving[:, None])
+        steps += 1
+        for row in np.flatnonzero(active).tolist():
+            column = coefficients[row].tolist()
+            for i, (c, s) in enumerate(rotations[row]):
+                column[i], column[i + 1] = (
+                    c * column[i] + s * column[i + 1],
+                    -s.conjugate() * column[i] + c * column[i + 1],
+                )
+            a, b = column[-1], float(norms[row])
+            radius = math.hypot(abs(a), b)
+            if radius == 0.0:
+                return None
+            phase = a / abs(a) if a else 1.0
+            c, s = abs(a) / radius, phase * b / radius
+            column[-1] = phase * radius
+            rotations[row].append((c, s))
+            triangles[row].append(column)
+            g = residuals[row]
+            g.append(-s.conjugate() * g[-1])
+            g[-2] = c * g[-2]
+            relative = abs(g[-1]) / beta[row]
+            if relative <= _GMRES_TOL:
+                active[row] = False
+                worst = max(worst, relative)
+                solutions[row] = _back_substitute(triangles[row], g) @ basis[row, :steps]
+    return solutions, steps, worst
+
+
+def _back_substitute(triangle: list, g: list) -> np.ndarray:
+    # y with R y = g[:m] for the upper triangular R whose column j is triangle[j].
+    m = len(triangle)
+    y = [0.0] * m
+    for i in reversed(range(m)):
+        y[i] = (g[i] - sum(triangle[j][i] * y[j] for j in range(i + 1, m))) / triangle[i][i]
+    return np.array(y)
+
+
+def _solve_gmres(mesh: Mesh, table: np.ndarray, b: np.ndarray):
+    # (values, condition) of the Toeplitz system with kernel profile
+    # ``table`` by GMRES on (I + M^{-1} T) g = M^{-1} r, or None to fall
+    # back to the dense route.  T is the kernel's Toeplitz matrix, applied
+    # by one FFT of the padded length, and M^{-1} the closed-form inverse.
+    # r runs over e_0, e_{n-1} and the load, whose real and imaginary parts
+    # are two real rows when the table holds real values; e_0 and e_{n-1}
+    # give the first and last columns x, y of A^{-1} for the condition
+    # estimate.
+    n = mesh.n
+    b = _checked_rhs(b, n)
+    profile = _singular_profile(mesh) + table
+    real = not np.any(table.imag)
+    if real:
+        table = table.real
+        loads = [b.real, b.imag] if np.iscomplexobj(b) or np.iscomplexobj(profile) else [b]
+    else:
+        loads = [b]
+    dtype = np.dtype(np.float64 if real else np.complex128)
+    length = _fft_length(n)
+    fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+    spectrum = fft(table, length)
+    inverse = characteristic_inverse(mesh)
+
+    def precondition(r):
+        return inverse.apply(r.T).T
+
+    def operator(v):
+        return v + precondition(ifft(spectrum * fft(v, length), length)[:, n - 1 : 2 * n - 1])
+
+    rhs = np.zeros((2 + len(loads), n), dtype=dtype)
+    rhs[0, 0] = rhs[1, -1] = 1.0
+    rhs[2:] = loads
+    solved = _gmres(operator, precondition(rhs))
+    if solved is None:
+        return None
+    (x, y, *values), iterations, residual = solved
+    probes = _gohberg_semencul(x, y)
+    if probes is None:
+        return None
+    try:
+        condition = _checked_condition(_toeplitz_norm1(profile), n, dtype, *probes)
+    except SingularMatrixError:
+        return None
+    logger.debug("GMRES route at n=%d: %d iterations, relative residual %.3e",
+                 n, iterations, residual)
+    return (values[0] if len(values) == 1 else values[0] + 1j * values[1]), condition
 
 
 def solve_full(problem: FullProblem) -> DiscreteSolution:
@@ -196,30 +363,48 @@ def solve_full(problem: FullProblem) -> DiscreteSolution:
     The characteristic equation (no kernel, or a difference kernel whose
     table is identically zero) is solved by ``characteristic_inverse``,
     the closed-form inverse of its matrix, in O(n log n) with no n x n
-    array; its ``condition`` is exact.  Any other kernel assembles the
-    dense matrix and solves it through LAPACK in the ``lu_factor`` call
-    that takes the condition estimate.  A difference kernel's matrix is a
-    read-only Toeplitz view of its 2n - 1 profile, checked from that
-    profile and solved in one ``gesv`` call, so the only n x n array is
-    LAPACK's copy; a general kernel's table is one more.  Either route's
-    condition number is attached to the result; a warning is logged above
-    1e12.  The scalar field is complex exactly when the kernel or the
-    right-hand side is complex; a real problem never leaves real
-    arithmetic.  Raises
-    SingularMatrixError for a degenerate system and ValueError for a
-    nonfinite right-hand side or an over-budget size.
+    array; its ``condition`` is exact.  A difference kernel from
+    n = _GMRES_MIN_N on is solved by GMRES on the second-kind form
+    (I + M^{-1} T) g = M^{-1} b, preconditioned by that closed-form
+    inverse, with O(n log n) work per iteration and no n x n array.  The
+    same run solves for the first and last columns of A^{-1}, from which
+    the Gohberg-Semencul formula gives Hager's condition estimate.  It
+    falls back to the dense route when GMRES has not reached a relative
+    residual of _GMRES_TOL in _GMRES_MAX_ITER iterations, when that
+    formula does not apply, or when the estimate reads singular; the
+    dense route then decides.  Any other kernel, and a difference kernel
+    below _GMRES_MIN_N, where LAPACK is faster, assembles the dense matrix
+    and solves it through LAPACK in the ``lu_factor`` call that takes the
+    condition estimate.  A difference kernel's matrix is a read-only
+    Toeplitz view of its 2n - 1 profile, checked from that profile and
+    solved in one ``gesv`` call, so the only n x n array is LAPACK's copy;
+    a general kernel's table is one more.  Every route's condition number
+    is attached to the result; a warning is logged above 1e12, and the
+    route taken (with the GMRES iteration count and final relative
+    residual) at DEBUG.  The scalar field is complex exactly when the
+    kernel or the right-hand side is complex; a real problem never leaves
+    real arithmetic.  Raises SingularMatrixError for a degenerate system
+    and ValueError for a nonfinite right-hand side or an over-budget size.
     """
     mesh = problem.mesh
     if problem.rhs.f is not None:
         problem.rhs.validate_pair(mesh.a, mesh.b)
-    matrix = _dense_matrix(problem)
+    table = _kernel_table(problem)
     b = _load_values(problem.rhs.fprime, mesh.colloc, "right-hand side")
-    if matrix is None:
+    solved = None
+    if table is None:
         inverse = characteristic_inverse(mesh)
-        values, condition = inverse.apply(b), inverse.condition
-    else:
-        fact = lu_factor(matrix, b)
-        values, condition = fact.solution, condition_estimate_1norm(fact)
+        solved = inverse.apply(b), inverse.condition
+        logger.debug("closed-form route at n=%d", mesh.n)
+    elif table.ndim == 1 and mesh.n >= _GMRES_MIN_N:
+        solved = _solve_gmres(mesh, table, b)
+        if solved is None:
+            logger.debug("GMRES route at n=%d gave no answer", mesh.n)
+    if solved is None:
+        fact = lu_factor(_matrix(mesh, table), b)
+        solved = fact.solution, condition_estimate_1norm(fact)
+        logger.debug("dense route at n=%d", mesh.n)
+    values, condition = solved
     if condition > _CONDITION_WARN:
         logger.warning(
             "collocation matrix is ill conditioned: estimate %.3e", condition

@@ -5,6 +5,8 @@ Every dense solve is one ``numpy.linalg.solve`` call, that is LAPACK
 triangular solves.  ``solve_full`` does not bring the characteristic
 equation here: it solves it from the closed-form inverse of its matrix in
 ``characteristic``, which also gives that matrix's exact condition number.
+Nor, from ``fullsolver._GMRES_MIN_N`` on, a difference kernel, which it
+solves by GMRES preconditioned with that inverse.
 numpy exposes no separate factor and solve, so a factorization here is
 the checked matrix itself together with Hager's estimate of its 1-norm
 condition number (W. W. Hager, "Condition estimates", SIAM J. Sci.
@@ -12,21 +14,26 @@ Stat. Comput. 5, 1984).  The estimate is taken once, when the matrix is
 factored, from a few products with A^{-1} and A^{-H}; it also decides
 whether the matrix counts as singular.
 
-Every collocation matrix on the uniform mesh is Toeplitz.  For such a
-matrix one ``gesv`` call gives the first and last columns x and y of
-A^{-1}, and when x_0 != 0 the Gohberg-Semencul formula
+Every collocation matrix on the uniform mesh is Toeplitz.  Given the
+first and last columns x and y of its inverse, with x_0 != 0, the
+Gohberg-Semencul formula
 
     A^{-1} = (1/x_0) [L(x) U(Jy) - L(Zy) U(ZJx)]
 
 (L(a), U(a): lower/upper triangular Toeplitz with first column/row a;
-J reversal, Z down-shift) takes every probe of Hager's sweeps in O(n^2)
-through ``numpy.convolve``, with no further factorization (I. Gohberg
-and A. Semencul, Mat. Issled. 7, 1972); a probe of A^{-H} is one of
-A^{-1} by persymmetry, J A J = A^T.  The caller's right-hand side,
-given to ``lu_factor``, rides in the ``gesv`` call that gives x and y as
-one more column (two, for the real and imaginary parts of a complex b
-with a real matrix), so a Toeplitz solve factors A once and its solution
-still comes from LAPACK's LU, never from the formula.  Any other matrix
+J reversal, Z down-shift) takes every probe of Hager's sweeps in
+O(n log n), as four FFT products of the padded length ``_fft_length(n)``,
+with no further factorization (I. Gohberg and A. Semencul, Mat. Issled.
+7, 1972); a probe of A^{-H} is one of A^{-1} by persymmetry, J A J = A^T.
+``_gohberg_semencul`` builds those probes from (x, y) and
+``_checked_condition`` takes the estimate and the singular test from
+them; both serve the dense Toeplitz route here, where one ``gesv`` call
+gives x and y, and ``fullsolver``'s GMRES route, which solves for x and y
+beside the load.  On the dense route the caller's right-hand side, given
+to ``lu_factor``, rides in that ``gesv`` call as one more column (two,
+for the real and imaginary parts of a complex b with a real matrix), so
+a Toeplitz solve factors A once and its solution still comes from
+LAPACK's LU, never from the formula.  Any other matrix
 is probed through ``gesv`` with A and A^H, which factors it again on
 each probe, and is solved after the estimate, one single-column ``gesv``
 per real or imaginary part.  Measured with OpenBLAS 0.3.31, a one-column
@@ -203,14 +210,7 @@ def lu_factor(a: np.ndarray, rhs: np.ndarray | None = None) -> LUFactorization:
         norm1 = _toeplitz_norm1(entries)
     else:
         norm1 = float(np.max(np.abs(matrix).sum(axis=0), initial=0.0))
-    fact.condition = 1.0
-    if fact.n:
-        fact.condition = norm1 * _inverse_norm1_estimate(fact.n, matrix.dtype, *probes)
-    if not fact.condition * _RCOND_MIN < 1.0:
-        raise SingularMatrixError(
-            f"estimated reciprocal 1-norm condition number {1.0 / fact.condition:.3e}"
-            f" is at most {_RCOND_MIN:.0e}"
-        )
+    fact.condition = _checked_condition(norm1, fact.n, matrix.dtype, *probes)
     if rhs is not None:
         fact.solution = fact.solve(rhs) if solved is None else _join(solved)
     return fact
@@ -225,9 +225,9 @@ def condition_estimate_1norm(fact: LUFactorization) -> float:
     """Hager's estimate of cond_1(A) = ||A||_1 * ||A^{-1}||_1.
 
     ``lu_factor`` takes it once.  Its probes of A^{-1} and A^{-H} come
-    from the Gohberg-Semencul formula for a Toeplitz matrix and from
-    ``gesv`` otherwise; the result is reliably within a factor of 10 of
-    the true value.
+    from the Gohberg-Semencul formula, in FFT products, for a Toeplitz
+    matrix and from ``gesv`` otherwise; the result is reliably within a
+    factor of 10 of the true value.
     """
     return fact.condition
 
@@ -244,37 +244,74 @@ def _toeplitz_norm1(profile: np.ndarray) -> float:
     return float(np.max(left + right))
 
 
+def _fft_length(n: int) -> int:
+    # The smallest power of two >= 2n - 1: a circular convolution of that
+    # length gives outputs n - 1 .. 2n - 2 of the linear one unaliased.
+    return 1 << (2 * n - 2).bit_length()
+
+
 def _toeplitz_probes(a: np.ndarray, columns=()):
     # (probes, solved) of a nonempty Toeplitz matrix: one gesv call solves
-    # e_0, e_{n-1} and the rows of ``columns``.  probes are r -> A^{-1} r
-    # and r -> A^{-H} r from the first and last columns x, y of A^{-1}, or
-    # None when x_0 = 0; solved holds the solutions of ``columns``, row by
-    # row.  The caller has found the matrix Toeplitz.
+    # e_0, e_{n-1} and the rows of ``columns``.  probes are
+    # ``_gohberg_semencul`` of the first and last columns x, y of A^{-1};
+    # solved holds the solutions of ``columns``, row by row.  The caller has
+    # found the matrix Toeplitz.
     n = a.shape[0]
     ends = np.zeros((2, n), dtype=a.dtype)
     ends[0, 0] = ends[1, -1] = 1.0
     x, y, *solved = _gesv(a, np.concatenate([ends, np.reshape(columns, (-1, n))]).T).T
-    solved = np.array(solved)
+    return _gohberg_semencul(x, y), np.array(solved)
+
+
+def _gohberg_semencul(x: np.ndarray, y: np.ndarray):
+    """The probes r -> A^{-1} r and r -> A^{-H} r of a Toeplitz A, from x and y.
+
+    x and y are the first and last columns of A^{-1}.  The result is None
+    when x_0 = 0, where the formula does not hold.  Each probe takes r of
+    the scalar type of x and y, in four FFT products of length
+    ``_fft_length(n)``: the two upper triangular factors share the
+    transform of J r, and the two lower ones are summed before one inverse
+    transform.
+    """
     if x[0] == 0:
-        return None, solved
-    jy = y[::-1]
-    zy = np.concatenate(([0.0], y[:-1]))
-    zjx = np.concatenate(([0.0], x[:0:-1]))
-
-    def lower(c, r):  # L(c) r
-        return np.convolve(c, r)[:n]
-
-    def upper(c, r):  # U(c) r = J L(c) J r
-        return np.convolve(c, r[::-1])[:n][::-1]
+        return None
+    n = len(x)
+    length = _fft_length(n)
+    real = not (np.iscomplexobj(x) or np.iscomplexobj(y))
+    fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+    zero = np.zeros(1, dtype=np.result_type(x, y))
+    # The generators x, Jy, Zy and ZJx.
+    lower_x, upper_jy, lower_zy, upper_zjx = fft(
+        [x, y[::-1], np.concatenate((zero, y[:-1])), np.concatenate((zero, x[:0:-1]))],
+        length,
+    )
 
     def inverse(r):
-        return (lower(x, upper(jy, r)) - lower(zy, upper(zjx, r))) / x[0]
+        # U(c) r = J L(c) J r, the first n outputs of a linear convolution.
+        jr = fft(r[::-1], length)
+        uppers = ifft([upper_jy * jr, upper_zjx * jr], length)[:, n - 1 :: -1]
+        u_jy, u_zjx = fft(uppers, length)
+        return ifft(lower_x * u_jy - lower_zy * u_zjx, length)[:n] / x[0]
 
     def inverse_adjoint(r):
         # J A J = A^T for a Toeplitz A, so A^{-H} r = conj(J A^{-1} J conj(r)).
         return np.conj(inverse(np.conj(r)[::-1]))[::-1]
 
-    return (inverse, inverse_adjoint), solved
+    return inverse, inverse_adjoint
+
+
+def _checked_condition(norm1: float, n: int, dtype: np.dtype, inverse, inverse_adjoint) -> float:
+    """||A||_1 times Hager's estimate of ||A^{-1}||_1 from the two probes.
+
+    Raises SingularMatrixError when the reciprocal is at most 1e-13.
+    """
+    condition = norm1 * _inverse_norm1_estimate(n, dtype, inverse, inverse_adjoint) if n else 1.0
+    if not condition * _RCOND_MIN < 1.0:
+        raise SingularMatrixError(
+            f"estimated reciprocal 1-norm condition number {1.0 / condition:.3e}"
+            f" is at most {_RCOND_MIN:.0e}"
+        )
+    return condition
 
 
 def _inverse_norm1_estimate(n: int, dtype: np.dtype, inverse, inverse_adjoint) -> float:

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypersing import (
     crack_problem,
     fredholm_residual,
     full_example_exact,
+    lu_factor,
     make_mesh,
     polynomial_kernel,
     screen_problem,
@@ -24,6 +26,8 @@ from hypersing import (
     solve_spectral,
     zero_kernel,
 )
+from hypersing import fullsolver
+from hypersing.analytic import _load_values
 from hypersing.quadrature import gauss_chebyshev2
 from tests.conftest import const_pi_rhs, count_gesv, unit_semicircle
 
@@ -302,3 +306,171 @@ def test_oversized_matrix_refused_before_assembly():
     ):
         with pytest.raises(ValueError, match="n=4097 needs a 4097 x 4097 dense array"):
             call()
+
+
+# The GMRES route for a difference kernel from fullsolver._GMRES_MIN_N on.
+N0 = fullsolver._GMRES_MIN_N
+
+
+def count_lu_factor(monkeypatch) -> list:
+    """Record the size of every dense ``lu_factor`` call that ``solve_full`` makes."""
+    calls = []
+    factor = fullsolver.lu_factor
+
+    def counted(a, rhs=None):
+        calls.append(a.shape[0])
+        return factor(a, rhs)
+
+    monkeypatch.setattr(fullsolver, "lu_factor", counted)
+    return calls
+
+
+def dense_route(problem: FullProblem):
+    """(solution, condition) of ``lu_factor`` on the assembled matrix."""
+    b = _load_values(problem.rhs.fprime, problem.mesh.colloc, "right-hand side")
+    fact = lu_factor(assemble_full(problem), b)
+    return fact.solution, fact.condition
+
+
+def gaussian_kernel() -> RegularKernel:
+    return RegularKernel(
+        profile_batch=lambda d: np.exp(-np.asarray(d) ** 2 / 4) / (2 * np.sqrt(np.pi))
+    )
+
+
+def kinked_kernel() -> RegularKernel:
+    return RegularKernel(profile_batch=lambda d: np.exp(-np.abs(np.asarray(d))) / 2)
+
+
+GMRES_PROBLEMS = [
+    *(
+        pytest.param(lambda n=n, k=k: screen_problem(ScreenParams(k=k, a=1.0), n),
+                     id=f"screen-{n}-k{k}")
+        for n in sorted({N0, 400, 1000})
+        for k in (0.5, 2.5, 10.0)
+    ),
+    pytest.param(lambda: benchmark_problem(N0, polynomial_kernel(3.0)), id="linear"),
+    pytest.param(lambda: benchmark_problem(N0, gaussian_kernel()), id="gaussian"),
+    pytest.param(lambda: benchmark_problem(N0, kinked_kernel()), id="kinked"),
+]
+
+
+@pytest.mark.parametrize("problem", GMRES_PROBLEMS)
+def test_gmres_route_matches_dense_route(problem, monkeypatch):
+    # Within 1e-12 of LAPACK's solution, with a condition estimate within
+    # 1e-10 of the dense route's, and no dense factorization.
+    problem = problem()
+    want, condition = dense_route(problem)
+    calls = count_lu_factor(monkeypatch)
+    got = solve_full(problem)
+    assert calls == []
+    assert got.values.dtype == want.dtype
+    assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
+    assert got.condition == pytest.approx(condition, rel=1e-10)
+
+
+def test_gmres_route_keeps_real_arithmetic_and_bits():
+    # A real problem returns float64.  A complex load is two real solves in
+    # lockstep: its real and imaginary parts keep the bits of the real
+    # solves, and a real-valued complex load is the real solve bit for bit.
+    mesh = make_mesh(-1.0, 1.0, N0)
+    kernel = polynomial_kernel(3.0)
+
+    def solve_with(load):
+        return solve_full(FullProblem(mesh=mesh, rhs=RightHandSide(fprime=load), kernel=kernel))
+
+    re = solve_with(lambda x: np.cos(3.0 * x))
+    im = solve_with(lambda x: x**2 - 0.5)
+    assert re.values.dtype == im.values.dtype == np.float64
+    mixed = solve_with(lambda x: np.cos(3.0 * x) + 1j * (x**2 - 0.5))
+    assert np.array_equal(mixed.values.real, re.values)
+    assert np.array_equal(mixed.values.imag, im.values)
+    real_valued = solve_with(lambda x: np.cos(3.0 * x) + 0j)
+    assert np.array_equal(real_valued.values.real, re.values)
+    assert np.all(real_valued.values.imag == 0.0)
+    assert mixed.condition == real_valued.condition == re.condition
+
+
+def test_gmres_route_rerun_is_bit_identical():
+    problem = screen_problem(ScreenParams(k=2.5, a=1.0), N0)
+    first, second = solve_full(problem), solve_full(problem)
+    assert np.array_equal(first.values, second.values)
+    assert first.condition == second.condition
+
+
+def test_gmres_cap_falls_back_to_dense_route_bit_for_bit(monkeypatch, caplog):
+    problem = screen_problem(ScreenParams(k=2.5, a=1.0), N0)
+    monkeypatch.setattr(fullsolver, "_GMRES_MIN_N", N0 + 1)
+    dense = solve_full(problem)
+    monkeypatch.setattr(fullsolver, "_GMRES_MIN_N", N0)
+    monkeypatch.setattr(fullsolver, "_GMRES_MAX_ITER", 1)
+    calls = count_lu_factor(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="hypersing.fullsolver"):
+        capped = solve_full(problem)
+    assert calls == [N0]
+    assert np.array_equal(capped.values, dense.values)
+    assert capped.condition == dense.condition
+    messages = [record.getMessage() for record in caplog.records]
+    assert messages == [f"GMRES route at n={N0} gave no answer", f"dense route at n={N0}"]
+
+
+def test_gmres_route_refuses_bad_load_and_kernel():
+    mesh = make_mesh(-1.0, 1.0, N0)
+    nan_load = RightHandSide(fprime=lambda x: np.where(np.abs(x) < 0.01, np.nan, 1.0))
+    with pytest.raises(ValueError, match="right-hand side is nonfinite"):
+        solve_full(FullProblem(mesh=mesh, rhs=nan_load, kernel=polynomial_kernel(3.0)))
+
+    def raising(d):
+        d = np.atleast_1d(d)
+        if np.any(np.abs(d) < 0.01):
+            raise ValueError("too close")
+        return d
+
+    for kernel, match in (
+        (RegularKernel(profile_batch=raising), "too close"),
+        (RegularKernel(profile_batch=lambda d: np.where(np.abs(d) < 0.01, np.nan, d)),
+         "nonfinite"),
+    ):
+        with pytest.raises(KernelEvaluationError, match=match) as info:
+            solve_full(benchmark_problem(N0, kernel))
+        assert abs(info.value.x - info.value.t) < 0.01
+
+
+@pytest.mark.parametrize("n", [80, N0 - 1])
+def test_screen_below_threshold_stays_on_one_dense_factorization(n, monkeypatch):
+    calls = count_lu_factor(monkeypatch)
+    solve_full(screen_problem(ScreenParams(k=1.5, a=1.0), n))
+    assert calls == [n]
+
+
+def test_gmres_route_logs_iterations_and_residual(caplog):
+    problem = screen_problem(ScreenParams(k=2.5, a=1.0), N0)
+    quiet = solve_full(problem)
+    with caplog.at_level(logging.DEBUG, logger="hypersing.fullsolver"):
+        logged = solve_full(problem)
+    (record,) = caplog.records
+    assert record.levelno == logging.DEBUG
+    n, iterations, residual = record.args
+    assert record.getMessage().startswith(f"GMRES route at n={N0}: {iterations} iterations")
+    assert n == N0 and 0 < iterations <= fullsolver._GMRES_MAX_ITER
+    assert residual <= fullsolver._GMRES_TOL
+    assert np.array_equal(logged.values, quiet.values)
+    assert logged.condition == quiet.condition
+
+
+def test_gmres_rows_step_alone_and_stop_at_the_cap(monkeypatch):
+    # A diagonal operator with n distinct eigenvalues needs n steps for a
+    # full row, one step for an eigenvector row, and none for a zero row,
+    # which is solved by 0 with no 0/0; a run that needs more steps than
+    # the cap gives no answer.
+    diagonal = np.arange(1.0, 9.0)
+    rhs = np.zeros((3, 8))
+    rhs[0] = 1.0
+    rhs[2, 3] = 2.0
+    solutions, iterations, residual = fullsolver._gmres(lambda v: diagonal * v, rhs)
+    assert iterations == 8 and residual <= fullsolver._GMRES_TOL
+    assert np.max(np.abs(solutions[0] - 1.0 / diagonal)) <= 1e-14
+    assert np.array_equal(solutions[1], np.zeros(8))
+    assert solutions[2, 3] == 0.5 and np.count_nonzero(solutions[2]) == 1
+    monkeypatch.setattr(fullsolver, "_GMRES_MAX_ITER", 7)
+    assert fullsolver._gmres(lambda v: diagonal * v, rhs) is None
