@@ -21,11 +21,15 @@ n = _GMRES_MIN_N on is solved by GMRES on the second-kind form
 (I + M^{-1} T) g = M^{-1} b, with T the kernel's Toeplitz table applied
 by FFT (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986; Chan and
 Ng, SIAM Rev. 38, 1996): O(n log n) per iteration, a few to a few dozen
-iterations, and no n x n array.  Below that n, where LAPACK is faster,
-after _GMRES_MAX_ITER iterations without convergence, and for a general
-kernel, the dense matrix goes through ``linalg.lu_factor``.  Every
-Toeplitz route takes Hager's condition estimate from the first and last
-columns of A^{-1} through ``linalg._gohberg_semencul``.
+iterations, and no n x n array.  GMRES solves only for the right-hand
+sides e_0 and e_{n-1}, which gives the first and last columns of A^{-1};
+the load is then one product with A^{-1} by the Gohberg-Semencul
+formula, accepted when its normwise backward error is at most
+_GMRES_TOL.  Below that n, where LAPACK is faster, after _GMRES_MAX_ITER
+iterations without convergence, when the load fails that test, and for a
+general kernel, the dense matrix goes through ``linalg.lu_factor``.
+Every Toeplitz route takes Hager's condition estimate from the first and
+last columns of A^{-1} through ``linalg._gohberg_semencul``.
 
 ``fredholm_residual`` measures how well a solution satisfies the
 equivalent second-kind equation obtained by inverting the singular part:
@@ -79,7 +83,8 @@ _CONDITION_WARN = 1e12
 # iterations falls back to the dense LU.  The tolerance is on the relative
 # residual of the preconditioned system: at 1e-13 the screen at k = 10 was
 # up to 1.3e-12 from the dense solution, at 1e-14 within 2.2e-13, for at
-# most one more iteration.
+# most one more iteration.  The same value bounds the normwise backward
+# error of the load solved from the GMRES columns.
 _GMRES_MIN_N = 400
 _GMRES_MAX_ITER = 64
 _GMRES_TOL = 1e-14
@@ -310,22 +315,23 @@ def _back_substitute(triangle: list, g: list) -> np.ndarray:
 
 def _solve_gmres(mesh: Mesh, table: np.ndarray, b: np.ndarray):
     # (values, condition) of the Toeplitz system with kernel profile
-    # ``table`` by GMRES on (I + M^{-1} T) g = M^{-1} r, or None to fall
-    # back to the dense route.  T is the kernel's Toeplitz matrix, applied
-    # by one FFT of the padded length, and M^{-1} the closed-form inverse.
-    # r runs over e_0, e_{n-1} and the load, whose real and imaginary parts
-    # are two real rows when the table holds real values; e_0 and e_{n-1}
-    # give the first and last columns x, y of A^{-1} for the condition
-    # estimate.
+    # ``table``, or None to fall back to the dense route.  GMRES on
+    # (I + M^{-1} T) g = M^{-1} r, with T the kernel's Toeplitz matrix
+    # applied by one FFT of the padded length and M^{-1} the closed-form
+    # inverse, runs over r = e_0 and e_{n-1} only.  Their solutions x, y,
+    # the first and last columns of A^{-1}, give the A^{-1} probe of the
+    # Gohberg-Semencul formula, which solves the load (its real and
+    # imaginary parts one at a time when the table holds real values) and
+    # then serves Hager's estimate.  The load is accepted when its normwise
+    # backward error ||b - A g||_1 / (||A||_1 ||g||_1 + ||b||_1), with A g
+    # one FFT product with the whole profile, is at most _GMRES_TOL.
     n = mesh.n
     b = _checked_rhs(b, n)
     profile = _singular_profile(mesh) + table
     real = not np.any(table.imag)
+    split = real and (np.iscomplexobj(b) or np.iscomplexobj(table))
     if real:
-        table = table.real
-        loads = [b.real, b.imag] if np.iscomplexobj(b) or np.iscomplexobj(profile) else [b]
-    else:
-        loads = [b]
+        table, profile = table.real, profile.real
     dtype = np.dtype(np.float64 if real else np.complex128)
     length = _fft_length(n)
     fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
@@ -338,23 +344,36 @@ def _solve_gmres(mesh: Mesh, table: np.ndarray, b: np.ndarray):
     def operator(v):
         return v + precondition(ifft(spectrum * fft(v, length), length)[:, n - 1 : 2 * n - 1])
 
-    rhs = np.zeros((2 + len(loads), n), dtype=dtype)
-    rhs[0, 0] = rhs[1, -1] = 1.0
-    rhs[2:] = loads
-    solved = _gmres(operator, precondition(rhs))
+    ends = np.zeros((2, n), dtype=dtype)
+    ends[0, 0] = ends[1, -1] = 1.0
+    solved = _gmres(operator, precondition(ends))
     if solved is None:
         return None
-    (x, y, *values), iterations, residual = solved
+    (x, y), iterations, residual = solved
     probes = _gohberg_semencul(x, y)
     if probes is None:
         return None
+
+    def join(rows):
+        return rows[0] + 1j * rows[1] if split else rows[0]
+
+    loads = (np.stack([b.real, b.imag]) if split else b[None]).astype(dtype)
+    parts = np.array([probes[0](load) for load in loads])
+    products = ifft(fft(profile, length) * fft(parts, length), length)[:, n - 1 : 2 * n - 1]
+    values = join(parts)
+    norm1 = _toeplitz_norm1(profile)
+    error = float(np.abs(b - join(products)).sum())
+    scale = norm1 * float(np.abs(values).sum()) + float(np.abs(b).sum())
+    backward = error / scale if scale else error  # b = 0 is solved by g = 0
+    if not backward <= _GMRES_TOL:
+        return None
     try:
-        condition = _checked_condition(_toeplitz_norm1(profile), n, dtype, *probes)
+        condition = _checked_condition(norm1, n, dtype, *probes)
     except SingularMatrixError:
         return None
-    logger.debug("GMRES route at n=%d: %d iterations, relative residual %.3e",
-                 n, iterations, residual)
-    return (values[0] if len(values) == 1 else values[0] + 1j * values[1]), condition
+    logger.debug("GMRES route at n=%d: %d iterations, relative residual %.3e,"
+                 " load backward error %.3e", n, iterations, residual, backward)
+    return values, condition
 
 
 def solve_full(problem: FullProblem) -> DiscreteSolution:
@@ -366,24 +385,27 @@ def solve_full(problem: FullProblem) -> DiscreteSolution:
     array; its ``condition`` is exact.  A difference kernel from
     n = _GMRES_MIN_N on is solved by GMRES on the second-kind form
     (I + M^{-1} T) g = M^{-1} b, preconditioned by that closed-form
-    inverse, with O(n log n) work per iteration and no n x n array.  The
-    same run solves for the first and last columns of A^{-1}, from which
-    the Gohberg-Semencul formula gives Hager's condition estimate.  It
-    falls back to the dense route when GMRES has not reached a relative
-    residual of _GMRES_TOL in _GMRES_MAX_ITER iterations, when that
-    formula does not apply, or when the estimate reads singular; the
-    dense route then decides.  Any other kernel, and a difference kernel
-    below _GMRES_MIN_N, where LAPACK is faster, assembles the dense matrix
-    and solves it through LAPACK in the ``lu_factor`` call that takes the
-    condition estimate.  A difference kernel's matrix is a read-only
+    inverse, with O(n log n) work per iteration and no n x n array.
+    GMRES solves for the first and last columns of A^{-1} only; from them
+    the Gohberg-Semencul formula gives the solution, as one product with
+    A^{-1} in four FFTs, and Hager's condition estimate.  The solution is
+    accepted when its normwise backward error
+    ||b - A g||_1 / (||A||_1 ||g||_1 + ||b||_1) is at most _GMRES_TOL.  The
+    solve falls back to the dense route when GMRES has not reached a
+    relative residual of _GMRES_TOL in _GMRES_MAX_ITER iterations, when
+    that formula does not apply, when the solution fails that test, or
+    when the estimate reads singular; the dense route then decides.  Any
+    other kernel, and a difference kernel below _GMRES_MIN_N, where LAPACK
+    is faster, assembles the dense matrix and solves it through LAPACK in
+    the ``lu_factor`` call that takes the condition estimate.  A difference kernel's matrix is a read-only
     Toeplitz view of its 2n - 1 profile, checked from that profile and
     solved in one ``gesv`` call, so the only n x n array is LAPACK's copy;
     a general kernel's table is one more.  Every route's condition number
     is attached to the result; a warning is logged above 1e12, and the
-    route taken (with the GMRES iteration count and final relative
-    residual) at DEBUG.  The scalar field is complex exactly when the
-    kernel or the right-hand side is complex; a real problem never leaves
-    real arithmetic.  Raises SingularMatrixError for a degenerate system
+    route taken (with the GMRES iteration count, final relative residual
+    and the load's backward error) at DEBUG.  The scalar field is complex
+    exactly when the kernel or the right-hand side is complex; a real
+    problem never leaves real arithmetic.  Raises SingularMatrixError for a degenerate system
     and ValueError for a nonfinite right-hand side or an over-budget size.
     """
     mesh = problem.mesh

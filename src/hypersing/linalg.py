@@ -29,14 +29,14 @@ with no further factorization (I. Gohberg and A. Semencul, Mat. Issled.
 ``_checked_condition`` takes the estimate and the singular test from
 them; both serve the dense Toeplitz route here, where one ``gesv`` call
 gives x and y, and ``fullsolver``'s GMRES route, which solves for x and y
-beside the load.  On the dense route the caller's right-hand side, given
-to ``lu_factor``, rides in that ``gesv`` call as one more column (two,
-for the real and imaginary parts of a complex b with a real matrix), so
-a Toeplitz solve factors A once and its solution still comes from
-LAPACK's LU, never from the formula.  Any other matrix
-is probed through ``gesv`` with A and A^H, which factors it again on
-each probe, and is solved after the estimate, one single-column ``gesv``
-per real or imaginary part.  Measured with OpenBLAS 0.3.31, a one-column
+by GMRES and then its load with the A^{-1} probe.  On the dense route the
+caller's right-hand side, given to ``lu_factor``, rides in that ``gesv``
+call as one more column (two, for the real and imaginary parts of a
+complex b with a real matrix), so a Toeplitz solve factors A once and its
+solution still comes from LAPACK's LU, never from the formula.  Any other
+matrix is probed through ``gesv`` with A and A^H, which factors it again
+on each probe, and is solved after the estimate, one single-column
+``gesv`` per real or imaginary part.  Measured with OpenBLAS 0.3.31, a one-column
 and a multi-column ``gesv`` differ in the last bits (real matrices at 1
 BLAS thread, real and complex at 2), while any two multi-column counts
 agree: so the extra columns leave x, y and the estimate unchanged, and
@@ -45,10 +45,12 @@ both routes solve a real-valued complex b in the bits of a real one.
 The caller's matrix may be a read-only strided view, such as the Toeplitz
 view of a 2n - 1 profile that ``fullsolver`` passes: ``gesv`` copies any
 layout into LAPACK's own buffer, with the same bits as from a contiguous
-copy.  A Toeplitz matrix is checked for finite and for real values, and
-its 1-norm taken, from its 2n - 1 generators in O(n), so its solve makes
-no n x n array besides LAPACK's copy.  Any other matrix is checked entry
-by entry, and its 1-norm costs one n x n temporary.
+copy.  Such a view, with strides (s, -s), is known to be Toeplitz in
+O(1); any other layout is compared entry by entry.  A Toeplitz matrix is
+checked for finite and for real values, and its 1-norm taken, from its
+2n - 1 generators in O(n), so its solve makes no n x n array besides
+LAPACK's copy.  Any other matrix is checked entry by entry, and its
+1-norm summed a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ import numpy as np
 
 _RCOND_MIN = 1e-13
 _HAGER_MAX_SWEEPS = 6
+# Elements of |A| that ``_norm1`` holds at once (256 KiB).
+_NORM1_BLOCK = 1 << 15
 
 # Largest array, in elements, that any route allocates, each checking its
 # own where it allocates it: n <= 4096 for an n x n matrix (256 MiB complex).
@@ -169,10 +173,11 @@ def lu_factor(a: np.ndarray, rhs: np.ndarray | None = None) -> LUFactorization:
 
     ``a`` may be any array or view.  It is never written, and copied only
     to convert a scalar type other than float64 and complex128.  A
-    Toeplitz matrix (``a[1:, 1:] == a[:-1, :-1]``) is checked for
-    nonfinite entries, tested for nonzero imaginary parts and normed from
-    its 2n - 1 generators, its first column and row; any other from all
-    of its entries.  A nonfinite entry raises ValueError before LAPACK runs.
+    Toeplitz matrix (a view with strides (s, -s), or
+    ``a[1:, 1:] == a[:-1, :-1]``) is checked for nonfinite entries, tested
+    for nonzero imaginary parts and normed from its 2n - 1 generators, its
+    first column and row; any other from all of its entries.  A nonfinite
+    entry raises ValueError before LAPACK runs.
 
     Given ``rhs``, the result also carries ``solution`` = A^{-1} rhs, solved
     by LAPACK's LU in the ``gesv`` call that gives the Toeplitz generators,
@@ -191,7 +196,11 @@ def lu_factor(a: np.ndarray, rhs: np.ndarray | None = None) -> LUFactorization:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    toeplitz = a.size > 0 and np.array_equal(a[1:, 1:], a[:-1, :-1])
+    # A view with strides (s, -s), as ``characteristic._toeplitz_view`` makes,
+    # holds a[i, j] at offset (i - j) s: Toeplitz with no n^2 comparison.
+    toeplitz = a.size > 0 and (
+        a.strides[0] == -a.strides[1] or np.array_equal(a[1:, 1:], a[:-1, :-1])
+    )
     # A Toeplitz matrix is checked and normed from its 2n - 1 generators
     # p[i - j + n - 1] = a[i, j]; any other matrix from all its entries.
     entries = np.concatenate((a[:0:-1, 0], a[0])) if toeplitz else a
@@ -206,10 +215,7 @@ def lu_factor(a: np.ndarray, rhs: np.ndarray | None = None) -> LUFactorization:
     columns = () if rhs is None else fact._columns(rhs)
     probes, solved = _toeplitz_probes(matrix, columns) if toeplitz else (None, None)
     probes = probes or (fact.solve, fact.solve_adjoint)
-    if toeplitz:
-        norm1 = _toeplitz_norm1(entries)
-    else:
-        norm1 = float(np.max(np.abs(matrix).sum(axis=0), initial=0.0))
+    norm1 = _toeplitz_norm1(entries) if toeplitz else _norm1(matrix)
     fact.condition = _checked_condition(norm1, fact.n, matrix.dtype, *probes)
     if rhs is not None:
         fact.solution = fact.solve(rhs) if solved is None else _join(solved)
@@ -230,6 +236,23 @@ def condition_estimate_1norm(fact: LUFactorization) -> float:
     factor of 10 of the true value.
     """
     return fact.condition
+
+
+def _norm1(a: np.ndarray) -> float:
+    # ||A||_1, max over columns of sum |a_ij|, a block of rows at a time:
+    # no n x n temporary.  The running sum joins each block's first row, so
+    # every column adds its rows in order, as ``np.abs(a).sum(axis=0)`` does
+    # for a C-ordered a, with the same bits.
+    rows, cols = a.shape
+    step = max(1, _NORM1_BLOCK // max(cols, 1))
+    block = np.empty((min(step, rows), cols))
+    total = np.zeros(cols)
+    for start in range(0, rows, step):
+        part = block[: min(step, rows - start)]
+        np.abs(a[start : start + step], out=part)
+        part[0] += total
+        part.sum(axis=0, out=total)
+    return float(np.max(total, initial=0.0))
 
 
 def _toeplitz_norm1(profile: np.ndarray) -> float:

@@ -370,9 +370,10 @@ def test_gmres_route_matches_dense_route(problem, monkeypatch):
 
 
 def test_gmres_route_keeps_real_arithmetic_and_bits():
-    # A real problem returns float64.  A complex load is two real solves in
-    # lockstep: its real and imaginary parts keep the bits of the real
-    # solves, and a real-valued complex load is the real solve bit for bit.
+    # A real problem returns float64.  A complex load is two real solves,
+    # one probe product each: its real and imaginary parts keep the bits of
+    # the real solves, and a real-valued complex load is the real solve bit
+    # for bit.
     mesh = make_mesh(-1.0, 1.0, N0)
     kernel = polynomial_kernel(3.0)
 
@@ -436,6 +437,69 @@ def test_gmres_route_refuses_bad_load_and_kernel():
         assert abs(info.value.x - info.value.t) < 0.01
 
 
+@pytest.mark.parametrize("problem", [
+    pytest.param(lambda: screen_problem(ScreenParams(k=2.5, a=1.0), N0), id="screen"),
+    pytest.param(lambda: benchmark_problem(N0, polynomial_kernel(3.0)), id="real"),
+    pytest.param(lambda: dataclasses.replace(
+        benchmark_problem(N0, polynomial_kernel(3.0)),
+        rhs=RightHandSide(fprime=lambda x: np.exp(1j * np.asarray(x))),
+    ), id="real-complex-load"),
+])
+def test_gmres_runs_only_the_two_generator_rows(problem, monkeypatch):
+    # GMRES solves for e_0 and e_{n-1} alone; the load comes from the
+    # Gohberg-Semencul probe of their solutions, within 1e-12 of LAPACK.
+    problem = problem()
+    want, _ = dense_route(problem)
+    rows = []
+    gmres = fullsolver._gmres
+
+    def counted(operator, rhs):
+        rows.append(rhs.shape[0])
+        return gmres(operator, rhs)
+
+    monkeypatch.setattr(fullsolver, "_gmres", counted)
+    calls = count_lu_factor(monkeypatch)
+    got = solve_full(problem)
+    assert rows == [2] and calls == []
+    assert got.values.dtype == want.dtype
+    assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_load_failing_backward_error_falls_back_bit_for_bit(monkeypatch, caplog):
+    # A load whose backward error exceeds _GMRES_TOL, here from a probe that
+    # perturbs its output by 1e-10, is solved by the dense route instead.
+    problem = screen_problem(ScreenParams(k=2.5, a=1.0), N0)
+    monkeypatch.setattr(fullsolver, "_GMRES_MIN_N", N0 + 1)
+    dense = solve_full(problem)
+    monkeypatch.setattr(fullsolver, "_GMRES_MIN_N", N0)
+    builder = fullsolver._gohberg_semencul
+
+    def perturbed(x, y):
+        inverse, inverse_adjoint = builder(x, y)
+        return (lambda r: inverse(r) * (1.0 + 1e-10)), inverse_adjoint
+
+    monkeypatch.setattr(fullsolver, "_gohberg_semencul", perturbed)
+    calls = count_lu_factor(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="hypersing.fullsolver"):
+        fallen = solve_full(problem)
+    assert calls == [N0]
+    assert np.array_equal(fallen.values, dense.values)
+    assert fallen.condition == dense.condition
+    messages = [record.getMessage() for record in caplog.records]
+    assert messages == [f"GMRES route at n={N0} gave no answer", f"dense route at n={N0}"]
+
+
+def test_gmres_route_solves_zero_load_by_zero(monkeypatch):
+    # ||b||_1 = ||g||_1 = 0 reads as backward error 0, not 0/0.
+    problem = dataclasses.replace(
+        benchmark_problem(N0, polynomial_kernel(3.0)), rhs=RightHandSide(fprime=lambda x: 0.0)
+    )
+    calls = count_lu_factor(monkeypatch)
+    solution = solve_full(problem)
+    assert calls == []
+    assert not np.any(solution.values)
+
+
 @pytest.mark.parametrize("n", [80, N0 - 1])
 def test_screen_below_threshold_stays_on_one_dense_factorization(n, monkeypatch):
     calls = count_lu_factor(monkeypatch)
@@ -450,10 +514,11 @@ def test_gmres_route_logs_iterations_and_residual(caplog):
         logged = solve_full(problem)
     (record,) = caplog.records
     assert record.levelno == logging.DEBUG
-    n, iterations, residual = record.args
+    n, iterations, residual, backward = record.args
     assert record.getMessage().startswith(f"GMRES route at n={N0}: {iterations} iterations")
     assert n == N0 and 0 < iterations <= fullsolver._GMRES_MAX_ITER
     assert residual <= fullsolver._GMRES_TOL
+    assert 0.0 <= backward <= fullsolver._GMRES_TOL
     assert np.array_equal(logged.values, quiet.values)
     assert logged.condition == quiet.condition
 

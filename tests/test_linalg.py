@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +18,11 @@ from hypersing import (
     solve,
 )
 from hypersing.analytic import _load_values
+from hypersing.characteristic import _singular_profile, _toeplitz_view
+from hypersing.fullsolver import _kernel_table
 from hypersing.linalg import (
     MAX_DENSE_ELEMENTS,
+    _norm1,
     _toeplitz_norm1,
     _toeplitz_probes,
     check_dense_size,
@@ -280,6 +284,62 @@ def test_toeplitz_view_factors_like_its_copy(kind, gesv_columns, monkeypatch):
     assert np.shares_memory(got.matrix, profile)
     assert np.array_equal(got.solution, want.solution)
     assert got.condition == pytest.approx(want.condition, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [80, 399])
+def test_strided_toeplitz_view_skips_the_comparison(n, monkeypatch):
+    # The screen's matrix as the dense solve passes it, a view with strides
+    # (s, -s), is known Toeplitz without the n^2 comparison, and gives the
+    # bits of its contiguous copy, which the comparison finds Toeplitz.
+    problem = screen_problem(ScreenParams(k=2.5, a=1.0), n)
+    view = _toeplitz_view(_singular_profile(problem.mesh) + _kernel_table(problem))
+    assert view.strides[0] == -view.strides[1]
+    b = _load_values(problem.rhs.fprime, problem.mesh.colloc, "right-hand side")
+    compared = []
+    array_equal = np.array_equal
+
+    def counted(*args, **kwargs):
+        compared.append(args[0].shape)
+        return array_equal(*args, **kwargs)
+
+    monkeypatch.setattr(np, "array_equal", counted)
+    got = lu_factor(view, b)
+    assert compared == []
+    want = lu_factor(view.copy(), b)
+    assert compared == [(n - 1, n - 1)]
+    assert np.array_equal(got.solution, want.solution)
+    assert got.condition == want.condition
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (400, 400), (700, 90)])
+def test_general_norm1_sums_rows_in_order(shape):
+    # The blocked 1-norm of a C-ordered matrix is np.abs(a).sum(axis=0).max()
+    # bit for bit, over magnitudes from 1e-30 to 1e30.
+    rng = np.random.default_rng(shape[0])
+    a = rng.standard_normal(shape) * np.exp(rng.uniform(-69.0, 69.0, shape))
+    for m in (a, a + 1j * rng.standard_normal(shape)):
+        assert _norm1(m) == float(np.abs(m).sum(axis=0).max())
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_general_matrix_factors_without_an_n_by_n_temporary(kind):
+    # A general matrix is checked, normed and solved with numpy temporaries
+    # of at most half a real n x n array (|A| whole was one); LAPACK's copy
+    # is not a numpy allocation.
+    n = 400
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((n, n)) + n * np.eye(n)
+    if kind == "complex":
+        a = a + 1j * rng.standard_normal((n, n))
+    b = rng.standard_normal(n)
+    lu_factor(a, b)
+    tracemalloc.start()
+    try:
+        lu_factor(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * np.dtype(float).itemsize // 2
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1j * np.inf])
