@@ -79,16 +79,22 @@ class RegularKernel:
     distinct differences a uniform mesh produces.  A general kernel is
     given by ``eval(x, t)``, which must broadcast over numpy arrays.
     ``k1``, when present, is an antiderivative of the kernel in its first
-    argument.
+    argument.  ``even`` declares K0(-d) = K0(d) for a difference kernel;
+    on the mirror-symmetric Gauss-Chebyshev grids K0(x_i - t_j) then equals
+    K0(x_{m-1-i} - t_{m-j}), and ``solve_spectral`` evaluates half the
+    table.  Declaring it without ``profile_batch`` raises ValueError.
     """
 
     eval: Optional[Callable] = None
     k1: Optional[Callable] = None
     profile_batch: Optional[Callable] = None
+    even: bool = False
 
     def __post_init__(self) -> None:
         if self.profile_batch is not None:
             self.eval = self._difference_eval
+        elif self.even:
+            raise ValueError("even=True needs profile_batch: only a difference kernel is even")
         elif self.eval is None:
             raise ValueError("a kernel needs profile_batch or eval")
 
@@ -216,7 +222,10 @@ def kernel_from_symbol(
     K0(x - t) = (1/pi) int_0^quad_cap L0(s) cos(s (x-t)) ds, with the
     discarded tail bounded through the stated decay rate; the bound must
     not exceed ``tol``.  An even remainder is assumed, which is what a
-    real symmetric kernel produces.
+    real symmetric kernel produces; the profile is evaluated at |d| and
+    the kernel is declared ``even``, so on the spectral oracle's mirrored
+    grids K0(x_i - t_j) = K0(x_{m-1-i} - t_{m-j}) and half the table is
+    evaluated.
     """
     if quad_cap <= 0:
         raise ValueError(f"truncation frequency must be positive, got {quad_cap}")
@@ -244,7 +253,7 @@ def kernel_from_symbol(
             )
         return out / np.pi
 
-    return RegularKernel(profile_batch=profile_batch)
+    return RegularKernel(profile_batch=profile_batch, even=True)
 
 
 def _two_product(a, b):
@@ -370,10 +379,13 @@ def acoustic_kernel(params: ScreenParams) -> RegularKernel:
     z alone, whatever k and whatever else is in the batch, and a batch
     calls only the branches its points need.  Against 50-digit mpmath over
     |d| in [1e-6, 2] and k from 1e-3 to 1e4 the measured relative error is
-    at most 2.9e-15, in the band [16, 25).  The kernel is even, complex
-    valued, and logarithmically singular at d = 0, where evaluation raises
-    ValueError; a NaN or infinite difference gives NaN.  Interleaved
-    meshes never request the diagonal.
+    at most 2.9e-15, in the band [16, 25).  The kernel is even: it is
+    evaluated at |d| and declared ``even``, so on the spectral oracle's
+    mirrored grids K0(x_i - t_j) = K0(x_{m-1-i} - t_{m-j}) and half the
+    table is evaluated.  It is complex valued and logarithmically
+    singular at d = 0, where evaluation raises ValueError; a NaN or
+    infinite difference gives NaN.  Interleaved meshes never request the
+    diagonal.
     """
     k = params.k
 
@@ -385,7 +397,7 @@ def acoustic_kernel(params: ScreenParams) -> RegularKernel:
         out *= 0.5 * k / dd
         return out
 
-    return RegularKernel(profile_batch=profile_batch)
+    return RegularKernel(profile_batch=profile_batch, even=True)
 
 
 def normalize_to_canonical(
@@ -394,8 +406,9 @@ def normalize_to_canonical(
     """Rescale an equation so its 1/(x-t)^2 part has unit coefficient.
 
     Given the equation  coefficient * int g/(x-t)^2 + int K0 g = f', both
-    the kernel and the right-hand side are divided by ``coefficient``.
-    Raises ValueError when the singular coefficient is zero.
+    the kernel and the right-hand side are divided by ``coefficient``; the
+    scaled kernel keeps ``even``.  Raises ValueError when the singular
+    coefficient is zero.
     """
     if coefficient == 0:
         raise ValueError("singular-part coefficient must be nonzero")
@@ -408,6 +421,7 @@ def normalize_to_canonical(
         eval=None if kernel.profile_batch is not None else scaled(kernel.eval),
         k1=scaled(kernel.k1),
         profile_batch=scaled(kernel.profile_batch),
+        even=kernel.even,
     )
     return RightHandSide(fprime=scaled(rhs.fprime), f=scaled(rhs.f)), scaled_kernel
 

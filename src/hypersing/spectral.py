@@ -15,6 +15,13 @@ kernel is never asked for its (possibly singular) diagonal value.  The
 kernel table and the load go through the collocation solver's checks, so
 a failure names its (x, t) pair or point; the two share no arithmetic.
 
+Both grids are symmetric about 0, x_{m-1-i} = -x_i and t_{m-j} = -t_j,
+and U_j(-x) = (-1)^j U_j(x) (Mason & Handscomb, Chebyshev Polynomials,
+2003).  For an even kernel the table is therefore centro-symmetric: the
+mirror of row i adds (-1)^(a+b) times row i's share to k_ab, so the
+moments come from the first ceil(m/2) rows, counted twice when their
+mirror is not among them, with the entries of odd a + b set to zero.
+
 Problems on a general interval are mapped affinely onto (-1, 1); the
 kernel picks up the squared half-width and the right-hand side one factor
 of it.
@@ -155,8 +162,14 @@ def solve_spectral(
 
     ``kernel`` is a RegularKernel or None for the characteristic equation;
     ``mquad`` fixes the tensor quadrature resolution and must be at least
-    2N.  Returns the expansion on the requested interval.  Raises
-    SingularMatrixError if the truncated system degenerates, and
+    2N.  A kernel declared ``even`` is evaluated on the x rows
+    i < ceil(mquad/2) only: as K0(x_i - t_j) = K0(x_{m-1-i} - t_{m-j}) and
+    U_j(-x) = (-1)^j U_j(x), the moments are P * (ux_w @ table @ ut.T),
+    with ux_w the weighted U rows doubled where the mirror row is not
+    evaluated and P[a, b] = 1 for even a + b, else 0.  Any other kernel
+    takes the same product over all rows with factor 1 and P = 1, which
+    keeps its bits.  Returns the expansion on the requested interval.
+    Raises SingularMatrixError if the truncated system degenerates, and
     ValueError naming N or mquad when it is not an integer, for a nonfinite
     or empty interval, or before any allocation if the mquad x (mquad + 1)
     kernel table is above ``linalg.MAX_DENSE_ELEMENTS``; a nonfinite load
@@ -185,8 +198,15 @@ def solve_spectral(
     if kernel is None:
         k_moments = 0.0
     else:
-        table = _grid_table(kernel, x_phys, center + radius * xi_t)
-        k_moments = ux @ (radius * radius * table) @ ut.T
+        rows = (mquad + 1) // 2 if kernel.even else mquad
+        table = _grid_table(kernel, x_phys[:rows], center + radius * xi_t)
+        fold = np.where(np.arange(rows) < mquad - rows, 2.0, 1.0)
+        parity = np.add.outer(np.arange(N), np.arange(N)) % 2 == 0
+        k_moments = np.where(
+            parity | (not kernel.even),
+            (ux[:, :rows] * fold) @ (radius * radius * table) @ ut.T,
+            0.0,
+        )
 
     orders = np.arange(1, N + 1)
     matrix = np.diag(-orders * (np.pi**2 / 2.0)) + k_moments

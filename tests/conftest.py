@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hypersing import (
+    FourierSymbol,
     RightHandSide,
     ScreenParams,
     screen_problem,
@@ -20,6 +21,16 @@ def const_pi_rhs() -> RightHandSide:
     return RightHandSide(
         fprime=lambda x: -np.pi * np.ones_like(np.asarray(x, dtype=float)),
         f=lambda x: -np.pi * np.asarray(x, dtype=float),
+    )
+
+
+def gaussian_symbol() -> FourierSymbol:
+    """L(s) = |s| + exp(-s^2), whose regular kernel is exp(-d^2/4) / (2 sqrt(pi))."""
+    return FourierSymbol(
+        L=lambda s: np.abs(s) + np.exp(-np.asarray(s, dtype=float) ** 2),
+        A=1.0,
+        L0=lambda s: np.exp(-np.asarray(s, dtype=float) ** 2),
+        decay=3.0,
     )
 
 

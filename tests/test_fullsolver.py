@@ -184,6 +184,27 @@ def test_batch_kernel_failure_probes_differences_not_pairs():
     assert not eval_calls
 
 
+@pytest.mark.parametrize("failing, match", [
+    pytest.param(lambda d: np.where(np.abs(d) < 0.1, np.nan, np.abs(d)), "nonfinite", id="nan"),
+    pytest.param(None, "too close", id="raising"),
+])
+def test_even_kernel_failure_located_on_the_oracle_half_table(failing, match):
+    # The oracle evaluates an even kernel on half its x rows; a failure is
+    # still located at a pair of its two grids.
+    calls = []
+
+    def batch(d):
+        calls.append(1)
+        d = np.abs(np.atleast_1d(np.asarray(d, dtype=float)))
+        if failing is not None:
+            return failing(d)
+        if np.any(d < 0.1):
+            raise ValueError("too close")
+        return d
+
+    assert_spectral_reports_pair(RegularKernel(profile_batch=batch, even=True), calls, match)
+
+
 def test_general_kernel_failure_located_in_linear_calls():
     # A vectorized eval that raises somewhere in the n x n table is located
     # a row at a time and then within the failing row, not pair by pair.

@@ -24,6 +24,7 @@ from hypersing import (
     zero_kernel,
 )
 from hypersing.analytic import RightHandSide
+from tests.conftest import gaussian_symbol
 
 
 def screen_kernel_closed_form(d, k):
@@ -75,15 +76,6 @@ def test_convolution_shift_invariance(kernel_factory):
             t += 0.1
         c = rng.uniform(-1.0, 1.0)
         assert abs(kernel.eval(x + c, t + c) - kernel.eval(x, t)) <= 1e-10
-
-
-def gaussian_symbol() -> FourierSymbol:
-    return FourierSymbol(
-        L=lambda s: np.abs(s) + np.exp(-np.asarray(s, dtype=float) ** 2),
-        A=1.0,
-        L0=lambda s: np.exp(-np.asarray(s, dtype=float) ** 2),
-        decay=3.0,
-    )
 
 
 def test_symbol_kernel_zero_remainder_gives_zero():
@@ -309,6 +301,22 @@ def test_normalize_to_canonical_identity_and_zero():
     assert kernel.eval(0.5, 0.2) == pytest.approx(polynomial_kernel(2.0).eval(0.5, 0.2))
     with pytest.raises(ValueError, match="nonzero"):
         normalize_to_canonical(0.0, raw, zero_kernel())
+
+
+def test_even_declaration():
+    # The closed-form and symbol kernels are even and say so; the linear
+    # kernel is odd.  Only a difference kernel can be declared even, and
+    # rescaling keeps the declaration.
+    assert acoustic_kernel(ScreenParams(k=1.5, a=1.0)).even
+    assert kernel_from_symbol(gaussian_symbol(), 10.0, tol=1e-6).even
+    assert not polynomial_kernel(2.0).even
+    with pytest.raises(ValueError, match="even"):
+        RegularKernel(eval=lambda x, t: np.asarray(x) - np.asarray(t), even=True)
+    raw = RightHandSide(fprime=lambda x: np.ones_like(np.asarray(x, dtype=float)))
+    for kernel in (acoustic_kernel(ScreenParams(k=1.5, a=1.0)), polynomial_kernel(2.0)):
+        _, scaled = normalize_to_canonical(-2.0, raw, kernel)
+        assert scaled.even == kernel.even
+    assert screen_problem(ScreenParams(k=1.5, a=1.0), 8).kernel.even
 
 
 def test_parameter_validation():

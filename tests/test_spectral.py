@@ -1,18 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hypersing import (
     ChebyshevSolution,
     RightHandSide,
+    ScreenParams,
     chebyshev_U,
     full_example_exact,
     invert_characteristic,
+    kernel_from_symbol,
     polynomial_kernel,
+    screen_problem,
     solve_spectral,
     zero_kernel,
 )
+from hypersing import spectral
 from hypersing.quadrature import gauss_chebyshev2
-from tests.conftest import const_pi_rhs, unit_semicircle
+from tests.conftest import const_pi_rhs, gaussian_symbol, unit_semicircle
 
 
 def test_second_kind_polynomial_values():
@@ -172,3 +178,87 @@ def test_oversized_kernel_table_refused_before_allocation():
     with pytest.raises(ValueError, match="mquad=4096 needs a 4096 x 4097 dense array"):
         solve_spectral(None, const_pi_rhs(), 2, 4096)
     assert solve_spectral(None, const_pi_rhs(), 2, 4095).coeffs.shape == (2,)
+
+
+def screen_case(k: float):
+    problem = screen_problem(ScreenParams(k=k, a=1.0), 8)
+    return problem.kernel, problem.rhs
+
+
+def symbol_case():
+    return kernel_from_symbol(gaussian_symbol(), 10.0, tol=1e-6), const_pi_rhs()
+
+
+EVEN_CASES = [
+    *(pytest.param(lambda k=k: screen_case(k), id=f"screen-k{k}") for k in (0.05, 0.5, 2.5, 10.0)),
+    pytest.param(symbol_case, id="symbol"),
+]
+
+
+@pytest.mark.parametrize("mquad", [128, 129])
+@pytest.mark.parametrize("case", EVEN_CASES)
+def test_even_kernel_half_table_matches_full_table(case, mquad):
+    # The mirror identity changes only rounding: the half table with
+    # doubled rows and the parity mask agrees with the full table.  An odd
+    # mquad has a middle row x = 0 that is its own mirror and counts once.
+    kernel, rhs = case()
+    assert kernel.even
+    full = dataclasses.replace(kernel, even=False)
+    half = solve_spectral(kernel, rhs, 32, mquad)
+    want = solve_spectral(full, rhs, 32, mquad)
+    scale = np.max(np.abs(want.coeffs))
+    assert np.max(np.abs(half.coeffs - want.coeffs)) <= 1e-13 * scale
+    nodes = np.linspace(-1.0, 1.0, 41)
+    assert np.max(np.abs(half(nodes) - want(nodes))) <= 1e-13 * np.max(np.abs(want(nodes)))
+
+
+@pytest.mark.parametrize("kernel", [
+    pytest.param(lambda: polynomial_kernel(3.0), id="odd"),
+    pytest.param(lambda: dataclasses.replace(screen_case(2.5)[0], even=False), id="undeclared"),
+])
+def test_full_table_moments_are_bitwise_reference(kernel, monkeypatch):
+    # A kernel not declared even takes all rows with factor 1 and no
+    # parity mask, so its Galerkin matrix is bit for bit the plain
+    # ux @ (r^2 table) @ ut.T of the tensor rule.
+    kernel = kernel()
+    N, mquad, (a, b) = 8, 40, (0.0, 3.0)
+    matrices = []
+    lu_factor = spectral.lu_factor
+
+    def recording(matrix, rhs):
+        matrices.append(matrix)
+        return lu_factor(matrix, rhs)
+
+    monkeypatch.setattr(spectral, "lu_factor", recording)
+    solve_spectral(kernel, const_pi_rhs(), N, mquad, interval=(a, b))
+    center, radius = 0.5 * (a + b), 0.5 * (b - a)
+    xi_x, w_x = gauss_chebyshev2(mquad)
+    xi_t, w_t = gauss_chebyshev2(mquad + 1)
+    ux = np.array([chebyshev_U(j, xi_x) for j in range(N)]) * w_x
+    ut = np.array([chebyshev_U(j, xi_t) for j in range(N)]) * w_t
+    table = kernel.eval((center + radius * xi_x)[:, None], center + radius * xi_t)
+    moments = ux @ (radius * radius * table) @ ut.T
+    orders = np.arange(1, N + 1)
+    assert np.array_equal(matrices[0], np.diag(-orders * (np.pi**2 / 2.0)) + moments)
+
+
+@pytest.mark.parametrize("mquad", [128, 129])
+@pytest.mark.parametrize("kernel, even", [
+    pytest.param(lambda: screen_case(2.5)[0], True, id="screen"),
+    pytest.param(lambda: symbol_case()[0], True, id="symbol"),
+    pytest.param(lambda: polynomial_kernel(3.0), False, id="odd"),
+    pytest.param(lambda: dataclasses.replace(screen_case(2.5)[0], even=False), False,
+                 id="undeclared"),
+])
+def test_even_kernel_asked_for_half_the_differences(kernel, even, mquad):
+    kernel = kernel()
+    sizes = []
+    batch = kernel.profile_batch
+
+    def counted(d):
+        sizes.append(np.size(d))
+        return batch(d)
+
+    solve_spectral(dataclasses.replace(kernel, profile_batch=counted), const_pi_rhs(), 16, mquad)
+    rows = -(-mquad // 2) if even else mquad
+    assert sum(sizes) == rows * (mquad + 1)
