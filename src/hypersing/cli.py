@@ -51,6 +51,11 @@ _LIBRARY_ERRORS = (QuadratureConvergenceError, KernelEvaluationError, ValueError
 # alive at a time, not those of the whole table.
 _ROWS_PER_BLOCK = 16384
 
+_MQUAD_HELP = (
+    "oracle quadrature nodes, at least 2N (default 2N: the screen kernel's "
+    "logarithm is integrated exactly, so the oracle is converged there)"
+)
+
 # The constant load -pi of the characteristic and linear-kernel benchmarks.
 _PI_LOAD = RightHandSide(
     fprime=lambda x: -np.pi * np.ones_like(np.asarray(x, dtype=float)),
@@ -114,9 +119,8 @@ def _run_crack(args: argparse.Namespace):
 def _against_oracle(args: argparse.Namespace, problem: FullProblem, interval):
     # Collocation before the oracle: perfbench pins the kernel batches in this order.
     solution = solve_full(problem)
-    oracle = solve_spectral(
-        problem.kernel, problem.rhs, args.N, args.mquad, interval=interval
-    )
+    mquad = 2 * args.N if args.mquad is None else args.mquad
+    oracle = solve_spectral(problem.kernel, problem.rhs, args.N, mquad, interval=interval)
     nodes = solution.nodes
     return nodes, solution(nodes), oracle(nodes), solution.condition
 
@@ -247,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=1.0, help="screen half-length")
     p.add_argument("--n", type=int, default=80)
     p.add_argument("--N", type=int, default=32, help="oracle expansion terms")
-    p.add_argument("--mquad", type=int, default=128, help="oracle quadrature nodes")
+    p.add_argument("--mquad", type=int, default=None, help=_MQUAD_HELP)
     p.add_argument("--normalize", action="store_true",
                    help="divide values by -pi*i*k; as k -> 0 these tend to "
                    "sqrt(a^2-x^2)/pi, i.e. sqrt(1-x^2)/pi for a=1")
@@ -268,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--A", type=float, default=3.0)
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--n", type=int, default=80)
-    p.add_argument("--N", type=int, default=32)
-    p.add_argument("--mquad", type=int, default=128)
+    p.add_argument("--N", type=int, default=32, help="oracle expansion terms")
+    p.add_argument("--mquad", type=int, default=None, help=_MQUAD_HELP)
     _add_output_flags(p)
 
     return parser

@@ -82,19 +82,28 @@ class RegularKernel:
     argument.  ``even`` declares K0(-d) = K0(d) for a difference kernel;
     on the mirror-symmetric Gauss-Chebyshev grids K0(x_i - t_j) then equals
     K0(x_{m-1-i} - t_{m-j}), and ``solve_spectral`` evaluates half the
-    table.  Declaring it without ``profile_batch`` raises ValueError.
+    table.  ``log_coefficient`` declares a logarithmic difference kernel
+    K0(d) = S(d) ln|d| + R(d) with S and R smooth: it maps an array of K0
+    values to S at the same differences, so S costs no evaluation of its
+    own, and ``solve_spectral`` then integrates the logarithm exactly.
+    Declaring either without ``profile_batch`` raises ValueError.
     """
 
     eval: Optional[Callable] = None
     k1: Optional[Callable] = None
     profile_batch: Optional[Callable] = None
     even: bool = False
+    log_coefficient: Optional[Callable] = None
 
     def __post_init__(self) -> None:
         if self.profile_batch is not None:
             self.eval = self._difference_eval
         elif self.even:
             raise ValueError("even=True needs profile_batch: only a difference kernel is even")
+        elif self.log_coefficient is not None:
+            raise ValueError(
+                "log_coefficient needs profile_batch: only a difference kernel declares it"
+            )
         elif self.eval is None:
             raise ValueError("a kernel needs profile_batch or eval")
 
@@ -385,7 +394,10 @@ def acoustic_kernel(params: ScreenParams) -> RegularKernel:
     table is evaluated.  It is complex valued and logarithmically
     singular at d = 0, where evaluation raises ValueError; a NaN or
     infinite difference gives NaN.  Interleaved meshes never request the
-    diagonal.
+    diagonal.  As Y1~(z) is (2/pi) J1(z) ln(z/2) plus z times a power
+    series in z^2 (A&S 9.1.11), K0(d) = S(d) ln|d| + R(d) with
+    S(d) = (k/(pi|d|)) J1(k|d|) and R entire; for real k, S = -(2/pi) Im K0,
+    which the kernel declares as its ``log_coefficient``.
     """
     k = params.k
 
@@ -397,7 +409,11 @@ def acoustic_kernel(params: ScreenParams) -> RegularKernel:
         out *= 0.5 * k / dd
         return out
 
-    return RegularKernel(profile_batch=profile_batch, even=True)
+    return RegularKernel(
+        profile_batch=profile_batch,
+        even=True,
+        log_coefficient=lambda values: (-2.0 / np.pi) * np.imag(values),
+    )
 
 
 def normalize_to_canonical(
@@ -407,8 +423,9 @@ def normalize_to_canonical(
 
     Given the equation  coefficient * int g/(x-t)^2 + int K0 g = f', both
     the kernel and the right-hand side are divided by ``coefficient``; the
-    scaled kernel keeps ``even``.  Raises ValueError when the singular
-    coefficient is zero.
+    scaled kernel keeps ``even``, and its ``log_coefficient`` maps the scaled
+    values v to factor * S(v / factor), factor = 1/coefficient.  Raises
+    ValueError when the singular coefficient is zero.
     """
     if coefficient == 0:
         raise ValueError("singular-part coefficient must be nonzero")
@@ -417,11 +434,15 @@ def normalize_to_canonical(
     def scaled(fn):
         return None if fn is None else (lambda *args: factor * np.asarray(fn(*args)))
 
+    log_coefficient = kernel.log_coefficient
     scaled_kernel = RegularKernel(
         eval=None if kernel.profile_batch is not None else scaled(kernel.eval),
         k1=scaled(kernel.k1),
         profile_batch=scaled(kernel.profile_batch),
         even=kernel.even,
+        log_coefficient=None if log_coefficient is None else (
+            lambda values: factor * np.asarray(log_coefficient(values / factor))
+        ),
     )
     return RightHandSide(fprime=scaled(rhs.fprime), f=scaled(rhs.f)), scaled_kernel
 

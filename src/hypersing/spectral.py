@@ -8,14 +8,25 @@ weighted family turns the equation into the dense system
     -(i+1) (pi^2/2) c_i + sum_j k_ij c_j = f_i,
 
 where k_ij is the double weighted moment of the regular kernel and f_i
-the weighted moment of the right-hand side.  All moments are computed by
-Gauss-Chebyshev quadrature with the weight built into the rule; the x and
-t tensor grids deliberately use different node counts so a convolution
-kernel is never asked for its (possibly singular) diagonal value.  The
-kernel table and the load go through the collocation solver's checks, so
-a failure names its (x, t) pair or point; the two share no arithmetic.
+the weighted moment of the right-hand side.  The x integrals use the
+mquad-point Gauss-Chebyshev rule of the second kind.  A smooth kernel's t
+integral uses the second-kind rule on mquad + 1 nodes, so a convolution
+kernel is never asked for its diagonal value.  A kernel that declares
+K0(d) = S(d) ln|d| + R(d) takes its t integral on the mquad + 1 nodes of
+the first kind instead, which never meet the x nodes either: R by the
+plain rule, and S ln|x - t| by product integration (Mason & Handscomb,
+ch. 9; Atkinson, The Numerical Solution of Integral Equations of the
+Second Kind, 1997, sec. 4.2).  S(x - t) (1 - t^2) U_j(t) is
+interpolated in T_n(t) at the nodes, and
 
-Both grids are symmetric about 0, x_{m-1-i} = -x_i and t_{m-j} = -t_j,
+    int ln|x - t| T_n(t) / sqrt(1 - t^2) dt = -(pi/n) T_n(x),  n >= 1,
+
+with -pi ln 2 for n = 0, so the logarithm is integrated exactly and the
+oracle converges spectrally at mquad = 2N.  The kernel table and the load
+go through the collocation solver's checks, so a failure names its
+(x, t) pair or point; the two share no arithmetic.
+
+All grids are symmetric about 0, x_{m-1-i} = -x_i and t_{m-j} = -t_j,
 and U_j(-x) = (-1)^j U_j(x) (Mason & Handscomb, Chebyshev Polynomials,
 2003).  For an even kernel the table is therefore centro-symmetric: the
 mirror of row i adds (-1)^(a+b) times row i's share to k_ab, so the
@@ -38,9 +49,12 @@ from hypersing.analytic import RightHandSide, _load_values
 from hypersing.fullsolver import _grid_table
 from hypersing.linalg import check_dense_size, check_integer, lu_factor
 from hypersing.mesh import _checked_interval
-from hypersing.quadrature import gauss_chebyshev2
+from hypersing.quadrature import gauss_chebyshev1, gauss_chebyshev2
 
 _DOMAIN_SLACK = 1e-12
+
+# Table entries per block of rows in the product-integration correction.
+_LOG_BLOCK = 1 << 16
 
 
 def _u_matrix(count: int, x: np.ndarray) -> np.ndarray:
@@ -52,6 +66,12 @@ def _u_matrix(count: int, x: np.ndarray) -> np.ndarray:
     for j in range(2, count):
         out[j] = 2.0 * x * out[j - 1] - out[j - 2]
     return out
+
+
+def _sine_rows(count: int, angle: np.ndarray) -> np.ndarray:
+    """Rows sin((j+1) angle) = U_j(cos angle) sin(angle), j < count."""
+    rows = np.arange(1.0, count + 1.0)[:, None] * angle.ravel()
+    return np.sin(rows, out=rows)
 
 
 def chebyshev_U(j: int, x):
@@ -94,8 +114,10 @@ class ChebyshevSolution:
         xi = self._map(x)
         scalar = xi.ndim == 0
         xi = np.atleast_1d(xi)
-        series = self.coeffs @ _u_matrix(len(self.coeffs), xi)
-        out = np.sqrt(np.clip(1.0 - xi * xi, 0.0, None)) * series
+        # sqrt(1 - xi^2) U_j(xi) = sin((j+1) theta), xi = cos(theta); the
+        # ends are set to 0, as sin((j+1) arccos(-1)) rounds to nonzero.
+        series = self.coeffs @ _sine_rows(len(self.coeffs), np.arccos(xi))
+        out = np.where(np.abs(xi) < 1.0, series, 0.0)
         return out[0] if scalar else out
 
     def deriv(self, x):
@@ -151,6 +173,44 @@ class ChebyshevSolution:
         return cls(coeffs=coeffs, interval=(a, b))
 
 
+def _log_corrected_product(kernel, table, x, t, radius, ut):
+    """(table + S C) @ ut.T for a kernel declaring K0 = S ln|d| + R.
+
+    ``table`` holds K0(x_i - t_j) at x_i = c + r cos(theta_i),
+    theta_i = i pi/M, i = 1, 2, ..., and t_j = c + r cos(phi_j),
+    phi_j = (2j - 1) pi/(2M), j = 1 .. M, the first-kind nodes; ``ut``
+    carries the weight pi/M.  Product integration weights
+    S ln|xi - tau| by (pi/M) W_ij, with
+
+        W_ij = -ln 2 - g(theta_i - phi_j) - g(theta_i + phi_j),
+        g(a) = sum_{n=1}^{M-1} cos(n a)/n,
+
+    and R = K0 - S ln|d| by pi/M, so the entry is K0 + S C with
+    C = W + ln r - ln|x_i - t_j|: on the reference interval ln r moves into
+    R.  theta_i +- phi_j = p pi/(2M) for an odd integer p, so g is one 1-D
+    table over p mod 4M, the real part of one rfft of 1/n.  The log is
+    taken of the rounded difference the kernel saw, so it cancels K0's own
+    ln|d| exactly.  The correction is formed a block of rows at a time.
+    """
+    rows, m = table.shape
+    inverse = np.zeros(4 * m)
+    inverse[1:m] = 1.0 / np.arange(1, m)
+    g = np.fft.rfft(inverse).real
+    g = np.concatenate([g, g[-2:0:-1]])
+    j = np.arange(1, m + 1)
+    step = max(1, _LOG_BLOCK // m)
+    blocks = []
+    for lo in range(0, rows, step):
+        block = table[lo : lo + step]
+        i = np.arange(lo + 1, lo + len(block) + 1)[:, None]
+        correction = np.log(np.abs(x[lo : lo + step, None] - t))
+        correction += g[np.abs(2 * i - 2 * j + 1)]
+        correction += g[2 * i + 2 * j - 1]
+        np.subtract(np.log(0.5 * radius), correction, out=correction)
+        blocks.append((block + kernel.log_coefficient(block) * correction) @ ut.T)
+    return np.concatenate(blocks)
+
+
 def solve_spectral(
     kernel,
     rhs: RightHandSide,
@@ -161,14 +221,17 @@ def solve_spectral(
     """Solve the full equation by an N-term weighted Chebyshev expansion.
 
     ``kernel`` is a RegularKernel or None for the characteristic equation;
-    ``mquad`` fixes the tensor quadrature resolution and must be at least
-    2N.  A kernel declared ``even`` is evaluated on the x rows
-    i < ceil(mquad/2) only: as K0(x_i - t_j) = K0(x_{m-1-i} - t_{m-j}) and
+    ``mquad`` fixes the quadrature resolution and must be at least 2N.  A
+    kernel declared ``even`` is evaluated on the x rows i < ceil(mquad/2)
+    only: as K0(x_i - t_j) = K0(x_{m-1-i} - t_{m-j}) and
     U_j(-x) = (-1)^j U_j(x), the moments are P * (ux_w @ table @ ut.T),
     with ux_w the weighted U rows doubled where the mirror row is not
     evaluated and P[a, b] = 1 for even a + b, else 0.  Any other kernel
-    takes the same product over all rows with factor 1 and P = 1, which
-    keeps its bits.  Returns the expansion on the requested interval.
+    takes the same product over all rows with factor 1 and P = 1.  A kernel
+    declaring ``log_coefficient`` takes its t integral on the mquad + 1
+    first-kind nodes, its logarithm by product integration, and its U rows
+    as sin((j+1) angle); any other kernel keeps the second-kind tensor rule
+    bit for bit.  Returns the expansion on the requested interval.
     Raises SingularMatrixError if the truncated system degenerates, and
     ValueError naming N or mquad when it is not an integer, for a nonfinite
     or empty interval, or before any allocation if the mquad x (mquad + 1)
@@ -186,12 +249,22 @@ def solve_spectral(
     center = 0.5 * (a + b)
     radius = 0.5 * (b - a)
 
+    logarithmic = kernel is not None and kernel.log_coefficient is not None
     xi_x, w_x = gauss_chebyshev2(mquad)
-    xi_t, w_t = gauss_chebyshev2(mquad + 1)
-    ux = _u_matrix(N, xi_x) * w_x
-    ut = _u_matrix(N, xi_t) * w_t
+    if logarithmic:
+        # The nodes' angles, formed as in gauss_chebyshev2 and gauss_chebyshev1.
+        theta = np.arange(1, mquad + 1) * np.pi / (mquad + 1)
+        phi = (2 * np.arange(1, mquad + 2) - 1) * np.pi / (2 * (mquad + 1))
+        xi_t, w_t = gauss_chebyshev1(mquad + 1)
+        ux = (np.pi / (mquad + 1)) * np.sin(theta) * _sine_rows(N, theta)
+        ut = w_t * np.sin(phi) * _sine_rows(N, phi)
+    else:
+        xi_t, w_t = gauss_chebyshev2(mquad + 1)
+        ux = _u_matrix(N, xi_x) * w_x
+        ut = _u_matrix(N, xi_t) * w_t
 
     x_phys = center + radius * xi_x
+    t_phys = center + radius * xi_t
     fhat = radius * _load_values(rhs.fprime, x_phys, "right-hand side")
     f_moments = ux @ fhat
 
@@ -199,14 +272,15 @@ def solve_spectral(
         k_moments = 0.0
     else:
         rows = (mquad + 1) // 2 if kernel.even else mquad
-        table = _grid_table(kernel, x_phys[:rows], center + radius * xi_t)
+        table = _grid_table(kernel, x_phys[:rows], t_phys)
         fold = np.where(np.arange(rows) < mquad - rows, 2.0, 1.0)
         parity = np.add.outer(np.arange(N), np.arange(N)) % 2 == 0
-        k_moments = np.where(
-            parity | (not kernel.even),
-            (ux[:, :rows] * fold) @ (radius * radius * table) @ ut.T,
-            0.0,
-        )
+        if logarithmic:
+            product = _log_corrected_product(kernel, table, x_phys[:rows], t_phys, radius, ut)
+            moments = (ux[:, :rows] * fold) @ (radius * radius * product)
+        else:
+            moments = (ux[:, :rows] * fold) @ (radius * radius * table) @ ut.T
+        k_moments = np.where(parity | (not kernel.even), moments, 0.0)
 
     orders = np.arange(1, N + 1)
     matrix = np.diag(-orders * (np.pi**2 / 2.0)) + k_moments

@@ -119,6 +119,26 @@ def test_spectral_compare_screen_problem(tmp_path):
     assert screen.read_bytes() == compare.read_bytes()
 
 
+def test_oracle_quadrature_defaults_to_twice_the_terms(tmp_path):
+    # --mquad defaults to its floor 2N, also for an N given without it, and
+    # the oracle there is converged: a finer grid moves its columns by
+    # rounding only, and the collocation columns not at all.
+    tables = {}
+    for name, flags in (("default", []), ("explicit", ["--mquad", "64"]),
+                        ("n48", ["--N", "48"]), ("fine", ["--N", "48", "--mquad", "256"])):
+        out = tmp_path / f"{name}.csv"
+        assert main(["screen", "--k", "2.5", "--n", "16", *flags, "--out", str(out)]) == 0
+        tables[name] = out
+    assert tables["default"].read_bytes() == tables["explicit"].read_bytes()
+    _, coarse = read_table(tables["default"])
+    for name in ("n48", "fine"):
+        _, fine = read_table(tables[name])
+        assert np.array_equal(coarse[:, :3], fine[:, :3])
+        oracle = fine[:, 3] + 1j * fine[:, 4]
+        drift = np.abs(coarse[:, 3] + 1j * coarse[:, 4] - oracle)
+        assert np.max(drift) <= 1e-12 * np.max(np.abs(oracle))
+
+
 _EDGE = [-0.0, 5e-324, 1.7976931348623157e308, 1.0 / 3.0, np.inf, -np.inf]
 
 _REAL_HEADER = ["x", "numeric", "exact_or_oracle", "abs_error"]

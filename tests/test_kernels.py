@@ -2,6 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
+from scipy.special import j1 as scipy_j1
 
 from hypersing import (
     CrackParams,
@@ -317,6 +318,45 @@ def test_even_declaration():
         _, scaled = normalize_to_canonical(-2.0, raw, kernel)
         assert scaled.even == kernel.even
     assert screen_problem(ScreenParams(k=1.5, a=1.0), 8).kernel.even
+
+
+def screen_log_coefficient(d, k):
+    # S(d) = (k/(pi|d|)) J1(k|d|), the coefficient of ln|d| in the screen
+    # kernel, from scipy's J1.
+    d = np.abs(np.asarray(d, dtype=float))
+    return k / (np.pi * d) * scipy_j1(k * d)
+
+
+def test_log_coefficient_declaration():
+    # The screen kernel maps its own values to S = -(2/pi) Im K0, which is
+    # (k/(pi|d|)) J1(k|d|); only a difference kernel can declare it.
+    d = np.concatenate([-np.geomspace(1e-6, 2.0, 40), np.geomspace(1e-6, 2.0, 40)])
+    for k in (1e-3, 0.5, 2.5, 40.0):
+        kernel = acoustic_kernel(ScreenParams(k=k, a=1.0))
+        got = kernel.log_coefficient(kernel.profile(d))
+        want = screen_log_coefficient(d, k)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert polynomial_kernel(2.0).log_coefficient is None
+    assert kernel_from_symbol(gaussian_symbol(), 10.0, tol=1e-6).log_coefficient is None
+    with pytest.raises(ValueError, match="log_coefficient"):
+        RegularKernel(eval=lambda x, t: np.log(np.abs(np.asarray(x) - np.asarray(t))),
+                      log_coefficient=np.ones_like)
+
+
+@pytest.mark.parametrize("coefficient", [-1.0 / np.pi, 2.0 - 3.0j, 1j])
+def test_normalize_to_canonical_carries_log_coefficient(coefficient):
+    # The scaled kernel is K0/c, so its log coefficient is S/c; it is read
+    # off the scaled values, also for a complex c, whose division mixes
+    # the real and imaginary parts of K0.
+    k = 2.5
+    raw = RightHandSide(fprime=lambda x: np.ones_like(np.asarray(x, dtype=float)))
+    _, scaled = normalize_to_canonical(coefficient, raw, acoustic_kernel(ScreenParams(k=k, a=1.0)))
+    d = np.linspace(-2.0, 2.0, 40)
+    got = scaled.log_coefficient(scaled.profile(d))
+    want = screen_log_coefficient(d, k) / coefficient
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    _, plain = normalize_to_canonical(coefficient, raw, polynomial_kernel(2.0))
+    assert plain.log_coefficient is None
 
 
 def test_parameter_validation():

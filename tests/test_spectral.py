@@ -5,6 +5,8 @@ import pytest
 
 from hypersing import (
     ChebyshevSolution,
+    KernelEvaluationError,
+    RegularKernel,
     RightHandSide,
     ScreenParams,
     chebyshev_U,
@@ -17,7 +19,7 @@ from hypersing import (
     zero_kernel,
 )
 from hypersing import spectral
-from hypersing.quadrature import gauss_chebyshev2
+from hypersing.quadrature import gauss_chebyshev1, gauss_chebyshev2
 from tests.conftest import const_pi_rhs, gaussian_symbol, unit_semicircle
 
 
@@ -185,6 +187,11 @@ def screen_case(k: float):
     return problem.kernel, problem.rhs
 
 
+def undeclared(kernel):
+    """The same profile with neither the even nor the log declaration."""
+    return dataclasses.replace(kernel, even=False, log_coefficient=None)
+
+
 def symbol_case():
     return kernel_from_symbol(gaussian_symbol(), 10.0, tol=1e-6), const_pi_rhs()
 
@@ -214,12 +221,12 @@ def test_even_kernel_half_table_matches_full_table(case, mquad):
 
 @pytest.mark.parametrize("kernel", [
     pytest.param(lambda: polynomial_kernel(3.0), id="odd"),
-    pytest.param(lambda: dataclasses.replace(screen_case(2.5)[0], even=False), id="undeclared"),
+    pytest.param(lambda: undeclared(screen_case(2.5)[0]), id="undeclared"),
 ])
 def test_full_table_moments_are_bitwise_reference(kernel, monkeypatch):
-    # A kernel not declared even takes all rows with factor 1 and no
-    # parity mask, so its Galerkin matrix is bit for bit the plain
-    # ux @ (r^2 table) @ ut.T of the tensor rule.
+    # A kernel declared neither even nor logarithmic takes all rows with
+    # factor 1 and no parity mask, so its Galerkin matrix is bit for bit
+    # the plain ux @ (r^2 table) @ ut.T of the tensor rule.
     kernel = kernel()
     N, mquad, (a, b) = 8, 40, (0.0, 3.0)
     matrices = []
@@ -262,3 +269,140 @@ def test_even_kernel_asked_for_half_the_differences(kernel, even, mquad):
     solve_spectral(dataclasses.replace(kernel, profile_batch=counted), const_pi_rhs(), 16, mquad)
     rows = -(-mquad // 2) if even else mquad
     assert sum(sizes) == rows * (mquad + 1)
+
+
+def log_kernel(even=True):
+    """K0(d) = ln|d|: S = 1 and R = 0; asked for d = 0 it raises."""
+
+    def profile_batch(d):
+        d = np.abs(np.atleast_1d(np.asarray(d, dtype=float)))
+        if np.any(d == 0.0):
+            raise ValueError("ln|d| asked for d = 0")
+        return np.log(d)
+
+    return RegularKernel(profile_batch=profile_batch, even=even, log_coefficient=np.ones_like)
+
+
+def galerkin_matrix(kernel, N, mquad, interval, monkeypatch):
+    matrices = []
+    lu_factor = spectral.lu_factor
+
+    def recording(matrix, rhs):
+        matrices.append(matrix)
+        return lu_factor(matrix, rhs)
+
+    monkeypatch.setattr(spectral, "lu_factor", recording)
+    solve_spectral(kernel, const_pi_rhs(), N, mquad, interval=interval)
+    return matrices[0]
+
+
+@pytest.mark.parametrize("mquad", [16, 17, 40])
+@pytest.mark.parametrize("even", [True, False])
+@pytest.mark.parametrize("interval", [(-1.0, 1.0), (0.0, 3.0)])
+def test_log_kernel_moments_are_exact(interval, even, mquad, monkeypatch):
+    # For K0(d) = ln|d| the t integral is closed form: with
+    # (1 - t^2) U_b = (T_b - T_{b+2})/2 and
+    # int ln|x - t| T_n(t)/sqrt(1 - t^2) dt = L_n(x) = -(pi/n) T_n(x),
+    # L_0 = -pi ln 2, it is (L_b - L_{b+2})/2, a polynomial that a fine
+    # second-kind rule integrates against U_a exactly.  On a half-width r
+    # the kernel is ln|xi - tau| + ln r, and ln r adds (pi/2)^2 to k_00.
+    N = 8
+    (a, b) = interval
+    radius = 0.5 * (b - a)
+    got = galerkin_matrix(log_kernel(even), N, mquad, interval, monkeypatch)
+    x, w = gauss_chebyshev2(64)
+    theta = np.arccos(x)
+    orders = np.arange(N + 2)[:, None]
+    L = -np.pi * np.cos(orders * theta) / np.maximum(orders, 1)
+    L[0] = -np.pi * np.log(2.0)
+    ux = np.array([chebyshev_U(j, x) for j in range(N)]) * w
+    moments = ux @ (0.5 * (L[:N] - L[2:])).T
+    moments[0, 0] += np.log(radius) * (np.pi / 2.0) ** 2
+    want = np.diag(-np.arange(1, N + 1) * (np.pi**2 / 2.0)) + radius * radius * moments
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_log_kernel_never_asked_for_a_zero_difference():
+    # The x nodes sit at even and the t nodes at odd multiples of
+    # pi/(2 (mquad + 1)), so no difference is 0 for any mquad; the kernel
+    # above raises if one is.
+    for mquad in range(4, 200):
+        for even in (True, False):
+            solve_spectral(log_kernel(even), const_pi_rhs(), 2, mquad)
+
+
+def test_log_kernel_failure_located_on_the_first_kind_grid():
+    # A failing kernel that declares a log part is located at a pair of
+    # the second-kind x grid and the first-kind t grid.
+    def batch(d):
+        d = np.abs(np.atleast_1d(np.asarray(d, dtype=float)))
+        if np.any(d < 0.1):
+            raise ValueError("too close")
+        return np.log(d)
+
+    kernel = RegularKernel(profile_batch=batch, even=True, log_coefficient=np.ones_like)
+    with pytest.raises(KernelEvaluationError, match="too close") as info:
+        solve_spectral(kernel, const_pi_rhs(), 8, 32)
+    assert info.value.x in gauss_chebyshev2(32)[0]
+    assert info.value.t in gauss_chebyshev1(33)[0]
+    assert abs(info.value.x - info.value.t) < 0.1
+
+
+CONVERGENCE_CASES = [
+    *((k, 1.0, (-1.0, 1.0)) for k in (0.05, 0.5, 1.5, 2.5, 5.0, 10.0)),
+    *((k, 1.0, (0.0, 3.0)) for k in (0.05, 0.5, 1.5, 2.5, 5.0)),
+    *((k, 2.0, (-2.0, 2.0)) for k in (0.05, 0.5, 1.5, 2.5, 5.0)),
+]
+
+
+@pytest.mark.parametrize("k, a, interval", CONVERGENCE_CASES,
+                         ids=[f"k{k}-{lo:g},{hi:g}" for k, _, (lo, hi) in CONVERGENCE_CASES])
+def test_screen_oracle_converged_at_its_floor(k, a, interval):
+    # With the logarithm integrated exactly, N = 32 at mquad = 2N, 2N + 1
+    # or 4N + 1 is within 1e-10 of N = 48 at mquad = 4N, up to k times the
+    # half-width = 10; above that N must grow with k.
+    problem = screen_problem(ScreenParams(k=k, a=a), 8)
+    nodes = np.linspace(*interval, 161)
+    want = solve_spectral(problem.kernel, problem.rhs, 48, 192, interval=interval)(nodes)
+    peak = np.max(np.abs(want))
+    for mquad in (64, 65, 129):
+        got = solve_spectral(problem.kernel, problem.rhs, 32, mquad, interval=interval)(nodes)
+        assert np.max(np.abs(got - want)) <= 1e-10 * peak, mquad
+
+
+def test_tensor_rule_converges_to_the_log_oracle_at_first_order():
+    # The plain second-kind tensor rule, which shares no weights with the
+    # product integration, tends to the same oracle as mquad grows, with
+    # error halving per doubling: a first-order rule across ln|x - t|.
+    kernel, rhs = screen_case(2.5)
+    nodes = np.linspace(-1.0, 1.0, 81)
+    want = solve_spectral(kernel, rhs, 32, 64)(nodes)
+    tensor = dataclasses.replace(kernel, log_coefficient=None)
+    errors = []
+    for mquad in (512, 2048):
+        got = solve_spectral(tensor, rhs, 32, mquad)(nodes)
+        errors.append(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+    assert errors[1] <= errors[0] / 3.0
+    assert errors[1] <= 1e-3
+
+
+def test_sine_form_evaluation_matches_recurrence():
+    # sqrt(1 - x^2) U_j(x) = sin((j+1) arccos x); the ends are exact zeros,
+    # though sin((j+1) arccos(-1)) is not 0 in floating point.
+    assert np.sin(np.arccos(-1.0)) != 0.0
+    kernel, rhs = screen_case(2.5)
+    rng = np.random.default_rng(7)
+    for coeffs in (solve_spectral(kernel, rhs, 32, 64).coeffs,
+                   rng.standard_normal(24) + 1j * rng.standard_normal(24),
+                   np.array([1.0])):
+        for interval in ((-1.0, 1.0), (0.0, 3.0)):
+            solution = ChebyshevSolution(coeffs=coeffs, interval=interval)
+            x = np.linspace(*interval, 2001)
+            xi = solution._map(x)
+            recurrence = np.sqrt(1.0 - xi * xi) * (
+                coeffs @ np.array([chebyshev_U(j, xi) for j in range(len(coeffs))])
+            )
+            got = solution(x)
+            assert np.max(np.abs(got - recurrence)) <= 1e-14 * np.max(np.abs(recurrence))
+            assert solution(interval[0]) == 0.0 and solution(interval[1]) == 0.0
+            assert got[0] == 0.0 and got[-1] == 0.0
