@@ -109,8 +109,9 @@ def assemble_characteristic(mesh: Mesh) -> np.ndarray:
 def check_closed_form_size(n: int) -> None:
     """Raise ValueError naming n if the closed-form solve's FFT arrays are over budget.
 
-    Their length, the smallest power of two >= 2n - 1, is held to
-    ``linalg.MAX_DENSE_ELEMENTS``: n <= 2^23.
+    Their length ``linalg._fft_length(n)``, the smallest 2^a 3^b 5^c >=
+    2n - 1, is held to ``linalg.MAX_DENSE_ELEMENTS`` = 2^24: n <= 2^23,
+    whose length is 2^24, while n = 2^23 + 1 needs 16796160.
     """
     check_dense_size("n", n, 1, _fft_length(n))
 
@@ -169,13 +170,46 @@ class CharacteristicInverse:
         rows = r.reshape(n, -1).T
         if np.iscomplexobj(r):
             rows = np.concatenate((rows.real, rows.imag))
-        length = _fft_length(n)
-        scaled = np.fft.rfft(self.right * rows, length)
-        product = np.fft.irfft(scaled * self.spectrum, length)
-        out = np.cumsum((self.left * product[:, n - 1 : 2 * n - 1])[:, ::-1], axis=-1)[:, ::-1]
+        out = self._apply_rows(rows, self.spectrum)
         if np.iscomplexobj(r):
             out = out[: len(out) // 2] + 1j * out[len(out) // 2 :]
         return out.T.reshape(r.shape)
+
+    def _apply_rows(self, rows: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+        """M^{-1} applied to each row of a (c, n) array, unchecked.
+
+        One forward and one inverse FFT along the rows, then the scaling by
+        ``left`` and a reversed cumulative sum.  Real rows take real FFTs
+        and ``spectrum`` = ``self.spectrum``, the arithmetic of ``apply``.
+        Complex rows take complex FFTs and ``spectrum`` =
+        ``_complex_spectrum()``, which a caller that applies M^{-1} many
+        times builds once.
+        """
+        n = len(self.left)
+        length = _fft_length(n)
+        real = not np.iscomplexobj(rows)
+        fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+        product = ifft(fft(self.right * rows, length) * spectrum, length)
+        return np.cumsum((self.left * product[:, n - 1 : 2 * n - 1])[:, ::-1], axis=-1)[:, ::-1]
+
+    def _complex_spectrum(self) -> np.ndarray:
+        # The complex FFT of T's real values: ``spectrum`` and its
+        # conjugate mirror image, with no transform.
+        length = _fft_length(len(self.left))
+        tail = self.spectrum[1 : length - len(self.spectrum) + 1]
+        return np.concatenate((self.spectrum, tail[::-1].conj()))
+
+    def _end_columns(self) -> np.ndarray:
+        """M^{-1} e_0 and M^{-1} e_{n-1} as two rows, in O(n) with no transform.
+
+        T diag(right) e_j is right_j times column j of T, whose entry i is
+        -1/(i - j + 1/2); ``left`` and the reversed cumulative sum follow,
+        as in ``_apply_rows``.
+        """
+        n = len(self.left)
+        ends = np.array([0, n - 1])
+        columns = self.right[ends, None] / (ends[:, None] - np.arange(n) - 0.5)
+        return np.cumsum((self.left * columns)[:, ::-1], axis=-1)[:, ::-1]
 
     @property
     def condition(self) -> float:

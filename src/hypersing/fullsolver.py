@@ -21,11 +21,18 @@ n = _GMRES_MIN_N on is solved by GMRES on the second-kind form
 (I + M^{-1} T) g = M^{-1} b, with T the kernel's Toeplitz table applied
 by FFT (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986; Chan and
 Ng, SIAM Rev. 38, 1996): O(n log n) per iteration, a few to a few dozen
-iterations, and no n x n array.  GMRES solves only for the right-hand
-sides e_0 and e_{n-1}, which gives the first and last columns of A^{-1};
-the load is then one product with A^{-1} by the Gohberg-Semencul
-formula, accepted when its normwise backward error is at most
-_GMRES_TOL.  Below that n, where LAPACK is faster, after _GMRES_MAX_ITER
+iterations, and no n x n array.  The operator is built once per solve
+and takes each Krylov step in four bare FFT calls of the 5-smooth length
+``linalg._fft_length(n)``: T by the kernel's spectrum, then M^{-1} by
+the Cauchy spectrum between its two scalings and a reversed cumulative
+sum, complex transforms for a complex table and real ones for a real
+table.  GMRES solves only for the right-hand sides e_0 and e_{n-1},
+starting from M^{-1} e_0 and M^{-1} e_{n-1} in closed form, which gives
+the first and last columns of A^{-1}; the load is then one product with
+A^{-1} by the Gohberg-Semencul formula, taken in one stacked probe with
+the first sweep of Hager's estimate, and accepted when its normwise
+backward error is at most _GMRES_TOL.  Below that n, where LAPACK is
+faster, after _GMRES_MAX_ITER
 iterations without convergence, when the load fails that test, and for a
 general kernel, the dense matrix goes through ``linalg.lu_factor``.
 Every Toeplitz route takes Hager's condition estimate from the first and
@@ -52,6 +59,7 @@ import numpy as np
 
 from hypersing.analytic import RightHandSide, _load_values, weighted_pv_integral
 from hypersing.characteristic import (
+    CharacteristicInverse,
     DiscreteSolution,
     _singular_profile,
     _toeplitz_view,
@@ -313,18 +321,41 @@ def _back_substitute(triangle: list, g: list) -> np.ndarray:
     return np.array(y)
 
 
+def _preconditioned_operator(inverse: CharacteristicInverse, table: np.ndarray) -> Callable:
+    # v -> v + M^{-1} T v on (rows, n) Krylov rows, T the Toeplitz matrix
+    # of the kernel profile ``table``, in four bare FFT calls: T v by the
+    # kernel's spectrum, then M^{-1} by ``inverse._apply_rows``.  Complex
+    # rows take complex transforms; a real table keeps real ones and the
+    # arithmetic of ``inverse.apply``.  The kernel's spectrum, and the
+    # Cauchy one for complex rows, are built here, once per solve.
+    n = len(inverse.left)
+    length = _fft_length(n)
+    if np.iscomplexobj(table):
+        fft, ifft, cauchy = np.fft.fft, np.fft.ifft, inverse._complex_spectrum()
+    else:
+        fft, ifft, cauchy = np.fft.rfft, np.fft.irfft, inverse.spectrum
+    spectrum = fft(table, length)
+
+    def operator(v):
+        product = ifft(spectrum * fft(v, length), length)[:, n - 1 : 2 * n - 1]
+        return v + inverse._apply_rows(product, cauchy)
+
+    return operator
+
+
 def _solve_gmres(mesh: Mesh, table: np.ndarray, b: np.ndarray):
     # (values, condition) of the Toeplitz system with kernel profile
     # ``table``, or None to fall back to the dense route.  GMRES on
-    # (I + M^{-1} T) g = M^{-1} r, with T the kernel's Toeplitz matrix
-    # applied by one FFT of the padded length and M^{-1} the closed-form
-    # inverse, runs over r = e_0 and e_{n-1} only.  Their solutions x, y,
-    # the first and last columns of A^{-1}, give the A^{-1} probe of the
-    # Gohberg-Semencul formula, which solves the load (its real and
-    # imaginary parts one at a time when the table holds real values) and
-    # then serves Hager's estimate.  The load is accepted when its normwise
-    # backward error ||b - A g||_1 / (||A||_1 ||g||_1 + ||b||_1), with A g
-    # one FFT product with the whole profile, is at most _GMRES_TOL.
+    # (I + M^{-1} T) g = M^{-1} r, with the operator built once, runs over
+    # r = e_0 and e_{n-1} only, from their M^{-1} r in closed form.  Their
+    # solutions x, y, the first and last columns of A^{-1}, give the A^{-1}
+    # probe of the Gohberg-Semencul formula.  One stacked probe call solves
+    # the load (its real and imaginary parts as two rows when the table
+    # holds real values) together with the first sweep of Hager's
+    # estimate, which the estimate then continues.  The load is accepted
+    # when its normwise backward error ||b - A g||_1 / (||A||_1 ||g||_1 +
+    # ||b||_1), with A g one FFT product with the whole profile, is at most
+    # _GMRES_TOL.
     n = mesh.n
     b = _checked_rhs(b, n)
     profile = _singular_profile(mesh) + table
@@ -333,20 +364,8 @@ def _solve_gmres(mesh: Mesh, table: np.ndarray, b: np.ndarray):
     if real:
         table, profile = table.real, profile.real
     dtype = np.dtype(np.float64 if real else np.complex128)
-    length = _fft_length(n)
-    fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
-    spectrum = fft(table, length)
     inverse = characteristic_inverse(mesh)
-
-    def precondition(r):
-        return inverse.apply(r.T).T
-
-    def operator(v):
-        return v + precondition(ifft(spectrum * fft(v, length), length)[:, n - 1 : 2 * n - 1])
-
-    ends = np.zeros((2, n), dtype=dtype)
-    ends[0, 0] = ends[1, -1] = 1.0
-    solved = _gmres(operator, precondition(ends))
+    solved = _gmres(_preconditioned_operator(inverse, table), inverse._end_columns().astype(dtype))
     if solved is None:
         return None
     (x, y), iterations, residual = solved
@@ -357,8 +376,10 @@ def _solve_gmres(mesh: Mesh, table: np.ndarray, b: np.ndarray):
     def join(rows):
         return rows[0] + 1j * rows[1] if split else rows[0]
 
-    loads = (np.stack([b.real, b.imag]) if split else b[None]).astype(dtype)
-    parts = np.array([probes[0](load) for load in loads])
+    loads = [b.real, b.imag] if split else [b]
+    *parts, first = probes[0](np.array([*loads, np.full(n, 1.0 / n)], dtype=dtype))
+    length = _fft_length(n)
+    fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
     products = ifft(fft(profile, length) * fft(parts, length), length)[:, n - 1 : 2 * n - 1]
     values = join(parts)
     norm1 = _toeplitz_norm1(profile)
@@ -368,7 +389,7 @@ def _solve_gmres(mesh: Mesh, table: np.ndarray, b: np.ndarray):
     if not backward <= _GMRES_TOL:
         return None
     try:
-        condition = _checked_condition(norm1, n, dtype, *probes)
+        condition = _checked_condition(norm1, n, dtype, *probes, first=first)
     except SingularMatrixError:
         return None
     logger.debug("GMRES route at n=%d: %d iterations, relative residual %.3e,"
@@ -385,10 +406,13 @@ def solve_full(problem: FullProblem) -> DiscreteSolution:
     array; its ``condition`` is exact.  A difference kernel from
     n = _GMRES_MIN_N on is solved by GMRES on the second-kind form
     (I + M^{-1} T) g = M^{-1} b, preconditioned by that closed-form
-    inverse, with O(n log n) work per iteration and no n x n array.
-    GMRES solves for the first and last columns of A^{-1} only; from them
-    the Gohberg-Semencul formula gives the solution, as one product with
-    A^{-1} in four FFTs, and Hager's condition estimate.  The solution is
+    inverse, with O(n log n) work per iteration and no n x n array: the
+    operator, built once, takes four FFT calls per iteration, and GMRES
+    starts from M^{-1} e_0 and M^{-1} e_{n-1} in closed form.  GMRES
+    solves for the first and last columns of A^{-1} only; from them the
+    Gohberg-Semencul formula gives the solution, as one product with
+    A^{-1} in four FFTs that also takes the first sweep of Hager's
+    condition estimate, and the rest of that estimate.  The solution is
     accepted when its normwise backward error
     ||b - A g||_1 / (||A||_1 ||g||_1 + ||b||_1) is at most _GMRES_TOL.  The
     solve falls back to the dense route when GMRES has not reached a
@@ -397,16 +421,17 @@ def solve_full(problem: FullProblem) -> DiscreteSolution:
     when the estimate reads singular; the dense route then decides.  Any
     other kernel, and a difference kernel below _GMRES_MIN_N, where LAPACK
     is faster, assembles the dense matrix and solves it through LAPACK in
-    the ``lu_factor`` call that takes the condition estimate.  A difference kernel's matrix is a read-only
-    Toeplitz view of its 2n - 1 profile, checked from that profile and
-    solved in one ``gesv`` call, so the only n x n array is LAPACK's copy;
-    a general kernel's table is one more.  Every route's condition number
-    is attached to the result; a warning is logged above 1e12, and the
-    route taken (with the GMRES iteration count, final relative residual
-    and the load's backward error) at DEBUG.  The scalar field is complex
-    exactly when the kernel or the right-hand side is complex; a real
-    problem never leaves real arithmetic.  Raises SingularMatrixError for a degenerate system
-    and ValueError for a nonfinite right-hand side or an over-budget size.
+    the ``lu_factor`` call that takes the condition estimate.  A difference
+    kernel's matrix is a read-only Toeplitz view of its 2n - 1 profile,
+    checked from that profile and solved in one ``gesv`` call, so the only
+    n x n array is LAPACK's copy; a general kernel's table is one more.
+    Every route's condition number is attached to the result; a warning is
+    logged above 1e12, and the route taken (with the GMRES iteration count,
+    final relative residual and the load's backward error) at DEBUG.  The
+    scalar field is complex exactly when the kernel or the right-hand side
+    is complex; a real problem never leaves real arithmetic.  Raises
+    SingularMatrixError for a degenerate system and ValueError for a
+    nonfinite right-hand side or an over-budget size.
     """
     mesh = problem.mesh
     if problem.rhs.f is not None:

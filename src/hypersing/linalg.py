@@ -23,21 +23,24 @@ Gohberg-Semencul formula
 (L(a), U(a): lower/upper triangular Toeplitz with first column/row a;
 J reversal, Z down-shift) takes every probe of Hager's sweeps in
 O(n log n), as four FFT products of the padded length ``_fft_length(n)``,
-with no further factorization (I. Gohberg and A. Semencul, Mat. Issled.
-7, 1972); a probe of A^{-H} is one of A^{-1} by persymmetry, J A J = A^T.
-``_gohberg_semencul`` builds those probes from (x, y) and
-``_checked_condition`` takes the estimate and the singular test from
-them; both serve the dense Toeplitz route here, where one ``gesv`` call
-gives x and y, and ``fullsolver``'s GMRES route, which solves for x and y
-by GMRES and then its load with the A^{-1} probe.  On the dense route the
+the smallest 2^a 3^b 5^c >= 2n - 1, with no further factorization (I.
+Gohberg and A. Semencul, Mat. Issled. 7, 1972); a probe of A^{-H} is one
+of A^{-1} by persymmetry, J A J = A^T.  ``_gohberg_semencul`` builds
+those probes from (x, y) and ``_checked_condition`` takes the estimate,
+at least 1, and the singular test from them; both serve the dense
+Toeplitz route here, where one ``gesv`` call gives x and y, and
+``fullsolver``'s GMRES route, which solves for x and y by GMRES and then
+its load and the estimate's first sweep in one stacked A^{-1} probe.  The
+closed-form inverse of ``characteristic`` pads its products to the same
+length.  On the dense route the
 caller's right-hand side, given to ``lu_factor``, rides in that ``gesv``
 call as one more column (two, for the real and imaginary parts of a
 complex b with a real matrix), so a Toeplitz solve factors A once and its
 solution still comes from LAPACK's LU, never from the formula.  Any other
 matrix is probed through ``gesv`` with A and A^H, which factors it again
 on each probe, and is solved after the estimate, one single-column
-``gesv`` per real or imaginary part.  Measured with OpenBLAS 0.3.31, a one-column
-and a multi-column ``gesv`` differ in the last bits (real matrices at 1
+``gesv`` per real or imaginary part.  Measured with OpenBLAS 0.3.31, a
+one-column and a multi-column ``gesv`` differ in the last bits (real matrices at 1
 BLAS thread, real and complex at 2), while any two multi-column counts
 agree: so the extra columns leave x, y and the estimate unchanged, and
 both routes solve a real-valued complex b in the bits of a real one.
@@ -46,15 +49,17 @@ The caller's matrix may be a read-only strided view, such as the Toeplitz
 view of a 2n - 1 profile that ``fullsolver`` passes: ``gesv`` copies any
 layout into LAPACK's own buffer, with the same bits as from a contiguous
 copy.  Such a view, with strides (s, -s), is known to be Toeplitz in
-O(1); any other layout is compared entry by entry.  A Toeplitz matrix is
-checked for finite and for real values, and its 1-norm taken, from its
-2n - 1 generators in O(n), so its solve makes no n x n array besides
-LAPACK's copy.  Any other matrix is checked entry by entry, and its
+O(1); any other layout is compared entry by entry, after an O(n) test of
+its first two columns that turns a general matrix away.  A Toeplitz
+matrix is checked for finite and for real values, and its 1-norm taken,
+from its 2n - 1 generators in O(n), so its solve makes no n x n array
+besides LAPACK's copy.  Any other matrix is checked entry by entry, and its
 1-norm summed a block of rows at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -198,8 +203,13 @@ def lu_factor(a: np.ndarray, rhs: np.ndarray | None = None) -> LUFactorization:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     # A view with strides (s, -s), as ``characteristic._toeplitz_view`` makes,
     # holds a[i, j] at offset (i - j) s: Toeplitz with no n^2 comparison.
+    # Any other layout is compared entry by entry only once its first two
+    # columns agree along the diagonals, a[1:, 1] == a[:-1, 0]: an O(n)
+    # test that turns a general matrix away.
     toeplitz = a.size > 0 and (
-        a.strides[0] == -a.strides[1] or np.array_equal(a[1:, 1:], a[:-1, :-1])
+        a.strides[0] == -a.strides[1]
+        or (len(a) < 2 or bool((a[1:, 1] == a[:-1, 0]).all()))
+        and np.array_equal(a[1:, 1:], a[:-1, :-1])
     )
     # A Toeplitz matrix is checked and normed from its 2n - 1 generators
     # p[i - j + n - 1] = a[i, j]; any other matrix from all its entries.
@@ -267,10 +277,27 @@ def _toeplitz_norm1(profile: np.ndarray) -> float:
     return float(np.max(left + right))
 
 
+@functools.lru_cache(maxsize=128)
 def _fft_length(n: int) -> int:
-    # The smallest power of two >= 2n - 1: a circular convolution of that
-    # length gives outputs n - 1 .. 2n - 2 of the linear one unaliased.
-    return 1 << (2 * n - 2).bit_length()
+    """The smallest 5-smooth length 2^a 3^b 5^c >= 2n - 1, cached for 128 n.
+
+    A circular convolution of that length gives outputs n - 1 .. 2n - 2 of
+    the linear one of a 2n - 1 profile with n values unaliased, and the
+    first n of two n-vectors'.  pocketfft transforms such a length at about
+    the cost per point of a power of two, and it lies closer above 2n - 1:
+    800 rather than 1024 at n = 400, 5000 rather than 8192 at n = 2500.
+    """
+    target = max(2 * n - 1, 1)
+    best = 1 << (target - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # The smallest odd * 2^a >= target.
+            best = min(best, odd << (-(-target // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
 
 
 def _toeplitz_probes(a: np.ndarray, columns=()):
@@ -291,10 +318,11 @@ def _gohberg_semencul(x: np.ndarray, y: np.ndarray):
 
     x and y are the first and last columns of A^{-1}.  The result is None
     when x_0 = 0, where the formula does not hold.  Each probe takes r of
-    the scalar type of x and y, in four FFT products of length
-    ``_fft_length(n)``: the two upper triangular factors share the
-    transform of J r, and the two lower ones are summed before one inverse
-    transform.
+    the scalar type of x and y, of shape (n,) or stacked as (m, n) rows,
+    in four FFT calls of length ``_fft_length(n)`` whatever m is: the two
+    upper triangular factors share the transform of J r, and the two lower
+    ones are summed before one inverse transform.  Each row of a stack
+    gets the bits it gets alone.
     """
     if x[0] == 0:
         return None
@@ -311,10 +339,10 @@ def _gohberg_semencul(x: np.ndarray, y: np.ndarray):
 
     def inverse(r):
         # U(c) r = J L(c) J r, the first n outputs of a linear convolution.
-        jr = fft(r[::-1], length)
-        uppers = ifft([upper_jy * jr, upper_zjx * jr], length)[:, n - 1 :: -1]
+        jr = fft(r[..., ::-1], length)
+        uppers = ifft([upper_jy * jr, upper_zjx * jr], length)[..., n - 1 :: -1]
         u_jy, u_zjx = fft(uppers, length)
-        return ifft(lower_x * u_jy - lower_zy * u_zjx, length)[:n] / x[0]
+        return ifft(lower_x * u_jy - lower_zy * u_zjx, length)[..., :n] / x[0]
 
     def inverse_adjoint(r):
         # J A J = A^T for a Toeplitz A, so A^{-H} r = conj(J A^{-1} J conj(r)).
@@ -323,12 +351,20 @@ def _gohberg_semencul(x: np.ndarray, y: np.ndarray):
     return inverse, inverse_adjoint
 
 
-def _checked_condition(norm1: float, n: int, dtype: np.dtype, inverse, inverse_adjoint) -> float:
-    """||A||_1 times Hager's estimate of ||A^{-1}||_1 from the two probes.
+def _checked_condition(
+    norm1: float, n: int, dtype: np.dtype, inverse, inverse_adjoint, first=None
+) -> float:
+    """||A||_1 times Hager's estimate of ||A^{-1}||_1 from the two probes, at least 1.
 
-    Raises SingularMatrixError when the reciprocal is at most 1e-13.
+    ``first``, when given, is A^{-1} 1/n, the product of the first sweep,
+    taken by the caller together with other probes.  cond_1(A) >= 1, but
+    the FFT rounding of the Gohberg-Semencul probes can put the product a
+    few ulps under that, as for the identity at n = 14: the result is the
+    larger of the two.  Raises SingularMatrixError when the reciprocal is
+    at most 1e-13, or the estimate is not a number.
     """
-    condition = norm1 * _inverse_norm1_estimate(n, dtype, inverse, inverse_adjoint) if n else 1.0
+    estimate = _inverse_norm1_estimate(n, dtype, inverse, inverse_adjoint, first) if n else 1.0
+    condition = max(norm1 * estimate, 1.0)  # a NaN product stays NaN
     if not condition * _RCOND_MIN < 1.0:
         raise SingularMatrixError(
             f"estimated reciprocal 1-norm condition number {1.0 / condition:.3e}"
@@ -337,13 +373,15 @@ def _checked_condition(norm1: float, n: int, dtype: np.dtype, inverse, inverse_a
     return condition
 
 
-def _inverse_norm1_estimate(n: int, dtype: np.dtype, inverse, inverse_adjoint) -> float:
+def _inverse_norm1_estimate(n: int, dtype: np.dtype, inverse, inverse_adjoint, first=None) -> float:
     # Hager's sweeps: ||A^{-1}||_1 probed through products with A^{-1}, A^{-H}.
+    # ``first``, when given, is the first sweep's product A^{-1} x.
     x = np.full(n, 1.0 / n, dtype=dtype)
     est = 0.0
     last_j = -1
     for _ in range(_HAGER_MAX_SWEEPS):
-        y = inverse(x)
+        y = inverse(x) if first is None else first
+        first = None
         mags = np.abs(y)
         est = float(mags.sum())
         if not math.isfinite(est):

@@ -292,6 +292,18 @@ def test_apply_to_columns_equals_single_applies(n, kind):
         assert np.array_equal(got[:, j], inverse.apply(block[:, j]))
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 400, 1001])
+def test_end_columns_match_apply(n):
+    # M^{-1} e_0 and M^{-1} e_{n-1} in closed form, with no transform, are
+    # the two products with the unit vectors.
+    inverse = characteristic_inverse(build_mesh(-1.0, 1.0, n))
+    unit = np.eye(n)
+    want = np.array([inverse.apply(unit[0]), inverse.apply(unit[-1])])
+    got = inverse._end_columns()
+    assert got.shape == (2, n)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_closed_form_complex_load_is_two_real_solves():
     mesh = make_mesh(-1.0, 1.0, 64)
     re = np.cos(3.0 * mesh.colloc)
@@ -316,10 +328,11 @@ def test_crack_at_one_hundred_thousand_nodes():
 
 
 def test_closed_form_size_budget_and_input_checks():
-    # The FFT length, the smallest power of two >= 2n - 1, is held to the
-    # dense budget: n = 2^23 fits and 2^23 + 1 is refused by name.
+    # The FFT length, the smallest 2^a 3^b 5^c >= 2n - 1, is held to the
+    # dense budget: n = 2^23 fits (length 2^24) and 2^23 + 1 is refused by
+    # name (length 16796160 = 2^9 3^8 5 > 2^24).
     check_closed_form_size(2**23)
-    with pytest.raises(ValueError, match="n=8388609 needs a 1 x 33554432 dense array"):
+    with pytest.raises(ValueError, match="n=8388609 needs a 1 x 16796160 dense array"):
         check_closed_form_size(2**23 + 1)
     inverse = characteristic_inverse(make_mesh(-1.0, 1.0, 8))
     for shape in (7, (7, 2), (8, 2, 1)):

@@ -266,7 +266,7 @@ _CAPPED_MAIN = CAP_ADDRESS_SPACE + (
         (["screen", "--k", "1", "--mquad", "100000000", "--N", "2", "--n", "4"], "mquad"),
         (["spectral-compare", "--mquad", "100000000", "--N", "2", "--n", "4"], "mquad"),
         # The crack's closed-form solve holds no n x n array: its FFT length,
-        # the smallest power of two >= 2n - 1, is what the budget refuses.
+        # the smallest 2^a 3^b 5^c >= 2n - 1, is what the budget refuses.
         (["crack", "--n", "100000000"], "n"),
         (["full", "--A", "3", "--n", "100000"], "n"),
         (["characteristic", "--n", "40", "--m", "1000000000"], "m"),

@@ -28,6 +28,7 @@ from hypersing import (
 )
 from hypersing import fullsolver
 from hypersing.analytic import _load_values
+from hypersing.characteristic import CharacteristicInverse, characteristic_inverse
 from hypersing.quadrature import gauss_chebyshev2
 from tests.conftest import const_pi_rhs, count_gesv, unit_semicircle
 
@@ -519,6 +520,119 @@ def test_gmres_route_solves_zero_load_by_zero(monkeypatch):
     solution = solve_full(problem)
     assert calls == []
     assert not np.any(solution.values)
+
+
+def capture_operator(monkeypatch) -> list:
+    """Record the (operator, rhs) of every ``_gmres`` call that ``solve_full`` makes."""
+    runs = []
+    gmres = fullsolver._gmres
+
+    def captured(operator, rhs):
+        runs.append((operator, rhs))
+        return gmres(operator, rhs)
+
+    monkeypatch.setattr(fullsolver, "_gmres", captured)
+    return runs
+
+
+@pytest.mark.parametrize("problem, bits", [
+    pytest.param(lambda: benchmark_problem(N0, polynomial_kernel(3.0)), True, id="linear"),
+    *(pytest.param(lambda k=k: screen_problem(ScreenParams(k=k, a=1.0), N0), False,
+                   id=f"screen-k{k}") for k in (0.5, 2.5, 10.0)),
+])
+def test_operator_is_identity_plus_preconditioned_table(problem, bits, monkeypatch):
+    # Row by row, the operator is v + M^{-1} T v with M^{-1} from ``apply``
+    # and T v one FFT product with the kernel profile: bit for bit on a
+    # real table, which keeps ``apply``'s real transforms, and within
+    # 1e-14 on the screen's complex one, which takes complex transforms.
+    problem = problem()
+    runs = capture_operator(monkeypatch)
+    solve_full(problem)
+    ((operator, rhs),) = runs
+    n = problem.mesh.n
+    table = fullsolver._kernel_table(problem)
+    fft, ifft = (np.fft.fft, np.fft.ifft) if np.iscomplexobj(table) else (np.fft.rfft, np.fft.irfft)
+    length = fullsolver._fft_length(n)
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal((2, n)).astype(rhs.dtype)
+    if not bits:
+        v = v + 1j * rng.standard_normal((2, n))
+    tv = ifft(fft(table, length) * fft(v, length), length)[:, n - 1 : 2 * n - 1]
+    want = v + characteristic_inverse(problem.mesh).apply(tv.T).T
+    got = operator(v)
+    assert got.dtype == want.dtype == rhs.dtype
+    if bits:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("problem, transforms", [
+    pytest.param(lambda: screen_problem(ScreenParams(k=2.5, a=1.0), N0), {"fft", "ifft"},
+                 id="screen"),
+    pytest.param(lambda: benchmark_problem(N0, polynomial_kernel(3.0)), {"rfft", "irfft"},
+                 id="linear"),
+])
+def test_krylov_step_costs_four_transforms_and_no_apply(problem, transforms, monkeypatch):
+    # Each Krylov step makes at most four FFT calls (complex for the
+    # screen, real for a real table) and no ``CharacteristicInverse.apply``
+    # call; GMRES starts from M^{-1} e_0 and M^{-1} e_{n-1} in closed form;
+    # and one stacked probe solves the load together with Hager's first
+    # sweep, whose later sweeps probe one vector each.
+    problem = problem()
+    n = problem.mesh.n
+    transformed = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        def counted(*args, _name=name, _transform=getattr(np.fft, name), **kwargs):
+            transformed.append(_name)
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    applied = []
+    apply = CharacteristicInverse.apply
+
+    def counted_apply(self, r):
+        applied.append(np.shape(r))
+        return apply(self, r)
+
+    monkeypatch.setattr(CharacteristicInverse, "apply", counted_apply)
+    before, steps = [], []
+    gmres = fullsolver._gmres
+
+    def counted_gmres(operator, rhs):
+        def step(v):
+            before = len(transformed)
+            out = operator(v)
+            steps.append(transformed[before:])
+            return out
+
+        before.extend(transformed)
+        solved = gmres(step, rhs)
+        assert transformed[len(before):] == [name for calls in steps for name in calls]
+        return solved
+
+    monkeypatch.setattr(fullsolver, "_gmres", counted_gmres)
+    probed = []
+    builder = fullsolver._gohberg_semencul
+
+    def counted_builder(x, y):
+        inverse, inverse_adjoint = builder(x, y)
+
+        def probe(r):
+            probed.append(np.array(r))
+            return inverse(r)
+
+        return probe, inverse_adjoint
+
+    monkeypatch.setattr(fullsolver, "_gohberg_semencul", counted_builder)
+    solve_full(problem)
+    # Before GMRES only the Cauchy and the kernel spectra are transformed:
+    # the start columns take none.
+    assert len(before) == 2 and applied == []
+    assert steps and all(len(calls) <= 4 and set(calls) == transforms for calls in steps)
+    first, *later = probed
+    assert first.shape == (2, n) and np.all(first[-1] == 1.0 / n)
+    assert all(r.shape == (n,) for r in later)
 
 
 @pytest.mark.parametrize("n", [80, N0 - 1])

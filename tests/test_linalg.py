@@ -22,6 +22,7 @@ from hypersing.characteristic import _singular_profile, _toeplitz_view
 from hypersing.fullsolver import _kernel_table
 from hypersing.linalg import (
     MAX_DENSE_ELEMENTS,
+    _fft_length,
     _norm1,
     _toeplitz_norm1,
     _toeplitz_probes,
@@ -145,6 +146,32 @@ def test_shape_and_finiteness_validation(monkeypatch):
 def test_condition_estimate_identity():
     est = condition_estimate_1norm(lu_factor(np.eye(5)))
     assert 1.0 <= est <= 10.0
+
+
+def test_condition_estimate_never_below_one():
+    # cond_1(A) >= ||A A^{-1}||_1 = 1, however the probes round: the identity
+    # through the Gohberg-Semencul FFT probes, and a permutation, which is
+    # not Toeplitz, through gesv probes.
+    for n in range(1, 41):
+        assert condition_estimate_1norm(lu_factor(np.eye(n))) >= 1.0
+    permutation = np.eye(40)[np.random.default_rng(40).permutation(40)]
+    assert condition_estimate_1norm(lu_factor(permutation)) >= 1.0
+
+
+def test_fft_length_is_the_smallest_five_smooth_length():
+    # The smallest 2^a 3^b 5^c >= 2n - 1, against a brute-force search.
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    want = 1
+    for n in range(1, 5001):
+        while want < 2 * n - 1 or not smooth(want):
+            want += 1
+        assert _fft_length(n) == want
+    assert (_fft_length(400), _fft_length(600), _fft_length(2500)) == (800, 1200, 5000)
 
 
 def test_condition_estimate_diagonal():
@@ -309,6 +336,41 @@ def test_strided_toeplitz_view_skips_the_comparison(n, monkeypatch):
     assert compared == [(n - 1, n - 1)]
     assert np.array_equal(got.solution, want.solution)
     assert got.condition == want.condition
+
+
+def test_toeplitz_decision_tests_two_columns_first(monkeypatch):
+    # lu_factor finds a matrix Toeplitz (one gesv call with the generators)
+    # as before: a strided view with no comparison, its contiguous copy with
+    # the entry-wise one, and neither that copy with one interior entry
+    # changed nor a random matrix, whose first two columns already differ
+    # along the diagonals, so it is never compared entry by entry.
+    n = 40
+    rng = np.random.default_rng(23)
+    profile = rng.standard_normal(2 * n - 1)
+    profile[n - 1] += 8.0
+    view = _toeplitz_view(profile)
+    changed = view.copy()
+    changed[20, 30] += 1.0
+    compared = []
+    array_equal = np.array_equal
+
+    def counted(*args, **kwargs):
+        compared.append(args[0].shape)
+        return array_equal(*args, **kwargs)
+
+    monkeypatch.setattr(np, "array_equal", counted)
+    calls = count_gesv(monkeypatch)
+    for matrix, toeplitz_found, comparisons in (
+        (view, True, []),
+        (view.copy(), True, [(n - 1, n - 1)]),
+        (changed, False, [(n - 1, n - 1)]),
+        (rng.standard_normal((n, n)) + n * np.eye(n), False, []),
+    ):
+        calls.clear()
+        compared.clear()
+        lu_factor(matrix, np.ones(n))
+        assert (calls[0] == (n, 3)) == toeplitz_found
+        assert compared == comparisons
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (400, 400), (700, 90)])
