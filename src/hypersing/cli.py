@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 from typing import Optional
 
@@ -40,6 +41,7 @@ from hypersing.kernels import (
     polynomial_kernel,
     screen_problem,
 )
+from hypersing.linalg import check_dense_size
 from hypersing.mesh import make_mesh
 from hypersing.quadrature import QuadratureConvergenceError
 from hypersing.spectral import chebyshev_U, solve_spectral
@@ -116,20 +118,35 @@ def _run_crack(args: argparse.Namespace):
     return nodes, solution(nodes), exact, solution.condition
 
 
-def _against_oracle(args: argparse.Namespace, problem: FullProblem, interval):
+def _against_oracle(args: argparse.Namespace, problem: FullProblem, interval, N: int):
     # Collocation before the oracle: perfbench pins the kernel batches in this order.
     solution = solve_full(problem)
-    mquad = 2 * args.N if args.mquad is None else args.mquad
-    oracle = solve_spectral(problem.kernel, problem.rhs, args.N, mquad, interval=interval)
+    mquad = 2 * N if args.mquad is None else args.mquad
+    oracle = solve_spectral(problem.kernel, problem.rhs, N, mquad, interval=interval)
     nodes = solution.nodes
     return nodes, solution(nodes), oracle(nodes), solution.condition
 
 
+def _screen_terms(params: ScreenParams) -> int:
+    """The screen oracle's default N = ceil(1.6 k a) + 16.
+
+    The solution makes about k a / pi oscillations over the screen.  At
+    mquad = 2N this N is within 1e-13 of the peak of N' = 2N + 16 for k a
+    from 0.25 to 80 (17 to 20 terms for k a <= 2.5).  Raises ValueError
+    naming N when its mquad = 2N kernel table is over the dense budget.
+    """
+    span = 1.6 * params.k * params.a
+    if not math.isfinite(span):
+        raise ValueError(f"N=ceil(1.6 k a) + 16 overflows at k={params.k}, a={params.a}")
+    terms = math.ceil(span) + 16
+    check_dense_size("N", terms, 2 * terms, 2 * terms + 1)
+    return terms
+
+
 def _screen_against_oracle(args: argparse.Namespace):
     params = ScreenParams(k=args.k, a=args.a)
-    return _against_oracle(
-        args, screen_problem(params, args.n), (-params.a, params.a)
-    )
+    N = _screen_terms(params) if args.N is None else args.N
+    return _against_oracle(args, screen_problem(params, args.n), (-params.a, params.a), N)
 
 
 def _run_screen(args: argparse.Namespace):
@@ -182,7 +199,8 @@ def _run_finite_part(args: argparse.Namespace):
 def _run_spectral_compare(args: argparse.Namespace):
     if args.problem == "screen":
         return _screen_against_oracle(args)
-    return _against_oracle(args, _linear_kernel_problem(args), (-1.0, 1.0))
+    N = 32 if args.N is None else args.N
+    return _against_oracle(args, _linear_kernel_problem(args), (-1.0, 1.0), N)
 
 
 _RUNNERS = {
@@ -250,7 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, required=True, help="wavenumber")
     p.add_argument("--a", type=float, default=1.0, help="screen half-length")
     p.add_argument("--n", type=int, default=80)
-    p.add_argument("--N", type=int, default=32, help="oracle expansion terms")
+    p.add_argument("--N", type=int, default=None,
+                   help="oracle expansion terms (default ceil(1.6 k a) + 16, which "
+                   "follows the wavenumber: within 1e-13 of the converged oracle's "
+                   "peak for k a up to 80)")
     p.add_argument("--mquad", type=int, default=None, help=_MQUAD_HELP)
     p.add_argument("--normalize", action="store_true",
                    help="divide values by -pi*i*k; as k -> 0 these tend to "
@@ -272,7 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--A", type=float, default=3.0)
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--n", type=int, default=80)
-    p.add_argument("--N", type=int, default=32, help="oracle expansion terms")
+    p.add_argument("--N", type=int, default=None,
+                   help="oracle expansion terms (default ceil(1.6 k a) + 16 for the "
+                   "screen, as in the screen command; 32 for --problem full)")
     p.add_argument("--mquad", type=int, default=None, help=_MQUAD_HELP)
     _add_output_flags(p)
 

@@ -24,7 +24,9 @@ interpolated in T_n(t) at the nodes, and
 with -pi ln 2 for n = 0, so the logarithm is integrated exactly and the
 oracle converges spectrally at mquad = 2N.  The kernel table and the load
 go through the collocation solver's checks, so a failure names its
-(x, t) pair or point; the two share no arithmetic.
+(x, t) pair or point; the two share no arithmetic, and the Galerkin
+system is solved here, by one ``numpy.linalg.solve`` call, not by
+``linalg.lu_factor``.
 
 All grids are symmetric about 0, x_{m-1-i} = -x_i and t_{m-j} = -t_j,
 and U_j(-x) = (-1)^j U_j(x) (Mason & Handscomb, Chebyshev Polynomials,
@@ -47,7 +49,12 @@ import numpy as np
 
 from hypersing.analytic import RightHandSide, _load_values
 from hypersing.fullsolver import _grid_table
-from hypersing.linalg import check_dense_size, check_integer, lu_factor
+from hypersing.linalg import (
+    _RCOND_MIN,
+    SingularMatrixError,
+    check_dense_size,
+    check_integer,
+)
 from hypersing.mesh import _checked_interval
 from hypersing.quadrature import gauss_chebyshev1, gauss_chebyshev2
 
@@ -211,6 +218,31 @@ def _log_corrected_product(kernel, table, x, t, radius, ut):
     return np.concatenate(blocks)
 
 
+def _solve_galerkin(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """A^{-1} rhs of the N x N Galerkin system, in one LAPACK ``gesv`` call.
+
+    The call solves for [rhs | I], so it gives A^{-1} with the solution,
+    and with it the exact cond_1 = ||A||_1 ||A^{-1}||_1, never below
+    Hager's estimate of it.  Raises ValueError for a nonfinite entry of
+    either, and SingularMatrixError for an exactly zero pivot or
+    1/cond_1 <= 1e-13, as ``linalg.lu_factor`` does.
+    """
+    if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(rhs))):
+        raise ValueError("Galerkin system contains nonfinite moments")
+    n = len(rhs)
+    try:
+        solved = np.linalg.solve(matrix, np.column_stack([rhs, np.eye(n)]))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"LAPACK found an exactly zero pivot: {exc}") from exc
+    condition = np.linalg.norm(matrix, 1) * np.linalg.norm(solved[:, 1:], 1)
+    if not condition * _RCOND_MIN < 1.0:
+        raise SingularMatrixError(
+            f"reciprocal 1-norm condition number {1.0 / condition:.3e}"
+            f" is at most {_RCOND_MIN:.0e}"
+        )
+    return solved[:, 0]
+
+
 def solve_spectral(
     kernel,
     rhs: RightHandSide,
@@ -232,11 +264,13 @@ def solve_spectral(
     first-kind nodes, its logarithm by product integration, and its U rows
     as sin((j+1) angle); any other kernel keeps the second-kind tensor rule
     bit for bit.  Returns the expansion on the requested interval.
-    Raises SingularMatrixError if the truncated system degenerates, and
-    ValueError naming N or mquad when it is not an integer, for a nonfinite
-    or empty interval, or before any allocation if the mquad x (mquad + 1)
-    kernel table is above ``linalg.MAX_DENSE_ELEMENTS``; a nonfinite load
-    or a failing kernel raises as in ``solve_full``.
+    Raises SingularMatrixError if the truncated system has an exactly zero
+    pivot or an exact 1/cond_1 of at most 1e-13, ValueError for a
+    nonfinite moment, and ValueError naming N or mquad when it is not an
+    integer, for a nonfinite or empty interval, or before any allocation
+    if the mquad x (mquad + 1) kernel table is above
+    ``linalg.MAX_DENSE_ELEMENTS``; a nonfinite load or a failing kernel
+    raises as in ``solve_full``.
     """
     N = check_integer("N", N)
     mquad = check_integer("mquad", mquad)
@@ -284,5 +318,5 @@ def solve_spectral(
 
     orders = np.arange(1, N + 1)
     matrix = np.diag(-orders * (np.pi**2 / 2.0)) + k_moments
-    coeffs = lu_factor(matrix, f_moments).solution
+    coeffs = _solve_galerkin(matrix, f_moments)
     return ChebyshevSolution(coeffs=coeffs, interval=(a, b))

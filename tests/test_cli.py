@@ -1,4 +1,5 @@
 import argparse
+import math
 import os
 import re
 import shlex
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypersing import cli
+from hypersing import ScreenParams, cli, screen_problem, solve_spectral
 from hypersing.cli import main
 from tests.conftest import CAP_ADDRESS_SPACE, capped_env
 
@@ -122,9 +123,10 @@ def test_spectral_compare_screen_problem(tmp_path):
 def test_oracle_quadrature_defaults_to_twice_the_terms(tmp_path):
     # --mquad defaults to its floor 2N, also for an N given without it, and
     # the oracle there is converged: a finer grid moves its columns by
-    # rounding only, and the collocation columns not at all.
+    # rounding only, and the collocation columns not at all.  At k a = 2.5
+    # the default N is ceil(1.6 k a) + 16 = 20.
     tables = {}
-    for name, flags in (("default", []), ("explicit", ["--mquad", "64"]),
+    for name, flags in (("default", []), ("explicit", ["--mquad", "40"]),
                         ("n48", ["--N", "48"]), ("fine", ["--N", "48", "--mquad", "256"])):
         out = tmp_path / f"{name}.csv"
         assert main(["screen", "--k", "2.5", "--n", "16", *flags, "--out", str(out)]) == 0
@@ -137,6 +139,40 @@ def test_oracle_quadrature_defaults_to_twice_the_terms(tmp_path):
         oracle = fine[:, 3] + 1j * fine[:, 4]
         drift = np.abs(coarse[:, 3] + 1j * coarse[:, 4] - oracle)
         assert np.max(drift) <= 1e-12 * np.max(np.abs(oracle))
+
+
+SCREEN_TERMS_CASES = [(ka, a) for ka in (0.25, 2.5, 10.0, 20.0, 40.0, 80.0) for a in (0.5, 2.0)]
+
+
+@pytest.mark.parametrize("ka, a", SCREEN_TERMS_CASES,
+                         ids=[f"ka{ka:g}-a{a:g}" for ka, a in SCREEN_TERMS_CASES])
+def test_screen_oracle_default_terms_converged(ka, a):
+    # The default N = ceil(1.6 k a) + 16 at mquad = 2N is within 1e-12 of
+    # the peak of N' = 2N + 16 at mquad = 2N' (3.3e-14 measured at k a = 80).
+    params = ScreenParams(k=ka / a, a=a)
+    N = cli._screen_terms(params)
+    assert N == math.ceil(1.6 * ka) + 16
+    problem = screen_problem(params, 8)
+    nodes = np.linspace(-a, a, 161)
+    got = solve_spectral(problem.kernel, problem.rhs, N, 2 * N, interval=(-a, a))(nodes)
+    reference = 2 * N + 16
+    want = solve_spectral(
+        problem.kernel, problem.rhs, reference, 2 * reference, interval=(-a, a)
+    )(nodes)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_screen_default_terms_follow_the_wavenumber(tmp_path, capsys):
+    # At k = 40 a fixed N = 32 read max_abs_error=2.280305e-01; the default
+    # N = 80 reads the converged 1.573532e-01 of N = 160.
+    errors = []
+    for flags in ([], ["--N", "160", "--mquad", "320"]):
+        out = tmp_path / "screen.csv"
+        assert main(["screen", "--k", "40", "--n", "400", *flags, "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        errors.append(float(re.search(r"max_abs_error=(\S+)", err).group(1)))
+    assert errors[0] == pytest.approx(errors[1], rel=1e-12)
+    assert errors[1] == pytest.approx(0.1573532, rel=1e-6)
 
 
 _EDGE = [-0.0, 5e-324, 1.7976931348623157e308, 1.0 / 3.0, np.inf, -np.inf]
@@ -243,6 +279,7 @@ def _nonfinite_flag_cases():
 def test_solver_error_exits_one(tmp_path, capsys):
     for args, message in (
         (["screen", "--k", "-2"], "wavenumber must be positive"),
+        (["screen", "--k", "1e200", "--a", "1e200"], "N=ceil(1.6 k a) + 16 overflows"),
         (["finite-part", "--density", "cheb", "--j", "2", "--tol", "inf"],
          "tol must be positive"),
         *_nonfinite_flag_cases(),
@@ -265,13 +302,18 @@ _CAPPED_MAIN = CAP_ADDRESS_SPACE + (
     [
         (["screen", "--k", "1", "--mquad", "100000000", "--N", "2", "--n", "4"], "mquad"),
         (["spectral-compare", "--mquad", "100000000", "--N", "2", "--n", "4"], "mquad"),
+        # The default N = ceil(1.6 k a) + 16 = 2096 at k a = 1300 needs a
+        # 4192 x 4193 kernel table at mquad = 2N.
+        (["screen", "--k", "1300", "--n", "4"], "N"),
+        (["spectral-compare", "--k", "650", "--a", "2", "--n", "4"], "N"),
         # The crack's closed-form solve holds no n x n array: its FFT length,
         # the smallest 2^a 3^b 5^c >= 2n - 1, is what the budget refuses.
         (["crack", "--n", "100000000"], "n"),
         (["full", "--A", "3", "--n", "100000"], "n"),
         (["characteristic", "--n", "40", "--m", "1000000000"], "m"),
     ],
-    ids=["screen-mquad", "spectral-compare-mquad", "crack-n", "full-n", "characteristic-m"],
+    ids=["screen-mquad", "spectral-compare-mquad", "screen-default-N",
+         "spectral-compare-default-N", "crack-n", "full-n", "characteristic-m"],
 )
 def test_oversized_dense_arrays_refused_by_name(args, name, tmp_path):
     done = subprocess.run(

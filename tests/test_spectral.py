@@ -9,6 +9,7 @@ from hypersing import (
     RegularKernel,
     RightHandSide,
     ScreenParams,
+    SingularMatrixError,
     chebyshev_U,
     full_example_exact,
     invert_characteristic,
@@ -18,7 +19,7 @@ from hypersing import (
     solve_spectral,
     zero_kernel,
 )
-from hypersing import spectral
+from hypersing import linalg, spectral
 from hypersing.quadrature import gauss_chebyshev1, gauss_chebyshev2
 from tests.conftest import const_pi_rhs, gaussian_symbol, unit_semicircle
 
@@ -182,6 +183,63 @@ def test_oversized_kernel_table_refused_before_allocation():
     assert solve_spectral(None, const_pi_rhs(), 2, 4095).coeffs.shape == (2,)
 
 
+def constant_kernel(value: float):
+    """The even difference kernel K0 = value."""
+    return RegularKernel(
+        profile_batch=lambda d: np.full(np.shape(np.atleast_1d(d)), value), even=True
+    )
+
+
+@pytest.mark.parametrize("N, mquad", [(2, 4), (8, 17), (32, 64)])
+def test_degenerate_galerkin_system_refused(N, mquad):
+    # K0 = 2 on (-1, 1) adds 2 (pi/2)^2 to the (0, 0) entry -pi^2/2 and
+    # nothing elsewhere, so the truncated system is singular.
+    with pytest.raises(SingularMatrixError):
+        solve_spectral(constant_kernel(2.0), const_pi_rhs(), N, mquad)
+
+
+def test_nonfinite_moment_refused():
+    # Every kernel and load value is finite, but their moments overflow.
+    huge_load = RightHandSide(fprime=lambda x: np.full(np.shape(x), 1e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="nonfinite moments"):
+            solve_spectral(constant_kernel(1e308), const_pi_rhs(), 8, 16)
+        with pytest.raises(ValueError, match="nonfinite moments"):
+            solve_spectral(None, huge_load, 8, 16, interval=(-2.0, 2.0))
+
+
+def test_galerkin_system_solved_without_lu_factor(monkeypatch):
+    # The oracle shares no solver code with the collocation route.
+    def refuse(*args, **kwargs):
+        raise AssertionError("lu_factor called")
+
+    monkeypatch.setattr(linalg, "lu_factor", refuse)
+    monkeypatch.setattr(spectral, "lu_factor", refuse, raising=False)
+    kernel, rhs = screen_case(2.5)
+    solution = solve_spectral(kernel, rhs, 20, 40)
+    assert np.all(np.isfinite(solution.coeffs))
+
+
+def test_galerkin_solve_refuses_what_lu_factor_refuses():
+    # The exact cond_1 is never below Hager's estimate, so every matrix
+    # lu_factor refuses is refused here too; the solutions agree otherwise.
+    refused = 0
+    for n in range(2, 15):
+        i = np.arange(n)
+        matrix = 1.0 / (i[:, None] + i + 1.0)
+        rhs = np.ones(n)
+        try:
+            want = linalg.lu_factor(matrix, rhs).solution
+        except SingularMatrixError:
+            refused += 1
+            with pytest.raises(SingularMatrixError, match="at most 1e-13"):
+                spectral._solve_galerkin(matrix, rhs)
+            continue
+        got = spectral._solve_galerkin(matrix, rhs)
+        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+    assert refused == 5  # n = 10 .. 14, cond_1 from 3.5e13 up
+
+
 def screen_case(k: float):
     problem = screen_problem(ScreenParams(k=k, a=1.0), 8)
     return problem.kernel, problem.rhs
@@ -230,13 +288,13 @@ def test_full_table_moments_are_bitwise_reference(kernel, monkeypatch):
     kernel = kernel()
     N, mquad, (a, b) = 8, 40, (0.0, 3.0)
     matrices = []
-    lu_factor = spectral.lu_factor
+    solve_galerkin = spectral._solve_galerkin
 
     def recording(matrix, rhs):
         matrices.append(matrix)
-        return lu_factor(matrix, rhs)
+        return solve_galerkin(matrix, rhs)
 
-    monkeypatch.setattr(spectral, "lu_factor", recording)
+    monkeypatch.setattr(spectral, "_solve_galerkin", recording)
     solve_spectral(kernel, const_pi_rhs(), N, mquad, interval=(a, b))
     center, radius = 0.5 * (a + b), 0.5 * (b - a)
     xi_x, w_x = gauss_chebyshev2(mquad)
@@ -285,13 +343,13 @@ def log_kernel(even=True):
 
 def galerkin_matrix(kernel, N, mquad, interval, monkeypatch):
     matrices = []
-    lu_factor = spectral.lu_factor
+    solve_galerkin = spectral._solve_galerkin
 
     def recording(matrix, rhs):
         matrices.append(matrix)
-        return lu_factor(matrix, rhs)
+        return solve_galerkin(matrix, rhs)
 
-    monkeypatch.setattr(spectral, "lu_factor", recording)
+    monkeypatch.setattr(spectral, "_solve_galerkin", recording)
     solve_spectral(kernel, const_pi_rhs(), N, mquad, interval=interval)
     return matrices[0]
 
