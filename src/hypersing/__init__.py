@@ -26,7 +26,6 @@ from hypersing.linalg import (
     SingularMatrixError,
     condition_estimate_1norm,
     lu_factor,
-    solve,
 )
 from hypersing.analytic import (
     InversionResult,
@@ -79,7 +78,6 @@ __all__ = [
     "LUFactorization",
     "SingularMatrixError",
     "lu_factor",
-    "solve",
     "condition_estimate_1norm",
     "RightHandSide",
     "InversionResult",

@@ -16,27 +16,38 @@ With no kernel the problem is the characteristic equation:
 solves it, and a difference kernel whose checked table is identically
 zero, through ``characteristic.characteristic_inverse``, the closed-form
 inverse M^{-1} of the characteristic matrix: O(n log n) with no n x n
-array, and the exact condition number.  Any other difference kernel from
-n = _GMRES_MIN_N on is solved by GMRES on the second-kind form
-(I + M^{-1} T) g = M^{-1} b, with T the kernel's Toeplitz table applied
-by FFT (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986; Chan and
-Ng, SIAM Rev. 38, 1996): O(n log n) per iteration, a few to a few dozen
-iterations, and no n x n array.  The operator is built once per solve
-and takes each Krylov step in four bare FFT calls of the 5-smooth length
-``linalg._fft_length(n)``: T by the kernel's spectrum, then M^{-1} by
-the Cauchy spectrum between its two scalings and a reversed cumulative
-sum, complex transforms for a complex table and real ones for a real
-table.  GMRES solves only for the right-hand sides e_0 and e_{n-1},
-starting from M^{-1} e_0 and M^{-1} e_{n-1} in closed form, which gives
-the first and last columns of A^{-1}; the load is then one product with
-A^{-1} by the Gohberg-Semencul formula, taken in one stacked probe with
-the first sweep of Hager's estimate, and accepted when its normwise
-backward error is at most _GMRES_TOL.  Below that n, where LAPACK is
-faster, after _GMRES_MAX_ITER
-iterations without convergence, when the load fails that test, and for a
-general kernel, the dense matrix goes through ``linalg.lu_factor``.
-Every Toeplitz route takes Hager's condition estimate from the first and
-last columns of A^{-1} through ``linalg._gohberg_semencul``.
+array, and the exact condition number.
+
+Any other difference kernel is solved in one place, ``_solve_toeplitz``,
+from its 2n - 1 profile.  It needs the first and last columns x, y of
+A^{-1}: from them the Gohberg-Semencul formula
+(``linalg._gohberg_semencul``) gives every probe of Hager's condition
+estimate, and the 1-norm comes from the profile in O(n).  x and y come
+from one of two sources.  From n = _GMRES_MIN_N on, GMRES solves the
+second-kind form (I + M^{-1} T) g = M^{-1} r for r = e_0 and e_{n-1},
+with T the kernel's Toeplitz table applied by FFT (Saad and Schultz,
+SIAM J. Sci. Stat. Comput. 7, 1986; Chan and Ng, SIAM Rev. 38, 1996):
+O(n log n) per iteration, a few to a few dozen iterations, and no n x n
+array.  The operator is built once per solve and takes each Krylov step
+in four bare FFT calls of the 5-smooth length ``linalg._fft_length(n)``:
+T by the kernel's spectrum, then M^{-1} by the Cauchy spectrum between
+its two scalings and a reversed cumulative sum, complex transforms for a
+complex table and real ones for a real table; GMRES starts from
+M^{-1} e_0 and M^{-1} e_{n-1} in closed form.  The load is then one
+product with A^{-1} by the formula, taken in one stacked probe with the
+first sweep of Hager's estimate, and accepted when its normwise backward
+error is at most _GMRES_TOL.  Below that n, where LAPACK is faster, and
+whenever GMRES gives no answer (no convergence in _GMRES_MAX_ITER
+iterations, a load that fails that test, or an estimate that reads
+singular), one ``gesv`` call on the read-only Toeplitz view of the
+profile solves e_0, e_{n-1} and the load together: the load comes from
+LAPACK's LU, and the only n x n array is LAPACK's copy.  Measured with
+OpenBLAS 0.3.31, a one-column and a multi-column ``gesv`` differ in the
+last bits, while any two multi-column counts agree, so a real-valued
+complex load (two columns for its parts) keeps the bits of a real one.
+A real-valued table is solved in real arithmetic.  Only where
+(A^{-1})_00 = 0, and the formula does not hold, does the view go through
+``linalg.lu_factor``, which also takes a general kernel's dense matrix.
 
 ``fredholm_residual`` measures how well a solution satisfies the
 equivalent second-kind equation obtained by inverting the singular part:
@@ -71,6 +82,7 @@ from hypersing.linalg import (
     _checked_condition,
     _checked_rhs,
     _fft_length,
+    _gesv,
     _gohberg_semencul,
     _toeplitz_norm1,
     check_dense_size,
@@ -218,9 +230,8 @@ def _kernel_table(problem: FullProblem):
 
 def _matrix(mesh: Mesh, table: np.ndarray) -> np.ndarray:
     # The collocation matrix of a kernel table.  A profile's is the
-    # read-only Toeplitz view of its sum with the singular profile, so the
-    # dense solve holds no n x n array but LAPACK's own copy; a general
-    # table has the view of the singular profile added in place.
+    # read-only Toeplitz view of its sum with the singular profile; a
+    # general table has the view of the singular profile added in place.
     if table.ndim == 1:
         return _toeplitz_view(_singular_profile(mesh) + table)
     table += _toeplitz_view(_singular_profile(mesh))
@@ -343,58 +354,75 @@ def _preconditioned_operator(inverse: CharacteristicInverse, table: np.ndarray) 
     return operator
 
 
-def _solve_gmres(mesh: Mesh, table: np.ndarray, b: np.ndarray):
+def _solve_toeplitz(mesh: Mesh, table: np.ndarray, b: np.ndarray):
     # (values, condition) of the Toeplitz system with kernel profile
-    # ``table``, or None to fall back to the dense route.  GMRES on
-    # (I + M^{-1} T) g = M^{-1} r, with the operator built once, runs over
-    # r = e_0 and e_{n-1} only, from their M^{-1} r in closed form.  Their
-    # solutions x, y, the first and last columns of A^{-1}, give the A^{-1}
-    # probe of the Gohberg-Semencul formula.  One stacked probe call solves
-    # the load (its real and imaginary parts as two rows when the table
-    # holds real values) together with the first sweep of Hager's
-    # estimate, which the estimate then continues.  The load is accepted
-    # when its normwise backward error ||b - A g||_1 / (||A||_1 ||g||_1 +
-    # ||b||_1), with A g one FFT product with the whole profile, is at most
-    # _GMRES_TOL.
+    # ``table``, from the first and last columns x, y of A^{-1} by GMRES or
+    # by one gesv call, as the module docstring says.  A table holding real
+    # values is solved in real arithmetic, a complex load then as its real
+    # and imaginary parts.  A GMRES failure falls back to the dense source,
+    # whose SingularMatrixError is the caller's.
     n = mesh.n
     b = _checked_rhs(b, n)
     profile = _singular_profile(mesh) + table
+    if not np.all(np.isfinite(profile)):
+        raise ValueError("matrix contains nonfinite entries")
     real = not np.any(table.imag)
     split = real and (np.iscomplexobj(b) or np.iscomplexobj(table))
     if real:
         table, profile = table.real, profile.real
     dtype = np.dtype(np.float64 if real else np.complex128)
-    inverse = characteristic_inverse(mesh)
-    solved = _gmres(_preconditioned_operator(inverse, table), inverse._end_columns().astype(dtype))
-    if solved is None:
-        return None
-    (x, y), iterations, residual = solved
-    probes = _gohberg_semencul(x, y)
-    if probes is None:
-        return None
+    loads = np.array([b.real, b.imag] if split else [b], dtype=dtype)
+    norm1 = _toeplitz_norm1(profile)
 
     def join(rows):
         return rows[0] + 1j * rows[1] if split else rows[0]
 
-    loads = [b.real, b.imag] if split else [b]
-    *parts, first = probes[0](np.array([*loads, np.full(n, 1.0 / n)], dtype=dtype))
-    length = _fft_length(n)
-    fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
-    products = ifft(fft(profile, length) * fft(parts, length), length)[:, n - 1 : 2 * n - 1]
-    values = join(parts)
-    norm1 = _toeplitz_norm1(profile)
-    error = float(np.abs(b - join(products)).sum())
-    scale = norm1 * float(np.abs(values).sum()) + float(np.abs(b).sum())
-    backward = error / scale if scale else error  # b = 0 is solved by g = 0
-    if not backward <= _GMRES_TOL:
-        return None
-    try:
-        condition = _checked_condition(norm1, n, dtype, *probes, first=first)
-    except SingularMatrixError:
-        return None
-    logger.debug("GMRES route at n=%d: %d iterations, relative residual %.3e,"
-                 " load backward error %.3e", n, iterations, residual, backward)
-    return values, condition
+    def from_end_columns(x, y, parts=None):
+        # (values, condition, backward error) from x and y, or None where the
+        # formula does not hold.  With no ``parts`` (GMRES), the loads are
+        # one stacked A^{-1} probe with the estimate's first sweep, and None
+        # is returned unless their normwise backward error
+        # ||b - A g||_1 / (||A||_1 ||g||_1 + ||b||_1), with A g one FFT
+        # product with the whole profile, is at most _GMRES_TOL.
+        probes = _gohberg_semencul(x, y)
+        if probes is None:
+            return None
+        first = backward = None
+        if parts is None:
+            *parts, first = probes[0](np.array([*loads, np.full(n, 1.0 / n)], dtype=dtype))
+            length = _fft_length(n)
+            fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+            products = ifft(fft(profile, length) * fft(parts, length), length)
+            error = float(np.abs(b - join(products[:, n - 1 : 2 * n - 1])).sum())
+            scale = norm1 * float(np.abs(join(parts)).sum()) + float(np.abs(b).sum())
+            backward = error / scale if scale else error  # b = 0 is solved by g = 0
+            if not backward <= _GMRES_TOL:
+                return None
+        return join(parts), _checked_condition(norm1, n, dtype, *probes, first=first), backward
+
+    if n >= _GMRES_MIN_N:
+        inverse = characteristic_inverse(mesh)
+        ends = _gmres(_preconditioned_operator(inverse, table), inverse._end_columns().astype(dtype))
+        try:
+            solved = None if ends is None else from_end_columns(*ends[0])
+        except SingularMatrixError:
+            solved = None
+        if solved is not None:
+            logger.debug("GMRES route at n=%d: %d iterations, relative residual %.3e,"
+                         " load backward error %.3e", n, *ends[1:], solved[2])
+            return solved[:2]
+        logger.debug("GMRES route at n=%d gave no answer", n)
+    columns = np.zeros((2 + len(loads), n), dtype=dtype)
+    columns[0, 0] = columns[1, -1] = 1.0
+    columns[2:] = loads
+    view = _toeplitz_view(profile)
+    x, y, *parts = _gesv(view, columns.T).T
+    solved = from_end_columns(x, y, parts)
+    if solved is None:  # (A^{-1})_00 = 0
+        fact = lu_factor(view, b)
+        solved = fact.solution, condition_estimate_1norm(fact)
+    logger.debug("dense route at n=%d", n)
+    return solved[:2]
 
 
 def solve_full(problem: FullProblem) -> DiscreteSolution:
@@ -403,29 +431,29 @@ def solve_full(problem: FullProblem) -> DiscreteSolution:
     The characteristic equation (no kernel, or a difference kernel whose
     table is identically zero) is solved by ``characteristic_inverse``,
     the closed-form inverse of its matrix, in O(n log n) with no n x n
-    array; its ``condition`` is exact.  A difference kernel from
-    n = _GMRES_MIN_N on is solved by GMRES on the second-kind form
-    (I + M^{-1} T) g = M^{-1} b, preconditioned by that closed-form
-    inverse, with O(n log n) work per iteration and no n x n array: the
-    operator, built once, takes four FFT calls per iteration, and GMRES
-    starts from M^{-1} e_0 and M^{-1} e_{n-1} in closed form.  GMRES
-    solves for the first and last columns of A^{-1} only; from them the
-    Gohberg-Semencul formula gives the solution, as one product with
-    A^{-1} in four FFTs that also takes the first sweep of Hager's
-    condition estimate, and the rest of that estimate.  The solution is
-    accepted when its normwise backward error
-    ||b - A g||_1 / (||A||_1 ||g||_1 + ||b||_1) is at most _GMRES_TOL.  The
-    solve falls back to the dense route when GMRES has not reached a
-    relative residual of _GMRES_TOL in _GMRES_MAX_ITER iterations, when
-    that formula does not apply, when the solution fails that test, or
-    when the estimate reads singular; the dense route then decides.  Any
-    other kernel, and a difference kernel below _GMRES_MIN_N, where LAPACK
-    is faster, assembles the dense matrix and solves it through LAPACK in
-    the ``lu_factor`` call that takes the condition estimate.  A difference
-    kernel's matrix is a read-only Toeplitz view of its 2n - 1 profile,
-    checked from that profile and solved in one ``gesv`` call, so the only
-    n x n array is LAPACK's copy; a general kernel's table is one more.
-    Every route's condition number is attached to the result; a warning is
+    array; its ``condition`` is exact.  Any other difference kernel takes
+    one Toeplitz route, which needs the first and last columns of A^{-1}:
+    the Gohberg-Semencul formula gives from them Hager's condition
+    estimate, in FFT products.  From n = _GMRES_MIN_N on, GMRES solves for
+    those two columns on the second-kind form (I + M^{-1} T) g = M^{-1} r,
+    preconditioned by the closed-form inverse, with O(n log n) work per
+    iteration and no n x n array: the operator, built once, takes four FFT
+    calls per iteration, and GMRES starts from M^{-1} e_0 and M^{-1} e_{n-1}
+    in closed form.  The solution is then one product with A^{-1} by the
+    formula, which also takes the first sweep of the estimate, accepted
+    when its normwise backward error ||b - A g||_1 / (||A||_1 ||g||_1 +
+    ||b||_1) is at most _GMRES_TOL.  Below _GMRES_MIN_N, where LAPACK is
+    faster, and when GMRES gives no answer (no relative residual of
+    _GMRES_TOL in _GMRES_MAX_ITER iterations, a formula that does not
+    apply, a solution that fails that test, or an estimate that reads
+    singular), one ``gesv`` call on the read-only Toeplitz view of the
+    2n - 1 profile solves for the two columns and the load together, so
+    the solution comes from LAPACK's LU and the only n x n array is
+    LAPACK's copy.  Where (A^{-1})_00 = 0 the formula does not apply and
+    that view goes through ``lu_factor``.  A general kernel assembles the
+    dense matrix, one more n x n array, and solves it through LAPACK in
+    the ``lu_factor`` call that takes the condition estimate.  Every
+    route's condition number is attached to the result; a warning is
     logged above 1e12, and the route taken (with the GMRES iteration count,
     final relative residual and the load's backward error) at DEBUG.  The
     scalar field is complex exactly when the kernel or the right-hand side
@@ -438,20 +466,16 @@ def solve_full(problem: FullProblem) -> DiscreteSolution:
         problem.rhs.validate_pair(mesh.a, mesh.b)
     table = _kernel_table(problem)
     b = _load_values(problem.rhs.fprime, mesh.colloc, "right-hand side")
-    solved = None
     if table is None:
         inverse = characteristic_inverse(mesh)
-        solved = inverse.apply(b), inverse.condition
+        values, condition = inverse.apply(b), inverse.condition
         logger.debug("closed-form route at n=%d", mesh.n)
-    elif table.ndim == 1 and mesh.n >= _GMRES_MIN_N:
-        solved = _solve_gmres(mesh, table, b)
-        if solved is None:
-            logger.debug("GMRES route at n=%d gave no answer", mesh.n)
-    if solved is None:
+    elif table.ndim == 1:
+        values, condition = _solve_toeplitz(mesh, table, b)
+    else:
         fact = lu_factor(_matrix(mesh, table), b)
-        solved = fact.solution, condition_estimate_1norm(fact)
+        values, condition = fact.solution, condition_estimate_1norm(fact)
         logger.debug("dense route at n=%d", mesh.n)
-    values, condition = solved
     if condition > _CONDITION_WARN:
         logger.warning(
             "collocation matrix is ill conditioned: estimate %.3e", condition

@@ -2,20 +2,21 @@
 
 Every dense solve is one ``numpy.linalg.solve`` call, that is LAPACK
 ``gesv``: an LU factorization with partial pivoting followed by the two
-triangular solves.  ``solve_full`` does not bring the characteristic
-equation here: it solves it from the closed-form inverse of its matrix in
-``characteristic``, which also gives that matrix's exact condition number.
-Nor, from ``fullsolver._GMRES_MIN_N`` on, a difference kernel, which it
-solves by GMRES preconditioned with that inverse.
-numpy exposes no separate factor and solve, so a factorization here is
-the checked matrix itself together with Hager's estimate of its 1-norm
-condition number (W. W. Hager, "Condition estimates", SIAM J. Sci.
-Stat. Comput. 5, 1984).  The estimate is taken once, when the matrix is
-factored, from a few products with A^{-1} and A^{-H}; it also decides
-whether the matrix counts as singular.
+triangular solves.  numpy exposes no separate factor and solve, so a
+factorization here is the checked matrix itself together with Hager's
+estimate of its 1-norm condition number (W. W. Hager, "Condition
+estimates", SIAM J. Sci. Stat. Comput. 5, 1984).  ``lu_factor`` takes
+the estimate once, from a few ``gesv`` probes with A and A^H; it also
+decides whether the matrix counts as singular.  The matrix is checked and
+its 1-norm summed entry by entry, a block of rows at a time, and the
+caller's right-hand side is solved after the estimate, one single-column
+``gesv`` per real or imaginary part.  ``solve_full`` brings here only a
+general kernel's matrix and a Toeplitz matrix with (A^{-1})_00 = 0;
+``fullsolver`` solves every other collocation matrix from its 2n - 1
+profile.
 
-Every collocation matrix on the uniform mesh is Toeplitz.  Given the
-first and last columns x and y of its inverse, with x_0 != 0, the
+For those Toeplitz solves this module holds the shared pieces.  Given the
+first and last columns x and y of A^{-1}, with x_0 != 0, the
 Gohberg-Semencul formula
 
     A^{-1} = (1/x_0) [L(x) U(Jy) - L(Zy) U(ZJx)]
@@ -26,35 +27,10 @@ O(n log n), as four FFT products of the padded length ``_fft_length(n)``,
 the smallest 2^a 3^b 5^c >= 2n - 1, with no further factorization (I.
 Gohberg and A. Semencul, Mat. Issled. 7, 1972); a probe of A^{-H} is one
 of A^{-1} by persymmetry, J A J = A^T.  ``_gohberg_semencul`` builds
-those probes from (x, y) and ``_checked_condition`` takes the estimate,
-at least 1, and the singular test from them; both serve the dense
-Toeplitz route here, where one ``gesv`` call gives x and y, and
-``fullsolver``'s GMRES route, which solves for x and y by GMRES and then
-its load and the estimate's first sweep in one stacked A^{-1} probe.  The
-closed-form inverse of ``characteristic`` pads its products to the same
-length.  On the dense route the
-caller's right-hand side, given to ``lu_factor``, rides in that ``gesv``
-call as one more column (two, for the real and imaginary parts of a
-complex b with a real matrix), so a Toeplitz solve factors A once and its
-solution still comes from LAPACK's LU, never from the formula.  Any other
-matrix is probed through ``gesv`` with A and A^H, which factors it again
-on each probe, and is solved after the estimate, one single-column
-``gesv`` per real or imaginary part.  Measured with OpenBLAS 0.3.31, a
-one-column and a multi-column ``gesv`` differ in the last bits (real matrices at 1
-BLAS thread, real and complex at 2), while any two multi-column counts
-agree: so the extra columns leave x, y and the estimate unchanged, and
-both routes solve a real-valued complex b in the bits of a real one.
-
-The caller's matrix may be a read-only strided view, such as the Toeplitz
-view of a 2n - 1 profile that ``fullsolver`` passes: ``gesv`` copies any
-layout into LAPACK's own buffer, with the same bits as from a contiguous
-copy.  Such a view, with strides (s, -s), is known to be Toeplitz in
-O(1); any other layout is compared entry by entry, after an O(n) test of
-its first two columns that turns a general matrix away.  A Toeplitz
-matrix is checked for finite and for real values, and its 1-norm taken,
-from its 2n - 1 generators in O(n), so its solve makes no n x n array
-besides LAPACK's copy.  Any other matrix is checked entry by entry, and its
-1-norm summed a block of rows at a time.
+those probes from (x, y), ``_checked_condition`` takes the estimate, at
+least 1, and the singular test from them, and ``_toeplitz_norm1`` takes
+||A||_1 from the profile in O(n).  The closed-form inverse of
+``characteristic`` pads its products to the same length.
 """
 
 from __future__ import annotations
@@ -115,9 +91,8 @@ class LUFactorization:
     ``lu_factor`` took.  ``solution`` is A^{-1} rhs when ``lu_factor`` was
     given a right-hand side, else None.  Each solve is one ``gesv`` call,
     which factors the matrix inside LAPACK; no factors, inverse or copy are
-    stored.  For a Toeplitz matrix the estimate and ``solution`` came from
-    one ``gesv`` call together; for any other the estimate cost a few
-    ``gesv`` calls and ``solution`` one more.
+    stored.  The estimate cost a few ``gesv`` calls and ``solution`` one
+    more.
     """
 
     matrix: np.ndarray
@@ -137,7 +112,13 @@ class LUFactorization:
         return self._solve(self.matrix, b)
 
     def solve_adjoint(self, b: np.ndarray) -> np.ndarray:
-        """Solve A^H x = b (plain transpose for real matrices)."""
+        """Solve A^H x = b (plain transpose for real matrices).
+
+        It serves Hager's probes in ``lu_factor``, and stays a named method
+        because ``perfbench/spans.py`` binds it to time those probes, until
+        a solve report inside the package replaces that binding (ROADMAP
+        item 7).
+        """
         return np.conj(self._solve(self.matrix.T, np.conj(b)))
 
     def _solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -178,16 +159,10 @@ def lu_factor(a: np.ndarray, rhs: np.ndarray | None = None) -> LUFactorization:
 
     ``a`` may be any array or view.  It is never written, and copied only
     to convert a scalar type other than float64 and complex128.  A
-    Toeplitz matrix (a view with strides (s, -s), or
-    ``a[1:, 1:] == a[:-1, :-1]``) is checked for nonfinite entries, tested
-    for nonzero imaginary parts and normed from its 2n - 1 generators, its
-    first column and row; any other from all of its entries.  A nonfinite
-    entry raises ValueError before LAPACK runs.
-
-    Given ``rhs``, the result also carries ``solution`` = A^{-1} rhs, solved
-    by LAPACK's LU in the ``gesv`` call that gives the Toeplitz generators,
-    or after the estimate for any other matrix; ``rhs`` is checked for shape
-    and finiteness (ValueError) before LAPACK runs.
+    nonfinite entry raises ValueError before LAPACK runs.  Given ``rhs``,
+    the result also carries ``solution`` = A^{-1} rhs, solved after the
+    estimate; ``rhs`` is checked for shape and finiteness (ValueError)
+    before LAPACK runs.
 
     Raises SingularMatrixError, before any solution is returned, when
     LAPACK meets an exactly zero pivot, or when the estimated reciprocal
@@ -201,49 +176,32 @@ def lu_factor(a: np.ndarray, rhs: np.ndarray | None = None) -> LUFactorization:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    # A view with strides (s, -s), as ``characteristic._toeplitz_view`` makes,
-    # holds a[i, j] at offset (i - j) s: Toeplitz with no n^2 comparison.
-    # Any other layout is compared entry by entry only once its first two
-    # columns agree along the diagonals, a[1:, 1] == a[:-1, 0]: an O(n)
-    # test that turns a general matrix away.
-    toeplitz = a.size > 0 and (
-        a.strides[0] == -a.strides[1]
-        or (len(a) < 2 or bool((a[1:, 1] == a[:-1, 0]).all()))
-        and np.array_equal(a[1:, 1:], a[:-1, :-1])
-    )
-    # A Toeplitz matrix is checked and normed from its 2n - 1 generators
-    # p[i - j + n - 1] = a[i, j]; any other matrix from all its entries.
-    entries = np.concatenate((a[:0:-1, 0], a[0])) if toeplitz else a
-    if not np.all(np.isfinite(entries)):
+    if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains nonfinite entries")
-    if np.iscomplexobj(a) and np.any(entries.imag):
+    if np.iscomplexobj(a) and np.any(a.imag):
         matrix = a.astype(np.complex128, copy=False)
     else:
         matrix = a.real.astype(np.float64, copy=False)
     dtype = np.dtype(np.complex128 if np.iscomplexobj(a) else np.float64)
     fact = LUFactorization(matrix=matrix, dtype=dtype)
-    columns = () if rhs is None else fact._columns(rhs)
-    probes, solved = _toeplitz_probes(matrix, columns) if toeplitz else (None, None)
-    probes = probes or (fact.solve, fact.solve_adjoint)
-    norm1 = _toeplitz_norm1(entries) if toeplitz else _norm1(matrix)
-    fact.condition = _checked_condition(norm1, fact.n, matrix.dtype, *probes)
     if rhs is not None:
-        fact.solution = fact.solve(rhs) if solved is None else _join(solved)
+        _checked_rhs(rhs, fact.n)
+    fact.condition = _checked_condition(
+        _norm1(matrix), fact.n, matrix.dtype, fact.solve, fact.solve_adjoint
+    )
+    if rhs is not None:
+        fact.solution = fact.solve(rhs)
     return fact
-
-
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Factor-and-solve convenience for a single system."""
-    return lu_factor(a, b).solution
 
 
 def condition_estimate_1norm(fact: LUFactorization) -> float:
     """Hager's estimate of cond_1(A) = ||A||_1 * ||A^{-1}||_1.
 
-    ``lu_factor`` takes it once.  Its probes of A^{-1} and A^{-H} come
-    from the Gohberg-Semencul formula, in FFT products, for a Toeplitz
-    matrix and from ``gesv`` otherwise; the result is reliably within a
-    factor of 10 of the true value.
+    ``lu_factor`` takes it once, from ``gesv`` probes of A^{-1} and A^{-H};
+    the result is reliably within a factor of 10 of the true value.  It
+    returns a stored field, and stays because ``perfbench/spans.py`` binds
+    it by name, until a solve report inside the package replaces that
+    binding (ROADMAP item 7).
     """
     return fact.condition
 
@@ -298,19 +256,6 @@ def _fft_length(n: int) -> int:
             odd *= 3
         odd5 *= 5
     return best
-
-
-def _toeplitz_probes(a: np.ndarray, columns=()):
-    # (probes, solved) of a nonempty Toeplitz matrix: one gesv call solves
-    # e_0, e_{n-1} and the rows of ``columns``.  probes are
-    # ``_gohberg_semencul`` of the first and last columns x, y of A^{-1};
-    # solved holds the solutions of ``columns``, row by row.  The caller has
-    # found the matrix Toeplitz.
-    n = a.shape[0]
-    ends = np.zeros((2, n), dtype=a.dtype)
-    ends[0, 0] = ends[1, -1] = 1.0
-    x, y, *solved = _gesv(a, np.concatenate([ends, np.reshape(columns, (-1, n))]).T).T
-    return _gohberg_semencul(x, y), np.array(solved)
 
 
 def _gohberg_semencul(x: np.ndarray, y: np.ndarray):

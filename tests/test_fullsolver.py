@@ -383,7 +383,7 @@ def test_gmres_route_matches_dense_route(problem, monkeypatch):
     # 1e-10 of the dense route's, and no dense factorization.
     problem = problem()
     want, condition = dense_route(problem)
-    calls = count_lu_factor(monkeypatch)
+    calls = count_gesv(monkeypatch)
     got = solve_full(problem)
     assert calls == []
     assert got.values.dtype == want.dtype
@@ -427,10 +427,10 @@ def test_gmres_cap_falls_back_to_dense_route_bit_for_bit(monkeypatch, caplog):
     dense = solve_full(problem)
     monkeypatch.setattr(fullsolver, "_GMRES_MIN_N", N0)
     monkeypatch.setattr(fullsolver, "_GMRES_MAX_ITER", 1)
-    calls = count_lu_factor(monkeypatch)
+    calls = count_gesv(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="hypersing.fullsolver"):
         capped = solve_full(problem)
-    assert calls == [N0]
+    assert calls == [(N0, 3)]  # the dense source: e_0, e_{n-1} and b in one gesv
     assert np.array_equal(capped.values, dense.values)
     assert capped.condition == dense.condition
     messages = [record.getMessage() for record in caplog.records]
@@ -480,7 +480,7 @@ def test_gmres_runs_only_the_two_generator_rows(problem, monkeypatch):
         return gmres(operator, rhs)
 
     monkeypatch.setattr(fullsolver, "_gmres", counted)
-    calls = count_lu_factor(monkeypatch)
+    calls = count_gesv(monkeypatch)
     got = solve_full(problem)
     assert rows == [2] and calls == []
     assert got.values.dtype == want.dtype
@@ -490,21 +490,27 @@ def test_gmres_runs_only_the_two_generator_rows(problem, monkeypatch):
 def test_load_failing_backward_error_falls_back_bit_for_bit(monkeypatch, caplog):
     # A load whose backward error exceeds _GMRES_TOL, here from a probe that
     # perturbs its output by 1e-10, is solved by the dense route instead.
+    # The dense source builds the probes from its own x and y; only the
+    # first ``_gohberg_semencul`` call, the GMRES one, is perturbed.
     problem = screen_problem(ScreenParams(k=2.5, a=1.0), N0)
     monkeypatch.setattr(fullsolver, "_GMRES_MIN_N", N0 + 1)
     dense = solve_full(problem)
     monkeypatch.setattr(fullsolver, "_GMRES_MIN_N", N0)
     builder = fullsolver._gohberg_semencul
+    built = []
 
     def perturbed(x, y):
         inverse, inverse_adjoint = builder(x, y)
+        built.append(len(built))
+        if len(built) > 1:
+            return inverse, inverse_adjoint
         return (lambda r: inverse(r) * (1.0 + 1e-10)), inverse_adjoint
 
     monkeypatch.setattr(fullsolver, "_gohberg_semencul", perturbed)
-    calls = count_lu_factor(monkeypatch)
+    calls = count_gesv(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="hypersing.fullsolver"):
         fallen = solve_full(problem)
-    assert calls == [N0]
+    assert calls == [(N0, 3)] and len(built) == 2
     assert np.array_equal(fallen.values, dense.values)
     assert fallen.condition == dense.condition
     messages = [record.getMessage() for record in caplog.records]
@@ -516,7 +522,7 @@ def test_gmres_route_solves_zero_load_by_zero(monkeypatch):
     problem = dataclasses.replace(
         benchmark_problem(N0, polynomial_kernel(3.0)), rhs=RightHandSide(fprime=lambda x: 0.0)
     )
-    calls = count_lu_factor(monkeypatch)
+    calls = count_gesv(monkeypatch)
     solution = solve_full(problem)
     assert calls == []
     assert not np.any(solution.values)
@@ -637,9 +643,30 @@ def test_krylov_step_costs_four_transforms_and_no_apply(problem, transforms, mon
 
 @pytest.mark.parametrize("n", [80, N0 - 1])
 def test_screen_below_threshold_stays_on_one_dense_factorization(n, monkeypatch):
-    calls = count_lu_factor(monkeypatch)
+    # One gesv call for e_0, e_{n-1} and the load, and no lu_factor call.
+    factored = count_lu_factor(monkeypatch)
+    calls = count_gesv(monkeypatch)
     solve_full(screen_problem(ScreenParams(k=1.5, a=1.0), n))
-    assert calls == [n]
+    assert calls == [(n, 3)] and factored == []
+
+
+def test_zero_corner_of_the_inverse_goes_to_lu_factor(monkeypatch):
+    # At n = 2 on (-1, 1), h = 1 and the singular profile is (4/3, -4, 4/3):
+    # this kernel makes the collocation matrix the swap [[0, 1], [1, 0]],
+    # whose inverse has (A^{-1})_00 = 0, where the Gohberg-Semencul formula
+    # does not hold.  After the dense source's one gesv call, the view goes
+    # through the general lu_factor, which returns the swapped load.
+    kernel = RegularKernel(profile_batch=lambda d: np.where(np.isclose(d, -0.5), 4.0, -1 / 3))
+    problem = FullProblem(make_mesh(-1.0, 1.0, 2), RightHandSide(fprime=lambda x: 2.5 + x),
+                          kernel)
+    assert np.array_equal(assemble_full(problem), [[0.0, 1.0], [1.0, 0.0]])
+    factored = count_lu_factor(monkeypatch)
+    calls = count_gesv(monkeypatch)
+    solution = solve_full(problem)
+    assert factored == [2] and calls[0] == (2, 3)
+    assert set(calls[1:]) == {(2,)}  # lu_factor's own probes and solve
+    assert np.array_equal(solution.values, [3.0, 2.0])
+    assert solution.condition == 1.0
 
 
 def test_gmres_route_logs_iterations_and_residual(caplog):

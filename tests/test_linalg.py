@@ -14,18 +14,20 @@ from hypersing import (
     condition_estimate_1norm,
     crack_problem,
     lu_factor,
+    make_mesh,
     screen_problem,
-    solve,
 )
+from hypersing import fullsolver
 from hypersing.analytic import _load_values
-from hypersing.characteristic import _singular_profile, _toeplitz_view
-from hypersing.fullsolver import _kernel_table
+from hypersing.characteristic import _singular_profile
+from hypersing.fullsolver import _kernel_table, _solve_toeplitz
 from hypersing.linalg import (
     MAX_DENSE_ELEMENTS,
+    _checked_condition,
     _fft_length,
+    _gohberg_semencul,
     _norm1,
     _toeplitz_norm1,
-    _toeplitz_probes,
     check_dense_size,
 )
 from tests.conftest import CAP_ADDRESS_SPACE, capped_env, count_gesv
@@ -63,6 +65,26 @@ def hager_reference(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=0).max()) * est
 
 
+def end_columns(t: np.ndarray):
+    # The first and last columns x, y of t^{-1}, by numpy.linalg.solve.
+    return np.linalg.solve(t, np.eye(len(t), dtype=t.dtype)[:, [0, -1]]).T
+
+
+def dense_source(problem, monkeypatch, load=None):
+    # (values, condition, gesv calls) of fullsolver's dense Toeplitz source
+    # on a collocation problem, with GMRES kept off; the crack's zero kernel
+    # is the zero table, whose matrix is the characteristic one.
+    mesh = problem.mesh
+    table = _kernel_table(problem)
+    table = np.zeros(2 * mesh.n - 1) if table is None else table
+    b = _load_values(problem.rhs.fprime, mesh.colloc, "right-hand side") if load is None else load
+    monkeypatch.setattr(fullsolver, "_GMRES_MIN_N", mesh.n + 1)
+    calls = count_gesv(monkeypatch)
+    values, condition = _solve_toeplitz(mesh, table, b)
+    monkeypatch.undo()
+    return values, condition, calls
+
+
 def hilbert_inverse_exact(n: int) -> np.ndarray:
     # Classical closed form with binomial coefficients; exact in integers.
     inv = np.empty((n, n))
@@ -94,7 +116,7 @@ def test_manufactured_solution_recovered():
     rng = np.random.default_rng(42)
     a = rng.standard_normal((6, 6))
     x_true = rng.standard_normal(6)
-    x = solve(a, a @ x_true)
+    x = lu_factor(a, a @ x_true).solution
     assert np.max(np.abs(x - x_true)) <= 1e-10 * np.max(np.abs(x_true))
 
 
@@ -109,14 +131,22 @@ def test_singular_matrix_rejected():
     # cond_1 3.5e13: every pivot stays above 1e-13 of the largest entry.
     with pytest.raises(SingularMatrixError):
         lu_factor(hilbert(10))
-    # Toeplitz, probed through the Gohberg-Semencul formula: the KMS matrix
-    # rho^|i-j| at rho = 1 - 1e-12 (exact cond_1 1.0e14), and the all-ones
-    # profile plus 1e-12 noise.
+    # Toeplitz: the KMS matrix rho^|i-j| at rho = 1 - 1e-12 (exact cond_1
+    # 1.0e14), and the all-ones profile plus 1e-12 noise.  fullsolver's
+    # dense source refuses them too, probed through the Gohberg-Semencul
+    # formula: on a mesh with h = 1e20 the singular profile, at most 4/h in
+    # magnitude, is below half an ulp of these entries, so the collocation
+    # matrix of the table profile - singular profile is the same matrix.
     m = np.arange(-49, 50)
     noise = 1e-12 * np.random.default_rng(5).standard_normal(99)
+    mesh = make_mesh(-2.5e21, 2.5e21, 50)
     for profile in ((1.0 - 1e-12) ** np.abs(m), np.ones(99) + noise):
         with pytest.raises(SingularMatrixError):
             lu_factor(toeplitz(profile))
+        table = profile - _singular_profile(mesh)
+        assert np.array_equal(_singular_profile(mesh) + table, profile)
+        with pytest.raises(SingularMatrixError):
+            _solve_toeplitz(mesh, table, np.ones(50))
 
 
 def test_shape_and_finiteness_validation(monkeypatch):
@@ -127,8 +157,7 @@ def test_shape_and_finiteness_validation(monkeypatch):
     fact = lu_factor(np.eye(2))
     with pytest.raises(ValueError, match="nonfinite"):
         fact.solve(np.array([1.0, np.inf]))
-    # A right-hand side handed to lu_factor is checked before LAPACK runs,
-    # on the Toeplitz route and off it.
+    # A right-hand side handed to lu_factor is checked before LAPACK runs.
     calls = count_gesv(monkeypatch)
     for matrix in (toeplitz(np.arange(1.0, 8.0)), hilbert(4)):
         for rhs, match in (
@@ -137,9 +166,8 @@ def test_shape_and_finiteness_validation(monkeypatch):
             (np.array([1.0, np.nan, 0.0, 0.0]), "nonfinite"),
             (np.array([1.0, 0.0, 1j * np.inf, 0.0]), "nonfinite"),
         ):
-            for call in (lu_factor, solve):
-                with pytest.raises(ValueError, match=match):
-                    call(matrix, rhs)
+            with pytest.raises(ValueError, match=match):
+                lu_factor(matrix, rhs)
     assert calls == []
 
 
@@ -150,10 +178,12 @@ def test_condition_estimate_identity():
 
 def test_condition_estimate_never_below_one():
     # cond_1(A) >= ||A A^{-1}||_1 = 1, however the probes round: the identity
-    # through the Gohberg-Semencul FFT probes, and a permutation, which is
-    # not Toeplitz, through gesv probes.
+    # through gesv probes and through the Gohberg-Semencul FFT probes of its
+    # end columns, and a permutation through gesv probes.
     for n in range(1, 41):
         assert condition_estimate_1norm(lu_factor(np.eye(n))) >= 1.0
+        probes = _gohberg_semencul(*np.eye(n)[[0, -1]])
+        assert _checked_condition(1.0, n, np.dtype(np.float64), *probes) >= 1.0
     permutation = np.eye(40)[np.random.default_rng(40).permutation(40)]
     assert condition_estimate_1norm(lu_factor(permutation)) >= 1.0
 
@@ -203,8 +233,8 @@ def test_complex_solve_matches_real_bit_for_bit():
     comp = lu_factor(a.astype(complex)).solve(b.astype(complex))
     assert np.array_equal(comp.real, real)
     assert np.all(comp.imag == 0.0)
-    # The same on the Toeplitz route, where b rides in the generators' gesv:
-    # three real columns against four (b's real and imaginary parts).
+    # The same with a right-hand side given to lu_factor, solved after the
+    # estimate by one single-column gesv per part.
     for t in (toeplitz(rng.standard_normal(79)) + 4.0 * np.eye(40),
               assemble_full(crack_problem(CrackParams(1.0, 1.0, 0.3, 1.0), 40))):
         b = rng.standard_normal(40)
@@ -214,11 +244,27 @@ def test_complex_solve_matches_real_bit_for_bit():
             assert np.array_equal(comp.solution.real, real.solution)
             assert np.all(comp.solution.imag == 0.0)
             assert comp.condition == real.condition
-        assert np.array_equal(solve(t.astype(complex), b).real, real.solution)
         c = rng.standard_normal(40)
         mixed = lu_factor(t, b + 1j * c).solution
         assert np.array_equal(mixed.real, real.solution)
         assert np.array_equal(mixed.imag, lu_factor(t, c).solution)
+    # And on fullsolver's dense Toeplitz source, where b rides in the end
+    # columns' gesv: three real columns against four (b's real and
+    # imaginary parts); the zero table is the crack's characteristic matrix.
+    mesh = make_mesh(-1.0, 1.0, 40)
+    for table in (rng.standard_normal(79), np.zeros(79)):
+        b = rng.standard_normal(40)
+        real, condition = _solve_toeplitz(mesh, table, b)
+        for comp in (_solve_toeplitz(mesh, table.astype(complex), b.astype(complex)),
+                     _solve_toeplitz(mesh, table, b.astype(complex)),
+                     _solve_toeplitz(mesh, table.astype(complex), b)):
+            assert np.array_equal(comp[0].real, real)
+            assert np.all(comp[0].imag == 0.0)
+            assert comp[1] == condition
+        c = rng.standard_normal(40)
+        mixed = _solve_toeplitz(mesh, table, b + 1j * c)[0]
+        assert np.array_equal(mixed.real, real)
+        assert np.array_equal(mixed.imag, _solve_toeplitz(mesh, table, c)[0])
 
 
 def test_adjoint_solve_consistent():
@@ -233,7 +279,7 @@ def test_adjoint_solve_consistent():
     # Complex nonsymmetric Toeplitz: the adjoint solve and the adjoint probe
     # of the condition estimate.
     t = toeplitz(rng.standard_normal(11) + 1j * rng.standard_normal(11)) + 4.0 * np.eye(6)
-    for zt in (lu_factor(t).solve_adjoint(b), _toeplitz_probes(t)[0][1](b)):
+    for zt in (lu_factor(t).solve_adjoint(b), _gohberg_semencul(*end_columns(t))[1](b)):
         assert np.max(np.abs(t.conj().T @ zt - b)) <= 1e-10
 
 
@@ -247,12 +293,9 @@ def test_toeplitz_probes_match_dense_solves(n, kind):
         profile = profile + 1j * rng.standard_normal(2 * n - 1)
         r = r + 1j * rng.standard_normal(n)
     t = toeplitz(profile) + 3.0 * np.eye(n)
-    (inverse, inverse_adjoint), solved = _toeplitz_probes(t, [r])
+    inverse, inverse_adjoint = _gohberg_semencul(*end_columns(t))
     want = np.linalg.solve(t, r)
-    scale = np.max(np.abs(want))
-    assert np.max(np.abs(inverse(r) - want)) <= 1e-13 * scale
-    assert solved.shape == (1, n)
-    assert np.max(np.abs(solved[0] - want)) <= 1e-13 * scale
+    assert np.max(np.abs(inverse(r) - want)) <= 1e-13 * np.max(np.abs(want))
     want = np.linalg.solve(t.conj().T, r)
     assert np.max(np.abs(inverse_adjoint(r) - want)) <= 1e-13 * np.max(np.abs(want))
     # The 1-norm from the 2n - 1 generators, first column and row.
@@ -261,116 +304,49 @@ def test_toeplitz_probes_match_dense_solves(n, kind):
 
 
 def test_non_toeplitz_and_zero_corner_keep_dense_probes(monkeypatch):
-    # lu_factor finds hilbert(4) not Toeplitz: every probe and the solve are
-    # single-column gesv calls, with no generator call.
+    # lu_factor probes and solves hilbert(4) by single-column gesv calls.
+    # The zero-corner case, a Toeplitz matrix with (A^{-1})_00 = 0, is
+    # solve_full's to send here: test_fullsolver's
+    # test_zero_corner_of_the_inverse_goes_to_lu_factor.
     calls = count_gesv(monkeypatch)
     lu_factor(hilbert(4), np.ones(4))
     assert calls and set(calls) == {(4,)}
-    monkeypatch.undo()
-    # Toeplitz with (A^{-1})_00 = 0: the formula divides by it, so gesv probes,
-    # but the right-hand side solved with the generators is still the answer.
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    probes, solved = _toeplitz_probes(swap, [[2.0, 3.0]])
-    assert probes is None
-    assert np.array_equal(solved, [[3.0, 2.0]])
-    calls = count_gesv(monkeypatch)
-    assert condition_estimate_1norm(lu_factor(swap)) == 1.0
-    probe_calls = list(calls)
-    calls.clear()
-    fact = lu_factor(swap, np.array([2.0, 3.0]))
-    assert calls == [(2, 3)] + probe_calls[1:]
-    assert np.array_equal(fact.solution, [3.0, 2.0])
-    assert fact.condition == 1.0
 
 
 @pytest.mark.parametrize("kind, gesv_columns", [
     ("real", 3), ("complex", 3), ("real-valued-complex", 4),
 ])
 def test_toeplitz_view_factors_like_its_copy(kind, gesv_columns, monkeypatch):
-    # A read-only strided view of the 2n - 1 profile, as the dense screen
-    # solve passes it, is checked from its generators and solved by gesv
-    # without an n x n copy: the same bits as the dense copy, in one gesv
-    # call (b's real and imaginary parts are two columns when the complex
-    # matrix holds real values).
+    # fullsolver's dense Toeplitz source hands gesv a read-only strided view
+    # of the 2n - 1 profile, with e_0, e_{n-1} and the load as the columns
+    # of one call (b's real and imaginary parts are two when the complex
+    # table holds real values): no n x n copy, and the bits of the same
+    # call on the contiguous copy.
     n = 40
     rng = np.random.default_rng(17)
-    profile = rng.standard_normal(2 * n - 1)
+    mesh = make_mesh(-1.0, 1.0, n)
+    table = rng.standard_normal(2 * n - 1)
     b = rng.standard_normal(n)
     if kind != "real":
         imag = rng.standard_normal(2 * n - 1) if kind == "complex" else 0.0
-        profile = profile + 1j * imag
+        table = table + 1j * imag
         b = b + 1j * rng.standard_normal(n)
-    profile[n - 1] += 4.0
-    view = np.lib.stride_tricks.sliding_window_view(profile, n)[:, ::-1]
-    assert not view.flags.writeable and not view.flags.c_contiguous
-    assert np.array_equal(view, toeplitz(profile))
-    want = lu_factor(view.copy(), b)
-    calls = count_gesv(monkeypatch)
-    got = lu_factor(view, b)
-    assert calls == [(n, gesv_columns)]
-    assert np.shares_memory(got.matrix, profile)
-    assert np.array_equal(got.solution, want.solution)
-    assert got.condition == pytest.approx(want.condition, rel=1e-15, abs=0.0)
+    solves = []
+    gesv = np.linalg.solve
 
+    def recorded(a, rhs):
+        solves.append((a, rhs))
+        return gesv(a, rhs)
 
-@pytest.mark.parametrize("n", [80, 399])
-def test_strided_toeplitz_view_skips_the_comparison(n, monkeypatch):
-    # The screen's matrix as the dense solve passes it, a view with strides
-    # (s, -s), is known Toeplitz without the n^2 comparison, and gives the
-    # bits of its contiguous copy, which the comparison finds Toeplitz.
-    problem = screen_problem(ScreenParams(k=2.5, a=1.0), n)
-    view = _toeplitz_view(_singular_profile(problem.mesh) + _kernel_table(problem))
-    assert view.strides[0] == -view.strides[1]
-    b = _load_values(problem.rhs.fprime, problem.mesh.colloc, "right-hand side")
-    compared = []
-    array_equal = np.array_equal
-
-    def counted(*args, **kwargs):
-        compared.append(args[0].shape)
-        return array_equal(*args, **kwargs)
-
-    monkeypatch.setattr(np, "array_equal", counted)
-    got = lu_factor(view, b)
-    assert compared == []
-    want = lu_factor(view.copy(), b)
-    assert compared == [(n - 1, n - 1)]
-    assert np.array_equal(got.solution, want.solution)
-    assert got.condition == want.condition
-
-
-def test_toeplitz_decision_tests_two_columns_first(monkeypatch):
-    # lu_factor finds a matrix Toeplitz (one gesv call with the generators)
-    # as before: a strided view with no comparison, its contiguous copy with
-    # the entry-wise one, and neither that copy with one interior entry
-    # changed nor a random matrix, whose first two columns already differ
-    # along the diagonals, so it is never compared entry by entry.
-    n = 40
-    rng = np.random.default_rng(23)
-    profile = rng.standard_normal(2 * n - 1)
-    profile[n - 1] += 8.0
-    view = _toeplitz_view(profile)
-    changed = view.copy()
-    changed[20, 30] += 1.0
-    compared = []
-    array_equal = np.array_equal
-
-    def counted(*args, **kwargs):
-        compared.append(args[0].shape)
-        return array_equal(*args, **kwargs)
-
-    monkeypatch.setattr(np, "array_equal", counted)
-    calls = count_gesv(monkeypatch)
-    for matrix, toeplitz_found, comparisons in (
-        (view, True, []),
-        (view.copy(), True, [(n - 1, n - 1)]),
-        (changed, False, [(n - 1, n - 1)]),
-        (rng.standard_normal((n, n)) + n * np.eye(n), False, []),
-    ):
-        calls.clear()
-        compared.clear()
-        lu_factor(matrix, np.ones(n))
-        assert (calls[0] == (n, 3)) == toeplitz_found
-        assert compared == comparisons
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    values, condition = _solve_toeplitz(mesh, table, b)
+    ((view, columns),) = solves
+    assert columns.shape == (n, gesv_columns)
+    assert not view.flags.writeable and view.strides[0] == -view.strides[1]
+    copy = view.copy()
+    want = gesv(copy, columns)[:, 2:]
+    assert np.array_equal(values, want[:, 0] + 1j * want[:, 1] if gesv_columns == 4 else want[:, 0])
+    assert condition == pytest.approx(hager_reference(copy), rel=1e-10)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (400, 400), (700, 90)])
@@ -407,8 +383,8 @@ def test_general_matrix_factors_without_an_n_by_n_temporary(kind):
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1j * np.inf])
 @pytest.mark.parametrize("corner", [(0, -1), (-1, 0)])
 def test_toeplitz_corner_nonfinite_refused_before_lapack(value, corner, monkeypatch):
-    # A corner is a diagonal of its own, outside the Toeplitz comparison, so
-    # the generators' check alone must catch it.
+    # A corner is a diagonal of its own: a matrix that is Toeplitz but for a
+    # nonfinite corner is refused by the entry-wise check before LAPACK runs.
     a = toeplitz(np.arange(1.0, 14.0)).astype(np.result_type(value))
     a[corner] = value
     assert np.array_equal(a[1:, 1:], a[:-1, :-1])
@@ -431,29 +407,31 @@ COLLOCATION_PROBLEMS = [
 
 @pytest.mark.parametrize("problem", COLLOCATION_PROBLEMS)
 def test_condition_estimate_of_collocation_matrices(problem, monkeypatch):
-    a = assemble_full(problem())
+    # fullsolver's dense Toeplitz source takes every probe of the estimate
+    # from the first and last columns of A^{-1}, solved in its one gesv call.
+    problem = problem()
+    a = assemble_full(problem)
     want = hager_reference(a)
     exact = np.linalg.cond(a, 1)
-    calls = count_gesv(monkeypatch)
-    est = condition_estimate_1norm(lu_factor(a))
-    assert calls == [(a.shape[0], 2)]  # the first and last columns of A^{-1}
+    _, est, calls = dense_source(problem, monkeypatch)
+    assert calls == [(a.shape[0], 3)]  # e_0, e_{n-1} and the load
     assert est == pytest.approx(want, rel=1e-10)
     assert exact / 10.0 <= est <= exact * 10.0
 
 
 @pytest.mark.parametrize("problem", COLLOCATION_PROBLEMS)
 def test_fused_solve_of_collocation_matrices(problem, monkeypatch):
+    # The load rides in the dense source's gesv call with e_0 and e_{n-1}:
+    # LAPACK's solution, and an estimate that does not depend on the load.
     problem = problem()
     a = assemble_full(problem)
     b = _load_values(problem.rhs.fprime, problem.mesh.colloc, "right-hand side")
     want = np.linalg.solve(a, b)
-    condition = lu_factor(a).condition
-    calls = count_gesv(monkeypatch)
-    fact = lu_factor(a, b)
+    values, condition, calls = dense_source(problem, monkeypatch)
     assert calls == [(a.shape[0], 3)]  # e_0, e_{n-1} and b in one gesv
-    assert fact.solution.dtype == want.dtype
-    assert np.max(np.abs(fact.solution - want)) <= 1e-13 * np.max(np.abs(want))
-    assert fact.condition == condition
+    assert values.dtype == want.dtype
+    assert np.max(np.abs(values - want)) <= 1e-13 * np.max(np.abs(want))
+    assert dense_source(problem, monkeypatch, load=b[::-1].copy())[1] == condition
 
 
 def test_dense_size_budget():
