@@ -29,6 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from hypersing.linalg import MAX_DENSE_ELEMENTS, check_dense_size, check_integer
+from hypersing.mesh import _checked_interval
 from hypersing.quadrature import gauss_chebyshev1
 
 _NODE_CLEARANCE = 1e-12
@@ -100,7 +101,8 @@ def invert_characteristic(
     any evaluation point that lands on a quadrature node.  It evaluates
     its points in blocks whose points x nodes table stays within
     ``linalg.MAX_DENSE_ELEMENTS``, so the point count has no cap.  Raises
-    ValueError naming m, before any node exists, for m + 1 over budget.
+    ValueError naming m, before any node exists, for m + 1 over budget, and
+    for a nonfinite or empty interval before f is read.
     """
     if rhs.f is None:
         raise ValueError("inversion requires the antiderivative f on the right-hand side")
@@ -108,6 +110,7 @@ def invert_characteristic(
     if m < 8:
         raise ValueError(f"need at least 8 quadrature nodes, got {m}")
     check_dense_size("m", m, 1, m + 1)
+    a, b = _checked_interval(a, b)
     rhs.validate_pair(a, b)
     u, w = gauss_chebyshev1(m)
     fvals = _load_values(rhs.f, 0.5 * (a + b) + 0.5 * (b - a) * u, "f")
@@ -188,14 +191,15 @@ def weighted_pv_integral(fn: Callable, a: float, b: float, m: int, x):
     arrays; the result has x's shape followed by any trailing axes of fn's
     values, and is empty for an empty x.  All points share the m-node rule,
     or the (m+1)-node rule when one lands on an m-rule node.  Raises
-    ValueError unless m is an integer >= 1, a < x < b (NaN included) and fn
-    is finite at the nodes and points, and names m before allocating a
-    points x nodes table (with fn's trailing axes) above
-    ``linalg.MAX_DENSE_ELEMENTS``.
+    ValueError unless m is an integer >= 1, a and b are finite, a < x < b
+    (NaN included) and fn is finite at the nodes and points, and names m
+    before allocating a points x nodes table (with fn's trailing axes)
+    above ``linalg.MAX_DENSE_ELEMENTS``.
     """
     m = check_integer("m", m)
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
+    a, b = _checked_interval(a, b)
     xs = np.asarray(x, dtype=float)
     outside = ~((xs > a) & (xs < b))
     if np.any(outside):

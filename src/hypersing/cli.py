@@ -53,11 +53,6 @@ _LIBRARY_ERRORS = (QuadratureConvergenceError, KernelEvaluationError, ValueError
 # alive at a time, not those of the whole table.
 _ROWS_PER_BLOCK = 16384
 
-_MQUAD_HELP = (
-    "oracle quadrature nodes, at least 2N (default 2N: the screen kernel's "
-    "logarithm is integrated exactly, so the oracle is converged there)"
-)
-
 # The constant load -pi of the characteristic and linear-kernel benchmarks.
 _PI_LOAD = RightHandSide(
     fprime=lambda x: -np.pi * np.ones_like(np.asarray(x, dtype=float)),
@@ -94,7 +89,7 @@ def _write_table(args: argparse.Namespace, x, numeric, reference) -> float:
 
 def _run_characteristic(args: argparse.Namespace):
     solution = solve_characteristic(make_mesh(args.a, args.b, args.n), _PI_LOAD)
-    oracle = invert_characteristic(_PI_LOAD, args.a, args.b, args.m).g
+    oracle = invert_characteristic(_PI_LOAD, args.a, args.b).g
     nodes = solution.nodes
     return nodes, solution(nodes), oracle(nodes), solution.condition
 
@@ -118,11 +113,12 @@ def _run_crack(args: argparse.Namespace):
     return nodes, solution(nodes), exact, solution.condition
 
 
-def _against_oracle(args: argparse.Namespace, problem: FullProblem, interval, N: int):
+def _against_oracle(problem: FullProblem, interval, N: int):
+    # The oracle runs at mquad = 2N; its 2N x (2N + 1) table is refused before either solve.
+    check_dense_size("N", N, 2 * N, 2 * N + 1)
     # Collocation before the oracle: perfbench pins the kernel batches in this order.
     solution = solve_full(problem)
-    mquad = 2 * N if args.mquad is None else args.mquad
-    oracle = solve_spectral(problem.kernel, problem.rhs, N, mquad, interval=interval)
+    oracle = solve_spectral(problem.kernel, problem.rhs, N, 2 * N, interval=interval)
     nodes = solution.nodes
     return nodes, solution(nodes), oracle(nodes), solution.condition
 
@@ -133,24 +129,20 @@ def _screen_terms(params: ScreenParams) -> int:
     The solution makes about k a / pi oscillations over the screen.  At
     mquad = 2N this N is within 1e-13 of the peak of N' = 2N + 16 for k a
     from 0.25 to 80 (17 to 20 terms for k a <= 2.5).  Raises ValueError
-    naming N when its mquad = 2N kernel table is over the dense budget.
+    naming N when it overflows.
     """
     span = 1.6 * params.k * params.a
     if not math.isfinite(span):
         raise ValueError(f"N=ceil(1.6 k a) + 16 overflows at k={params.k}, a={params.a}")
-    terms = math.ceil(span) + 16
-    check_dense_size("N", terms, 2 * terms, 2 * terms + 1)
-    return terms
-
-
-def _screen_against_oracle(args: argparse.Namespace):
-    params = ScreenParams(k=args.k, a=args.a)
-    N = _screen_terms(params) if args.N is None else args.N
-    return _against_oracle(args, screen_problem(params, args.n), (-params.a, params.a), N)
+    return math.ceil(span) + 16
 
 
 def _run_screen(args: argparse.Namespace):
-    nodes, numeric, reference, condition = _screen_against_oracle(args)
+    params = ScreenParams(k=args.k, a=args.a)
+    N = _screen_terms(params) if args.N is None else args.N
+    nodes, numeric, reference, condition = _against_oracle(
+        screen_problem(params, args.n), (-params.a, params.a), N
+    )
     if args.normalize:
         factor = -np.pi * 1j * args.k
         numeric = numeric / factor
@@ -197,10 +189,7 @@ def _run_finite_part(args: argparse.Namespace):
 
 
 def _run_spectral_compare(args: argparse.Namespace):
-    if args.problem == "screen":
-        return _screen_against_oracle(args)
-    N = 32 if args.N is None else args.N
-    return _against_oracle(args, _linear_kernel_problem(args), (-1.0, 1.0), N)
+    return _against_oracle(_linear_kernel_problem(args), (-1.0, 1.0), args.N)
 
 
 _RUNNERS = {
@@ -248,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=-1.0)
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--n", type=int, default=40)
-    p.add_argument("--m", type=int, default=64, help="oracle quadrature nodes")
     _add_output_flags(p)
 
     p = sub.add_parser("full", help="full equation with linear convolution kernel")
@@ -272,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="oracle expansion terms (default ceil(1.6 k a) + 16, which "
                    "follows the wavenumber: within 1e-13 of the converged oracle's "
                    "peak for k a up to 80)")
-    p.add_argument("--mquad", type=int, default=None, help=_MQUAD_HELP)
     p.add_argument("--normalize", action="store_true",
                    help="divide values by -pi*i*k; as k -> 0 these tend to "
                    "sqrt(a^2-x^2)/pi, i.e. sqrt(1-x^2)/pi for a=1")
@@ -287,16 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9)
     _add_output_flags(p)
 
-    p = sub.add_parser("spectral-compare", help="collocation vs spectral oracle")
-    p.add_argument("--problem", choices=("screen", "full"), default="screen")
-    p.add_argument("--k", type=float, default=0.5)
-    p.add_argument("--A", type=float, default=3.0)
-    p.add_argument("--a", type=float, default=1.0)
+    p = sub.add_parser("spectral-compare", help="linear kernel: collocation vs spectral oracle")
+    p.add_argument("--A", type=float, default=3.0, help="kernel slope")
     p.add_argument("--n", type=int, default=80)
-    p.add_argument("--N", type=int, default=None,
-                   help="oracle expansion terms (default ceil(1.6 k a) + 16 for the "
-                   "screen, as in the screen command; 32 for --problem full)")
-    p.add_argument("--mquad", type=int, default=None, help=_MQUAD_HELP)
+    p.add_argument("--N", type=int, default=32, help="oracle expansion terms")
     _add_output_flags(p)
 
     return parser

@@ -86,6 +86,7 @@ from hypersing.linalg import (
     _gohberg_semencul,
     _toeplitz_norm1,
     check_dense_size,
+    check_integer,
     condition_estimate_1norm,
     lu_factor,
 )
@@ -498,7 +499,9 @@ def fredholm_residual(
     ``solution`` may be a DiscreteSolution (its evaluation rule is used)
     or any callable density.  Requires the kernel antiderivative K1 and
     the right-hand-side antiderivative f; both principal-value transforms
-    and the final t-integration use ``m`` quadrature nodes.
+    and the final t-integration use ``m`` quadrature nodes.  Raises
+    ValueError naming m, before any node exists, unless it is an integer
+    >= 8 whose m x m Gauss-Legendre eigenproblem is within the dense budget.
     """
     kernel = problem.kernel
     k1 = getattr(kernel, "k1", None)
@@ -508,8 +511,10 @@ def fredholm_residual(
         )
     if problem.rhs.f is None:
         raise ValueError("second-kind reduction requires the antiderivative f")
+    m = check_integer("m", m)
     if m < 8:
         raise ValueError(f"need at least 8 quadrature nodes, got {m}")
+    check_dense_size("m", m, m, m)
     if not callable(solution):
         raise TypeError("solution must be a DiscreteSolution or a callable")
     mesh = problem.mesh

@@ -20,6 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from hypersing.mesh import _checked_interval
 from hypersing.quadrature import _check_tol, adaptive_gauss
 
 # Regularized integrands are replaced by their limit value inside this
@@ -45,6 +46,7 @@ class Density:
 
 
 def _check_interior(a: float, b: float, x: float) -> None:
+    _checked_interval(a, b)
     if not (a < x < b):
         raise ValueError(f"evaluation point x={x} must lie strictly inside ({a}, {b})")
 
@@ -62,8 +64,9 @@ def finite_part(density: Density, a: float, b: float, x: float, tol: float = 1e-
 
     The regularized integrand is integrated adaptively to absolute
     accuracy ``tol``; the two analytic correction terms are added in
-    closed form.  Raises ValueError when x is not interior and
-    QuadratureConvergenceError when the panel budget is exhausted.
+    closed form.  Raises ValueError for a nonfinite or empty interval or
+    when x is not interior, and QuadratureConvergenceError when the panel
+    budget is exhausted.
     """
     _check_interior(a, b, x)
     _check_tol(tol)

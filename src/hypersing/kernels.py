@@ -234,10 +234,12 @@ def kernel_from_symbol(
     real symmetric kernel produces; the profile is evaluated at |d| and
     the kernel is declared ``even``, so on the spectral oracle's mirrored
     grids K0(x_i - t_j) = K0(x_{m-1-i} - t_{m-j}) and half the table is
-    evaluated.
+    evaluated.  Raises ValueError naming ``quad_cap`` or ``tol`` unless it is
+    positive and finite, before the symbol is sampled.
     """
-    if quad_cap <= 0:
-        raise ValueError(f"truncation frequency must be positive, got {quad_cap}")
+    for name, value in (("quad_cap", quad_cap), ("tol", tol)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     symbol.validate()
     bound = symbol.remainder_bound() / (np.pi * symbol.decay * quad_cap**symbol.decay)
     if bound > tol:

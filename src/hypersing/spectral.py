@@ -86,7 +86,8 @@ def chebyshev_U(j: int, x):
 
     Evaluates the recurrence U_0 = 1, U_1 = 2x,
     U_{j+1} = 2x U_j - U_{j-1}; accepts scalars or arrays.  Raises
-    ValueError naming j unless it is a nonnegative integer.
+    ValueError naming j unless it is a nonnegative integer, and before
+    allocating when its (j + 1) x points table is over the dense budget.
     """
     j = check_integer("j", j)
     if j < 0:
@@ -94,6 +95,7 @@ def chebyshev_U(j: int, x):
     xs = np.asarray(x, dtype=float)
     if not np.all(np.abs(xs) <= 1.0 + _DOMAIN_SLACK):
         raise ValueError("|x| must not exceed 1")
+    check_dense_size("j", j, j + 1, max(xs.size, 1))
     scalar = xs.ndim == 0
     vals = _u_matrix(j + 1, np.atleast_1d(xs))[j]
     return float(vals[0]) if scalar else vals
@@ -164,13 +166,15 @@ class ChebyshevSolution:
         evaluated by Gauss-Chebyshev quadrature; ``fn`` must vanish like
         the square-root distance at the endpoints for the expansion to
         converge quickly.  Raises ValueError naming ``count`` unless it is an
-        integer >= 1, ``mquad`` unless it is an integer or for a count x
+        integer >= 1, ``mquad`` unless it is an integer >= 1 or for a count x
         mquad table over the dense budget, and a nonfinite interval end.
         """
         count = check_integer("count", count)
         if count < 1:
             raise ValueError(f"count must be at least 1, got {count}")
         mquad = max(2 * count, 64) if mquad is None else check_integer("mquad", mquad)
+        if mquad < 1:
+            raise ValueError(f"mquad must be at least 1, got {mquad}")
         a, b = _checked_interval(*interval)
         check_dense_size("mquad", mquad, count, mquad)
         xi, w = gauss_chebyshev2(mquad)

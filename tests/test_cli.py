@@ -39,7 +39,7 @@ def test_byte_identical_reruns(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
     for args in (["characteristic", "--n", "24"],
-                 ["screen", "--k", "0.5", "--n", "16", "--N", "8", "--mquad", "16"]):
+                 ["screen", "--k", "0.5", "--n", "16", "--N", "8"]):
         assert main(args + ["--out", str(first)]) == 0
         assert main(args + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
@@ -65,8 +65,7 @@ def test_crack_table_row_count(tmp_path):
 def test_screen_complex_table_and_normalization(tmp_path):
     raw = tmp_path / "raw.csv"
     norm = tmp_path / "norm.csv"
-    base = ["screen", "--k", "0.5", "--a", "1", "--n", "20",
-            "--N", "12", "--mquad", "32"]
+    base = ["screen", "--k", "0.5", "--a", "1", "--n", "20", "--N", "12"]
     assert main(base + ["--out", str(raw)]) == 0
     assert main(base + ["--normalize", "--out", str(norm)]) == 0
     header, raw_data = read_table(raw)
@@ -96,38 +95,64 @@ def test_finite_part_commands(tmp_path):
 
 def test_spectral_compare_full_problem(tmp_path):
     out = tmp_path / "cmp.csv"
-    assert main(["spectral-compare", "--problem", "full", "--A", "3",
-                 "--n", "20", "--N", "8", "--mquad", "16", "--out", str(out)]) == 0
+    assert main(["spectral-compare", "--A", "3", "--n", "20", "--N", "8",
+                 "--out", str(out)]) == 0
     _, data = read_table(out)
     assert data.shape == (20, 4)
 
 
-def test_spectral_compare_screen_problem(tmp_path):
-    out = tmp_path / "cmp.csv"
-    assert main(["spectral-compare", "--problem", "screen", "--k", "0.8",
-                 "--n", "12", "--N", "6", "--mquad", "12",
-                 "--out", str(out)]) == 0
-    header, data = read_table(out)
-    assert len(header) == 6  # complex columns
-    assert data.shape == (12, 6)
-    # screen writes the same table as spectral-compare --problem screen
-    flags = ["--k", "1.5", "--n", "16", "--N", "8", "--mquad", "16"]
-    screen = tmp_path / "screen.csv"
-    compare = tmp_path / "compare.csv"
-    assert main(["screen", *flags, "--out", str(screen)]) == 0
-    assert main(["spectral-compare", "--problem", "screen", *flags,
-                 "--out", str(compare)]) == 0
-    assert screen.read_bytes() == compare.read_bytes()
+# The options of the three oracle commands.  The screen oracle always runs
+# at mquad = 2N and the inversion oracle at m = 64; spectral-compare is the
+# linear kernel only, as screen writes the screen table.
+_ORACLE_COMMAND_OPTIONS = {
+    "screen": ["--k", "--a", "--n", "--N", "--normalize", "--out", "--format"],
+    "spectral-compare": ["--A", "--n", "--N", "--out", "--format"],
+    "characteristic": ["--a", "--b", "--n", "--out", "--format"],
+}
+
+
+def test_oracle_command_options():
+    commands = next(action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    for name, options in _ORACLE_COMMAND_OPTIONS.items():
+        got = [action.option_strings[0] for action in commands[name]._actions
+               if action.dest != "help"]
+        assert got == options, name
+    for args in (["screen", "--k", "1", "--mquad", "40"],
+                 ["spectral-compare", "--mquad", "64"],
+                 ["spectral-compare", "--problem", "screen"],
+                 ["characteristic", "--m", "64"]):
+        with pytest.raises(SystemExit) as info:
+            main(args)
+        assert info.value.code == 2
+
+
+# An explicit or default N whose 2N x (2N + 1) oracle table is over the
+# dense budget ends the command before the collocation solve.
+@pytest.mark.parametrize("args, N", [
+    (["screen", "--k", "1", "--N", "3000", "--n", "4"], 3000),
+    # The default N = ceil(1.6 k a) + 16 at k a = 1300.
+    (["screen", "--k", "1300", "--n", "4"], 2096),
+    (["spectral-compare", "--N", "3000", "--n", "4"], 3000),
+], ids=["screen-explicit-N", "screen-default-N", "spectral-compare-explicit-N"])
+def test_oversized_oracle_refused_before_any_solve(args, N, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "solve_full", lambda problem: calls.append(problem))
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: ValueError: N={N} needs a {2 * N} x {2 * N + 1} dense array"
+    )
+    assert calls == []
 
 
 def test_oracle_quadrature_defaults_to_twice_the_terms(tmp_path):
-    # --mquad defaults to its floor 2N, also for an N given without it, and
-    # the oracle there is converged: a finer grid moves its columns by
-    # rounding only, and the collocation columns not at all.  At k a = 2.5
-    # the default N is ceil(1.6 k a) + 16 = 20.
+    # The oracle runs at mquad = 2N, for the default N and for an explicit
+    # one, and is converged there: more terms on a finer grid move its
+    # columns by rounding only, and the collocation columns not at all.  At
+    # k a = 2.5 the default N is ceil(1.6 k a) + 16 = 20.
     tables = {}
-    for name, flags in (("default", []), ("explicit", ["--mquad", "40"]),
-                        ("n48", ["--N", "48"]), ("fine", ["--N", "48", "--mquad", "256"])):
+    for name, flags in (("default", []), ("explicit", ["--N", "20"]),
+                        ("n48", ["--N", "48"]), ("fine", ["--N", "128"])):
         out = tmp_path / f"{name}.csv"
         assert main(["screen", "--k", "2.5", "--n", "16", *flags, "--out", str(out)]) == 0
         tables[name] = out
@@ -166,7 +191,7 @@ def test_screen_default_terms_follow_the_wavenumber(tmp_path, capsys):
     # At k = 40 a fixed N = 32 read max_abs_error=2.280305e-01; the default
     # N = 80 reads the converged 1.573532e-01 of N = 160.
     errors = []
-    for flags in ([], ["--N", "160", "--mquad", "320"]):
+    for flags in ([], ["--N", "160"]):
         out = tmp_path / "screen.csv"
         assert main(["screen", "--k", "40", "--n", "400", *flags, "--out", str(out)]) == 0
         err = capsys.readouterr().err
@@ -255,15 +280,13 @@ def test_invalid_flags_exit_two():
 
 # Each command with the flags it needs, and every float flag it reads; the
 # flag under test comes last, so it overrides a required value given here.
-# spectral-compare reads --A only for the full problem.
 _FLOAT_FLAGS = (
     (["characteristic"], ("a", "b")),
     (["full", "--A", "1"], ("A",)),
     (["crack"], ("sigma0", "mu", "nu", "a")),
     (["screen", "--k", "1"], ("k", "a")),
     (["finite-part"], ("a", "b", "tol")),
-    (["spectral-compare"], ("k", "a")),
-    (["spectral-compare", "--problem", "full"], ("A",)),
+    (["spectral-compare"], ("A",)),
 )
 
 
@@ -300,20 +323,17 @@ _CAPPED_MAIN = CAP_ADDRESS_SPACE + (
 @pytest.mark.parametrize(
     "args, name",
     [
-        (["screen", "--k", "1", "--mquad", "100000000", "--N", "2", "--n", "4"], "mquad"),
-        (["spectral-compare", "--mquad", "100000000", "--N", "2", "--n", "4"], "mquad"),
         # The default N = ceil(1.6 k a) + 16 = 2096 at k a = 1300 needs a
         # 4192 x 4193 kernel table at mquad = 2N.
         (["screen", "--k", "1300", "--n", "4"], "N"),
-        (["spectral-compare", "--k", "650", "--a", "2", "--n", "4"], "N"),
         # The crack's closed-form solve holds no n x n array: its FFT length,
         # the smallest 2^a 3^b 5^c >= 2n - 1, is what the budget refuses.
         (["crack", "--n", "100000000"], "n"),
         (["full", "--A", "3", "--n", "100000"], "n"),
-        (["characteristic", "--n", "40", "--m", "1000000000"], "m"),
+        # The reference column's U_j table has j + 1 rows.
+        (["finite-part", "--density", "cheb", "--j", "1000000000"], "j"),
     ],
-    ids=["screen-mquad", "spectral-compare-mquad", "screen-default-N",
-         "spectral-compare-default-N", "crack-n", "full-n", "characteristic-m"],
+    ids=["screen-default-N", "crack-n", "full-n", "finite-part-j"],
 )
 def test_oversized_dense_arrays_refused_by_name(args, name, tmp_path):
     done = subprocess.run(
@@ -339,7 +359,7 @@ def test_crack_beyond_dense_cap_runs_in_capped_memory(tmp_path):
 
 def test_characteristic_beyond_dense_cap_runs_in_capped_memory(tmp_path):
     # The oracle evaluates its 300000 points in blocks, so its points x
-    # nodes table never meets the dense budget that --m is held to.
+    # nodes table never meets the dense budget.
     out = tmp_path / "characteristic.csv"
     args = ["characteristic", "--n", "300000", "--out", str(out)]
     done = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *args], env=capped_env(),
