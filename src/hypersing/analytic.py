@@ -23,6 +23,7 @@ crack and the linear-convolution-kernel example on (-1, 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -153,12 +154,21 @@ def _check_endpoint_decay(result: InversionResult, a: float, b: float) -> None:
             )
 
 
+def _require_finite(**params: float) -> None:
+    # ValueError naming the first nonfinite parameter.
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def crack_exact(sigma0: float, mu: float, nu: float, a: float, x):
     """Opening of a straight crack of half-length a under constant normal load.
 
     Returns (sigma0/mu) * (1 - nu) * sqrt(a^2 - x^2); valid for shear
-    modulus mu > 0 and Poisson ratio 0 < nu < 1/2.
+    modulus mu > 0 and Poisson ratio 0 < nu < 1/2.  Raises ValueError
+    naming a nonfinite parameter.
     """
+    _require_finite(sigma0=sigma0, mu=mu, nu=nu, a=a)
     if mu <= 0:
         raise ValueError(f"shear modulus must be positive, got {mu}")
     if not (0.0 < nu < 0.5):
@@ -176,8 +186,10 @@ def full_example_exact(A: float, x):
 
     This solves the full equation on (-1, 1) with convolution kernel
     A*(x-t) and constant right-hand side -pi; at A = 0 it reduces to the
-    characteristic benchmark sqrt(1-x^2).
+    characteristic benchmark sqrt(1-x^2).  Raises ValueError for a
+    nonfinite A.
     """
+    _require_finite(A=A)
     xs = np.asarray(x, dtype=float)
     if not np.all(np.abs(xs) <= 1.0 + 1e-15):
         raise ValueError("|x| must not exceed 1")

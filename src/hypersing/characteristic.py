@@ -176,7 +176,7 @@ class CharacteristicInverse:
         return out.T.reshape(r.shape)
 
     def _apply_rows(self, rows: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-        """M^{-1} applied to each row of a (c, n) array, unchecked.
+        """M^{-1} applied to an (n,) array or each row of a (c, n) one, unchecked.
 
         One forward and one inverse FFT along the rows, then the scaling by
         ``left`` and a reversed cumulative sum.  Real rows take real FFTs
@@ -190,7 +190,7 @@ class CharacteristicInverse:
         real = not np.iscomplexobj(rows)
         fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
         product = ifft(fft(self.right * rows, length) * spectrum, length)
-        return np.cumsum((self.left * product[:, n - 1 : 2 * n - 1])[:, ::-1], axis=-1)[:, ::-1]
+        return np.cumsum((self.left * product[..., n - 1 : 2 * n - 1])[..., ::-1], axis=-1)[..., ::-1]
 
     def _complex_spectrum(self) -> np.ndarray:
         # The complex FFT of T's real values: ``spectrum`` and its

@@ -1,16 +1,21 @@
 """Collocation solver for the hypersingular equation, with or without a regular kernel.
 
-The singular part is the characteristic matrix; the regular kernel enters
-through the one-point rectangle rule h*K0(x_i, t_j), which keeps the
-scheme identical to the analyzed one.  A difference kernel depends, like
-the singular part, only on i - j on the uniform mesh, so its table is the
-2n - 1 values at the distinct differences and the whole matrix is one
-Toeplitz matrix of their sum.  A general kernel (``eval`` only) is
-evaluated at all n^2 pairs, by the grid table that the spectral oracle
-uses too.  Both tables go through one checked evaluation: one call for
-the whole table, a shape and finiteness check, and a failure locator
-that names the raising difference or pair in O(n) further calls, a row at
-a time and then the entries of the failing row.
+The singular part is the characteristic matrix.  The paper's scheme takes
+the regular kernel by the one-point rule h*K0(x_i, t_{j+1}), at each
+cell's right node; a general kernel (``eval`` only) still does.  A
+difference kernel is integrated over each cell instead: entry (i, j) is
+the integral of K0(x_i - t) over cell j, by its two Gauss points, with
+product weights for the logarithm of a kernel that declares
+``log_coefficient``.  Like the singular part it depends only on i - j on
+the uniform mesh, so its table is 2n - 1 cell integrals and the whole
+matrix is one Toeplitz matrix of their sum.  An ``even`` kernel is
+evaluated on the cells with i - j >= 0 and mirrored, so its matrix is
+symmetric bit for bit.  A general kernel is evaluated at all n^2 pairs,
+by the grid table that the spectral oracle uses too.  Both tables go
+through one checked evaluation: one call for the whole table, a shape and
+finiteness check, and a failure locator that names the raising point or
+pair in O(n) further calls, a row at a time (a cell's two points, or a
+row of pairs) and then the entries of the failing row.
 With no kernel the problem is the characteristic equation:
 ``solve_characteristic`` is that case of ``solve_full``.  ``solve_full``
 solves it, and a difference kernel whose checked table is identically
@@ -22,32 +27,35 @@ Any other difference kernel is solved in one place, ``_solve_toeplitz``,
 from its 2n - 1 profile.  It needs the first and last columns x, y of
 A^{-1}: from them the Gohberg-Semencul formula
 (``linalg._gohberg_semencul``) gives every probe of Hager's condition
-estimate, and the 1-norm comes from the profile in O(n).  x and y come
-from one of two sources.  From n = _GMRES_MIN_N on, GMRES solves the
-second-kind form (I + M^{-1} T) g = M^{-1} r for r = e_0 and e_{n-1},
-with T the kernel's Toeplitz table applied by FFT (Saad and Schultz,
-SIAM J. Sci. Stat. Comput. 7, 1986; Chan and Ng, SIAM Rev. 38, 1996):
-O(n log n) per iteration, a few to a few dozen iterations, and no n x n
-array.  The operator is built once per solve and takes each Krylov step
-in four bare FFT calls of the 5-smooth length ``linalg._fft_length(n)``:
-T by the kernel's spectrum, then M^{-1} by the Cauchy spectrum between
-its two scalings and a reversed cumulative sum, complex transforms for a
-complex table and real ones for a real table; GMRES starts from
-M^{-1} e_0 and M^{-1} e_{n-1} in closed form.  The load is then one
-product with A^{-1} by the formula, taken in one stacked probe with the
-first sweep of Hager's estimate, and accepted when its normwise backward
-error is at most _GMRES_TOL.  Below that n, where LAPACK is faster, and
-whenever GMRES gives no answer (no convergence in _GMRES_MAX_ITER
-iterations, a load that fails that test, or an estimate that reads
-singular), one ``gesv`` call on the read-only Toeplitz view of the
-profile solves e_0, e_{n-1} and the load together: the load comes from
-LAPACK's LU, and the only n x n array is LAPACK's copy.  Measured with
-OpenBLAS 0.3.31, a one-column and a multi-column ``gesv`` differ in the
-last bits, while any two multi-column counts agree, so a real-valued
-complex load (two columns for its parts) keeps the bits of a real one.
-A real-valued table is solved in real arithmetic.  Only where
-(A^{-1})_00 = 0, and the formula does not hold, does the view go through
-``linalg.lu_factor``, which also takes a general kernel's dense matrix.
+estimate, and the 1-norm comes from the profile in O(n).  An even
+kernel's A is symmetric, and as every Toeplitz matrix is persymmetric,
+y = J x, the reverse of x: only x is solved for.  x and y come from one
+of two sources.  From n = _GMRES_MIN_N on, GMRES solves the second-kind
+form (I + M^{-1} T) g = M^{-1} r for r = e_0, and for r = e_{n-1} in a
+second run unless the kernel is even, with T the kernel's Toeplitz table
+applied by FFT (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986;
+Chan and Ng, SIAM Rev. 38, 1996): O(n log n) per iteration, a few to a
+few dozen iterations, and no n x n array.  The operator is built once per
+solve and takes each Krylov step in four bare FFT calls of the 5-smooth
+length ``linalg._fft_length(n)``: T by the kernel's spectrum, then M^{-1}
+by the Cauchy spectrum between its two scalings and a reversed cumulative
+sum, complex transforms for a complex table and real ones for a real
+table; GMRES starts from M^{-1} e_0 and M^{-1} e_{n-1} in closed form.
+The load is then one product with A^{-1} by the formula, taken in one
+stacked probe with the first sweep of Hager's estimate, and accepted when
+its normwise backward error is at most _GMRES_TOL.  Below that n, where
+LAPACK is faster, and whenever GMRES gives no answer (no convergence in
+_GMRES_MAX_ITER iterations, a load that fails that test, or an estimate
+that reads singular), one ``gesv`` call on the read-only Toeplitz view of
+the profile solves e_0 (and e_{n-1} unless the kernel is even) and the
+load together: the load comes from LAPACK's LU, and the only n x n array
+is LAPACK's copy.  Measured with OpenBLAS 0.3.31, a one-column and a
+multi-column ``gesv`` differ in the last bits, while any two multi-column
+counts agree, so a real-valued complex load (two columns for its parts)
+keeps the bits of a real one.  A real-valued table is solved in real
+arithmetic.  Only where (A^{-1})_00 = 0, and the formula does not hold,
+does the view go through ``linalg.lu_factor``, which also takes a general
+kernel's dense matrix.
 
 ``fredholm_residual`` measures how well a solution satisfies the
 equivalent second-kind equation obtained by inverting the singular part:
@@ -99,14 +107,22 @@ _CONDITION_WARN = 1e12
 
 # Difference-kernel systems from this n on go to GMRES: the smallest n of
 # 64, 96, 128, 192, 256, 320, 400 and 512 from which it was no slower than
-# the dense LU on the screen at k = 0.5 and 2.5 (at k = 10 it catches up
-# between 400 and 512).  An unconverged run after _GMRES_MAX_ITER
-# iterations falls back to the dense LU.  The tolerance is on the relative
-# residual of the preconditioned system: at 1e-13 the screen at k = 10 was
-# up to 1.3e-12 from the dense solution, at 1e-14 within 2.2e-13, for at
-# most one more iteration.  The same value bounds the normwise backward
-# error of the load solved from the GMRES columns.
-_GMRES_MIN_N = 400
+# the dense source on the screen at k = 0.5 and 2.5.  The screen's kernel
+# is even, so each route solves for x alone.  Medians of 41 interleaved
+# solves in ms, GMRES / dense (2-core host, numpy 2.4.6, one OpenBLAS
+# thread); at k = 10 GMRES catches up between 256 and 320:
+#       n   k = 0.5       k = 2.5       k = 10
+#      80   1.60 / 0.83   2.04 / 0.84   3.25 / 0.89
+#     192   2.00 / 2.19   1.50 / 1.36   2.29 / 1.38
+#     256   1.33 / 2.39   1.80 / 2.62   2.63 / 2.51
+#     320   1.55 / 3.98   1.90 / 3.96   2.86 / 3.96
+# An unconverged run after _GMRES_MAX_ITER iterations falls back to the
+# dense source.  The tolerance is on the relative residual of the
+# preconditioned system: at 1e-13 the screen at k = 10 was up to 1.3e-12
+# from the dense solution, at 1e-14 within 2.2e-13, for at most one more
+# iteration.  The same value bounds the normwise backward error of the
+# load solved from the GMRES columns.
+_GMRES_MIN_N = 256
 _GMRES_MAX_ITER = 64
 _GMRES_TOL = 1e-14
 
@@ -190,22 +206,61 @@ def _grid_table(kernel, x: np.ndarray, t: np.ndarray) -> np.ndarray:
     )
 
 
+# The two Gauss points of a cell sit at its centre -+ _GAUSS_OFFSET h.
+_GAUSS_OFFSET = 0.5 / math.sqrt(3.0)
+
+
 def _difference_table(mesh: Mesh, kernel) -> np.ndarray:
-    # K0 at the 2n - 1 differences (m - 1/2) h, m = i - j, at index
-    # m + n - 1, as a checked 1 x (2n - 1) table; the locator probes one
-    # difference at a time.
-    n = mesh.n
-    diffs = (np.arange(2 * n - 1) - (n - 1) - 0.5) * mesh.h
+    # The 2n - 1 profile of the kernel: at index m + n - 1, the integral of
+    # K0 over the cell [(m - 1/2) h, (m + 1/2) h] of the differences
+    # x_i - t, m = i - j, by the two Gauss points m h -+ h/(2 sqrt 3).  A
+    # kernel that declares log_coefficient, K0 = S ln|d| + R, adds the
+    # product weights of ``_log_weights`` for S ln|d|.  An even kernel is
+    # evaluated on the cells m >= 0 only and mirrored, so its profile is
+    # symmetric bit for bit.  The points go through one checked
+    # (cells, 2) table, whose locator probes one cell's two points a call.
+    n, h = mesh.n, mesh.h
+    m = np.arange(0 if kernel.even else 1 - n, n)
+    offset = _GAUSS_OFFSET * h
+    points = (m * h)[:, None] + np.array([-offset, offset])
 
-    def evaluate(i, m):
-        return np.asarray(kernel.profile_batch(np.atleast_1d(diffs[m])))[None]
+    def evaluate(i, j):
+        d = points[i, j]
+        return np.reshape(kernel.profile_batch(np.ravel(d)), np.shape(d))
 
-    def pair(_, m):
-        # One (x_i, t_j) with i - j = m - (n - 1), the m-th difference.
-        i = max(m - (n - 1), 0)
-        return float(mesh.colloc[i]), float(mesh.nodes[n + i - m])
+    def pair(i, j):
+        # The collocation point x_i with i = max(m, 0), and t = x_i - d.
+        x = mesh.colloc[max(m[i], 0)]
+        return float(x), float(x - points[i, j])
 
-    return _checked_table(evaluate, (1, 2 * n - 1), pair)
+    values = _checked_table(evaluate, points.shape, pair)
+    cells = 0.5 * h * (values[:, 0] + values[:, 1])
+    if kernel.log_coefficient is not None:
+        cells = cells + (_log_weights(m, h, points) * kernel.log_coefficient(values)).sum(axis=1)
+    return np.concatenate((cells[:0:-1], cells)) if kernel.even else cells
+
+
+def _log_weights(m: np.ndarray, h: float, points: np.ndarray) -> np.ndarray:
+    # Weights w with w_0 S(d_0) + w_1 S(d_1) = the integral of S ln|d| over
+    # cell m, for S linear through the cell's Gauss points d_0, d_1, less
+    # the Gauss rule's (h/2) (S(d_0) ln|d_0| + S(d_1) ln|d_1|).  With c = m h
+    # and u = d - c, S = (S_0 + S_1)/2 + (S_1 - S_0) u / (d_1 - d_0), so the
+    # integral takes the moments I = int ln|d| du and J = int u ln|d| du over
+    # |u| <= h/2.  For m != 0, with r = 1/(2m), ln|d| = ln|c| + ln(1 + u/c)
+    # gives I = h ln|c| + c (2 atanh r + r log1p(-r^2) - 2r) and
+    # J = c^2 (r - (1 - r^2) atanh r); at m = 0, I = h (ln(h/2) - 1) and
+    # J = 0.  The weights then round to about |m| eps h: 6e-13 h at
+    # m = 4095 against 50 digits, where differences of the antiderivatives
+    # of ln|d| and d ln|d| across the cell read 1e-9 h.
+    zero = m == 0
+    safe = np.where(zero, 1, m)
+    r = 0.5 / safe
+    atanh = np.arctanh(r)
+    c = m * h
+    moment = h * np.log(np.abs(safe) * h) + c * (2.0 * atanh + r * np.log1p(-r * r) - 2.0 * r)
+    moment[zero] = h * (math.log(0.5 * h) - 1.0)
+    slope = c * c * (r - (1.0 - r * r) * atanh) / (2.0 * _GAUSS_OFFSET * h)  # 0 at m = 0
+    return 0.5 * (moment[:, None] - h * np.log(np.abs(points))) + np.stack((-slope, slope), axis=1)
 
 
 def _kernel_table(problem: FullProblem):
@@ -222,10 +277,10 @@ def _kernel_table(problem: FullProblem):
     mesh = problem.mesh
     check_dense_size("n", mesh.n, mesh.n, mesh.n)
     if kernel.profile_batch is not None:
-        row = _difference_table(mesh, kernel)[0]
+        row = _difference_table(mesh, kernel)
         if not np.iscomplexobj(row) and not np.any(row):
             return None
-        return mesh.h * row
+        return row
     return mesh.h * _grid_table(kernel, mesh.colloc, mesh.nodes[1:])
 
 
@@ -255,73 +310,57 @@ def assemble_full(problem: FullProblem) -> np.ndarray:
 
 
 def _gmres(operator: Callable, rhs: np.ndarray):
-    # Unrestarted GMRES from zero for operator(g) = rhs on each row of rhs
-    # (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986).  The rows
-    # step in lockstep, each in its own Krylov space: row-wise FFTs, classical
-    # Gram-Schmidt done twice by one matrix product per row, and Givens
-    # rotations in Python scalars per row, so a row's bits do not depend on
-    # the other rows.  A row stops once its relative residual is at most
-    # _GMRES_TOL or its next Arnoldi vector has norm 0; its basis then stays
-    # zero from there on, and a zero row is solved by 0.  Returns
-    # (solutions, iterations, largest relative residual), or None when a
-    # row has not converged after _GMRES_MAX_ITER steps or its Hessenberg
-    # matrix is singular.
-    rows, n = rhs.shape
-    beta = np.linalg.norm(rhs, axis=-1)
-    active = beta > 0
-    # The basis of each row, grown by doubling up to _GMRES_MAX_ITER + 1
-    # vectors: no n x _GMRES_MAX_ITER block is allocated for a run that
-    # converges early.
-    basis = np.zeros((rows, 8, n), dtype=rhs.dtype)
-    basis[active, 0] = rhs[active] / beta[active, None]
-    triangles = [[] for _ in range(rows)]  # rotated Hessenberg columns
-    rotations = [[] for _ in range(rows)]
-    residuals = [[b] for b in beta.tolist()]  # beta e_1 under the rotations
-    solutions = np.zeros_like(rhs)
-    steps, worst = 0, 0.0
-    while active.any():
-        if steps == _GMRES_MAX_ITER:
-            return None
-        if steps + 1 == basis.shape[1]:
-            extra = min(steps + 1, _GMRES_MAX_ITER - steps)
-            basis = np.concatenate((basis, np.zeros_like(basis[:, :extra])), axis=1)
-        v = basis[:, : steps + 1]
-        w = operator(v[:, -1])
-        coefficients = 0.0
+    # Unrestarted GMRES from zero for operator(g) = rhs, one (n,) row (Saad
+    # and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986): classical
+    # Gram-Schmidt done twice by matrix-vector products, and Givens
+    # rotations in Python scalars.  It stops once the relative residual is
+    # at most _GMRES_TOL, which a next Arnoldi vector of norm 0 gives at
+    # once; a zero rhs is solved by 0.  Returns (solution, iterations,
+    # relative residual), or None when it has not converged after
+    # _GMRES_MAX_ITER steps or its Hessenberg matrix is singular.
+    beta = float(np.linalg.norm(rhs))
+    if beta == 0.0:
+        return np.zeros_like(rhs), 0, 0.0
+    # The basis, grown by doubling up to _GMRES_MAX_ITER + 1 vectors: no
+    # _GMRES_MAX_ITER x n block is allocated for a run that converges early.
+    basis = np.zeros((8, len(rhs)), dtype=rhs.dtype)
+    basis[0] = rhs / beta
+    triangle, rotations, g = [], [], [beta]  # g: beta e_1 under the rotations
+    for steps in range(1, _GMRES_MAX_ITER + 1):
+        if steps == len(basis):
+            basis = np.concatenate((basis, np.zeros_like(basis[: _GMRES_MAX_ITER + 1 - steps])))
+        v = basis[:steps]
+        w = operator(v[-1])
+        column = 0.0
         for _ in range(2):
             # v^H w as conj(v conj(w)): no conjugate copy of the basis.
-            projections = np.matmul(v, w.conj()[:, :, None])[:, :, 0].conj()
-            w = w - np.matmul(projections[:, None], v)[:, 0]
-            coefficients = coefficients + projections
-        norms = np.linalg.norm(w, axis=-1)
-        moving = active & (norms > 0)
-        np.divide(w, norms[:, None], out=basis[:, steps + 1], where=moving[:, None])
-        steps += 1
-        for row in np.flatnonzero(active).tolist():
-            column = coefficients[row].tolist()
-            for i, (c, s) in enumerate(rotations[row]):
-                column[i], column[i + 1] = (
-                    c * column[i] + s * column[i + 1],
-                    -s.conjugate() * column[i] + c * column[i + 1],
-                )
-            a, b = column[-1], float(norms[row])
-            radius = math.hypot(abs(a), b)
-            if radius == 0.0:
-                return None
-            phase = a / abs(a) if a else 1.0
-            c, s = abs(a) / radius, phase * b / radius
-            column[-1] = phase * radius
-            rotations[row].append((c, s))
-            triangles[row].append(column)
-            g = residuals[row]
-            g.append(-s.conjugate() * g[-1])
-            g[-2] = c * g[-2]
-            relative = abs(g[-1]) / beta[row]
-            if relative <= _GMRES_TOL:
-                active[row] = False
-                worst = max(worst, relative)
-                solutions[row] = _back_substitute(triangles[row], g) @ basis[row, :steps]
-    return solutions, steps, worst
+            projections = (v @ w.conj()).conj()
+            w = w - projections @ v
+            column = column + projections
+        norm = float(np.linalg.norm(w))
+        if norm > 0:
+            basis[steps] = w / norm
+        column = column.tolist()
+        for i, (c, s) in enumerate(rotations):
+            column[i], column[i + 1] = (
+                c * column[i] + s * column[i + 1],
+                -s.conjugate() * column[i] + c * column[i + 1],
+            )
+        a = column[-1]
+        radius = math.hypot(abs(a), norm)
+        if radius == 0.0:
+            return None
+        phase = a / abs(a) if a else 1.0
+        c, s = abs(a) / radius, phase * norm / radius
+        column[-1] = phase * radius
+        rotations.append((c, s))
+        triangle.append(column)
+        g.append(-s.conjugate() * g[-1])
+        g[-2] = c * g[-2]
+        relative = abs(g[-1]) / beta
+        if relative <= _GMRES_TOL:
+            return _back_substitute(triangle, g) @ basis[:steps], steps, relative
+    return None
 
 
 def _back_substitute(triangle: list, g: list) -> np.ndarray:
@@ -334,7 +373,7 @@ def _back_substitute(triangle: list, g: list) -> np.ndarray:
 
 
 def _preconditioned_operator(inverse: CharacteristicInverse, table: np.ndarray) -> Callable:
-    # v -> v + M^{-1} T v on (rows, n) Krylov rows, T the Toeplitz matrix
+    # v -> v + M^{-1} T v on an (n,) Krylov vector or (rows, n) rows, T the Toeplitz matrix
     # of the kernel profile ``table``, in four bare FFT calls: T v by the
     # kernel's spectrum, then M^{-1} by ``inverse._apply_rows``.  Complex
     # rows take complex transforms; a real table keeps real ones and the
@@ -349,19 +388,21 @@ def _preconditioned_operator(inverse: CharacteristicInverse, table: np.ndarray) 
     spectrum = fft(table, length)
 
     def operator(v):
-        product = ifft(spectrum * fft(v, length), length)[:, n - 1 : 2 * n - 1]
+        product = ifft(spectrum * fft(v, length), length)[..., n - 1 : 2 * n - 1]
         return v + inverse._apply_rows(product, cauchy)
 
     return operator
 
 
-def _solve_toeplitz(mesh: Mesh, table: np.ndarray, b: np.ndarray):
+def _solve_toeplitz(mesh: Mesh, table: np.ndarray, b: np.ndarray, even: bool = False):
     # (values, condition) of the Toeplitz system with kernel profile
     # ``table``, from the first and last columns x, y of A^{-1} by GMRES or
-    # by one gesv call, as the module docstring says.  A table holding real
-    # values is solved in real arithmetic, a complex load then as its real
-    # and imaginary parts.  A GMRES failure falls back to the dense source,
-    # whose SingularMatrixError is the caller's.
+    # by one gesv call, as the module docstring says.  ``even`` declares a
+    # symmetric table, so that A is symmetric and y = J x: x alone is
+    # solved for.  A table holding real values is solved in real
+    # arithmetic, a complex load then as its real and imaginary parts.  A
+    # GMRES failure falls back to the dense source, whose
+    # SingularMatrixError is the caller's.
     n = mesh.n
     b = _checked_rhs(b, n)
     profile = _singular_profile(mesh) + table
@@ -403,22 +444,29 @@ def _solve_toeplitz(mesh: Mesh, table: np.ndarray, b: np.ndarray):
 
     if n >= _GMRES_MIN_N:
         inverse = characteristic_inverse(mesh)
-        ends = _gmres(_preconditioned_operator(inverse, table), inverse._end_columns().astype(dtype))
-        try:
-            solved = None if ends is None else from_end_columns(*ends[0])
-        except SingularMatrixError:
-            solved = None
+        operator = _preconditioned_operator(inverse, table)
+        starts = inverse._end_columns().astype(dtype)
+        runs = [_gmres(operator, start) for start in starts[: 1 if even else 2]]
+        solved = None
+        if None not in runs:
+            x = runs[0][0]
+            try:
+                solved = from_end_columns(x, x[::-1] if even else runs[1][0])
+            except SingularMatrixError:
+                pass
         if solved is not None:
             logger.debug("GMRES route at n=%d: %d iterations, relative residual %.3e,"
-                         " load backward error %.3e", n, *ends[1:], solved[2])
+                         " load backward error %.3e", n, sum(run[1] for run in runs),
+                         max(run[2] for run in runs), solved[2])
             return solved[:2]
         logger.debug("GMRES route at n=%d gave no answer", n)
-    columns = np.zeros((2 + len(loads), n), dtype=dtype)
-    columns[0, 0] = columns[1, -1] = 1.0
-    columns[2:] = loads
+    ends = [0] if even else [0, n - 1]
+    columns = np.zeros((len(ends) + len(loads), n), dtype=dtype)
+    columns[range(len(ends)), ends] = 1.0
+    columns[len(ends) :] = loads
     view = _toeplitz_view(profile)
-    x, y, *parts = _gesv(view, columns.T).T
-    solved = from_end_columns(x, y, parts)
+    x, *parts = _gesv(view, columns.T).T
+    solved = from_end_columns(x, x[::-1] if even else parts.pop(0), parts)
     if solved is None:  # (A^{-1})_00 = 0
         fact = lu_factor(view, b)
         solved = fact.solution, condition_estimate_1norm(fact)
@@ -435,8 +483,10 @@ def solve_full(problem: FullProblem) -> DiscreteSolution:
     array; its ``condition`` is exact.  Any other difference kernel takes
     one Toeplitz route, which needs the first and last columns of A^{-1}:
     the Gohberg-Semencul formula gives from them Hager's condition
-    estimate, in FFT products.  From n = _GMRES_MIN_N on, GMRES solves for
-    those two columns on the second-kind form (I + M^{-1} T) g = M^{-1} r,
+    estimate, in FFT products.  An ``even`` kernel's matrix is symmetric,
+    and its last column is its first reversed, so only the first is solved
+    for.  From n = _GMRES_MIN_N on, GMRES solves for those columns, one
+    run each, on the second-kind form (I + M^{-1} T) g = M^{-1} r,
     preconditioned by the closed-form inverse, with O(n log n) work per
     iteration and no n x n array: the operator, built once, takes four FFT
     calls per iteration, and GMRES starts from M^{-1} e_0 and M^{-1} e_{n-1}
@@ -448,31 +498,33 @@ def solve_full(problem: FullProblem) -> DiscreteSolution:
     _GMRES_TOL in _GMRES_MAX_ITER iterations, a formula that does not
     apply, a solution that fails that test, or an estimate that reads
     singular), one ``gesv`` call on the read-only Toeplitz view of the
-    2n - 1 profile solves for the two columns and the load together, so
+    2n - 1 profile solves for those columns and the load together, so
     the solution comes from LAPACK's LU and the only n x n array is
     LAPACK's copy.  Where (A^{-1})_00 = 0 the formula does not apply and
     that view goes through ``lu_factor``.  A general kernel assembles the
     dense matrix, one more n x n array, and solves it through LAPACK in
     the ``lu_factor`` call that takes the condition estimate.  Every
     route's condition number is attached to the result; a warning is
-    logged above 1e12, and the route taken (with the GMRES iteration count,
-    final relative residual and the load's backward error) at DEBUG.  The
+    logged above 1e12, and the route taken (with the GMRES iterations summed
+    over its runs, the largest final relative residual and the load's
+    backward error) at DEBUG.  The
     scalar field is complex exactly when the kernel or the right-hand side
     is complex; a real problem never leaves real arithmetic.  Raises
     SingularMatrixError for a degenerate system and ValueError for a
-    nonfinite right-hand side or an over-budget size.
+    nonfinite right-hand side, read before the kernel, or an over-budget
+    size.
     """
     mesh = problem.mesh
     if problem.rhs.f is not None:
         problem.rhs.validate_pair(mesh.a, mesh.b)
-    table = _kernel_table(problem)
     b = _load_values(problem.rhs.fprime, mesh.colloc, "right-hand side")
+    table = _kernel_table(problem)
     if table is None:
         inverse = characteristic_inverse(mesh)
         values, condition = inverse.apply(b), inverse.condition
         logger.debug("closed-form route at n=%d", mesh.n)
     elif table.ndim == 1:
-        values, condition = _solve_toeplitz(mesh, table, b)
+        values, condition = _solve_toeplitz(mesh, table, b, problem.kernel.even)
     else:
         fact = lu_factor(_matrix(mesh, table), b)
         values, condition = fact.solution, condition_estimate_1norm(fact)

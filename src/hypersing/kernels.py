@@ -20,12 +20,12 @@ characteristic equation itself and carries no kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from hypersing.analytic import RightHandSide
+from hypersing.analytic import RightHandSide, _require_finite
 from hypersing.fullsolver import FullProblem
 from hypersing.mesh import make_mesh
 from hypersing.quadrature import adaptive_gauss
@@ -82,10 +82,13 @@ class RegularKernel:
     argument.  ``even`` declares K0(-d) = K0(d) for a difference kernel;
     on the mirror-symmetric Gauss-Chebyshev grids K0(x_i - t_j) then equals
     K0(x_{m-1-i} - t_{m-j}), and ``solve_spectral`` evaluates half the
-    table.  ``log_coefficient`` declares a logarithmic difference kernel
+    table; the collocation solver evaluates the cells with i - j >= 0 only,
+    and its symmetric matrix needs one column of its inverse, not two.
+    ``log_coefficient`` declares a logarithmic difference kernel
     K0(d) = S(d) ln|d| + R(d) with S and R smooth: it maps an array of K0
     values to S at the same differences, so S costs no evaluation of its
-    own, and ``solve_spectral`` then integrates the logarithm exactly.
+    own, and ``solve_spectral`` then integrates the logarithm exactly, the
+    collocation table by product weights over each cell.
     Declaring either without ``profile_batch`` raises ValueError.
     """
 
@@ -155,13 +158,6 @@ class FourierSymbol:
         return float(np.max(self._tail_bound()))
 
 
-def _require_finite(params) -> None:
-    for field in fields(params):
-        value = getattr(params, field.name)
-        if not math.isfinite(value):
-            raise ValueError(f"{field.name} must be finite, got {value}")
-
-
 @dataclass
 class CrackParams:
     """Pressurized straight crack: load sigma0, shear modulus mu, Poisson nu, half-length a."""
@@ -172,7 +168,7 @@ class CrackParams:
     a: float
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _require_finite(**asdict(self))
         if self.mu <= 0:
             raise ValueError(f"shear modulus must be positive, got {self.mu}")
         if not (0.0 < self.nu < 0.5):
@@ -193,7 +189,7 @@ class ScreenParams:
     a: float
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _require_finite(**asdict(self))
         if self.k <= 0:
             raise ValueError(f"wavenumber must be positive, got {self.k}")
         if self.a <= 0:
@@ -215,8 +211,7 @@ def polynomial_kernel(A: float) -> RegularKernel:
     second-kind reduction diagnostics accept it.  Raises ValueError for a
     nonfinite A.
     """
-    if not math.isfinite(A):
-        raise ValueError(f"A must be finite, got {A}")
+    _require_finite(A=A)
     return RegularKernel(
         k1=lambda x, t: A * (np.asarray(x) ** 2 / 2.0 - np.asarray(x) * np.asarray(t)),
         profile_batch=lambda d: A * np.atleast_1d(np.asarray(d, dtype=float)),

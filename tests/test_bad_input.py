@@ -21,14 +21,21 @@ from hypersing import (
     Density,
     DiscreteSolution,
     FourierSymbol,
+    FullProblem,
     RegularKernel,
     RightHandSide,
     ScreenParams,
+    cauchy_pv,
     chebyshev_U,
+    crack_exact,
     finite_part,
+    finite_part_constant,
+    fredholm_residual,
+    full_example_exact,
     invert_characteristic,
     kernel_from_symbol,
     make_mesh,
+    solve_full,
     solve_spectral,
 )
 from hypersing.analytic import weighted_pv_integral
@@ -44,11 +51,29 @@ OUTSIDE_UNIT = st.one_of(
     st.floats(min_value=1.0, exclude_min=True),
     st.floats(max_value=-1.0, exclude_max=True),
 )
+# Outside [-1, 1] by more than the 1e-12 that U_j and the closed-form
+# solutions accept as rounding, NaN included.
+OUTSIDE_UNIT_PAST_ROUNDING = st.one_of(
+    NONFINITE, st.floats(min_value=1.0 + 1e-9), st.floats(max_value=-1.0 - 1e-9)
+)
 # A nonfinite end, or b <= a.
 BAD_INTERVAL = st.one_of(
     st.tuples(NONFINITE, st.just(1.0)),
     st.tuples(st.just(-1.0), NONFINITE),
     st.tuples(FINITE, FINITE).map(lambda ends: (max(ends), min(ends))),
+)
+
+# (a, b, x) with x not strictly inside a valid (a, b), and the arguments
+# (a, b, x, tol) of the adaptive finite-part and principal-value integrals.
+BAD_INTERIOR_POINT = st.one_of(
+    BAD_INTERVAL.map(lambda ends: (*ends, 0.0)),
+    OUTSIDE_UNIT.map(lambda x: (-1.0, 1.0, x)),
+    st.sampled_from([-1.0, 1.0]).map(lambda x: (-1.0, 1.0, x)),
+)
+BAD_INTEGRAL = st.one_of(
+    BAD_INTERIOR_POINT.map(lambda args: (*args, 1e-9)),
+    NONPOSITIVE.map(lambda tol: (-1.0, 1.0, 0.0, tol)),
+    st.just((-1.0, 1.0, 0.0, math.inf)),
 )
 
 
@@ -59,7 +84,7 @@ def _untouched(*args, **kwargs):
 UNTOUCHED_LOAD = RightHandSide(fprime=_untouched, f=_untouched)
 UNTOUCHED_DENSITY = Density(value=_untouched, deriv=_untouched)
 UNTOUCHED_SYMBOL = FourierSymbol(L=_untouched, A=1.0, L0=_untouched, decay=1.0)
-UNTOUCHED_KERNEL = RegularKernel(profile_batch=_untouched)
+UNTOUCHED_KERNEL = RegularKernel(profile_batch=_untouched, k1=_untouched)
 
 
 def _with_bad_point(bad, size=10**5):
@@ -140,9 +165,7 @@ def test_solve_spectral(args):
 @_FEW
 @given(st.one_of(
     st.integers(max_value=-1).map(lambda j: (j, 0.5)),
-    # U_j accepts |x| up to 1 + 1e-12 as rounding.
-    st.one_of(NONFINITE, st.floats(min_value=1.0 + 1e-9), st.floats(max_value=-1.0 - 1e-9))
-    .map(lambda x: (10**6, _with_bad_point(x, 16))),
+    OUTSIDE_UNIT_PAST_ROUNDING.map(lambda x: (10**6, _with_bad_point(x, 16))),
 ))
 def test_chebyshev_U(args):
     with pytest.raises(ValueError):
@@ -161,16 +184,78 @@ def test_chebyshev_from_function(bad):
 
 
 @_FEW
-@given(st.one_of(
-    BAD_INTERVAL.map(lambda ends: (*ends, 0.0, 1e-9)),
-    OUTSIDE_UNIT.map(lambda x: (-1.0, 1.0, x, 1e-9)),
-    st.sampled_from([-1.0, 1.0]).map(lambda x: (-1.0, 1.0, x, 1e-9)),
-    NONPOSITIVE.map(lambda tol: (-1.0, 1.0, 0.0, tol)),
-    st.just((-1.0, 1.0, 0.0, math.inf)),
-))
+@given(BAD_INTEGRAL)
 def test_finite_part(args):
     with pytest.raises(ValueError):
         finite_part(UNTOUCHED_DENSITY, *args)
+
+
+@_FEW
+@given(BAD_INTEGRAL)
+def test_cauchy_pv(args):
+    with pytest.raises(ValueError):
+        cauchy_pv(UNTOUCHED_DENSITY, *args)
+
+
+@_FEW
+@given(BAD_INTERIOR_POINT)
+def test_finite_part_constant(args):
+    with pytest.raises(ValueError):
+        finite_part_constant(*args)
+
+
+@_FEW
+@given(st.one_of(
+    NONFINITE.map(lambda v: {"sigma0": v}),
+    NONPOSITIVE.map(lambda v: {"mu": v}),
+    st.one_of(NONFINITE, st.floats(max_value=0.0), st.floats(min_value=0.5))
+    .map(lambda v: {"nu": v}),
+    NONPOSITIVE.map(lambda v: {"a": v}),
+    OUTSIDE_UNIT_PAST_ROUNDING.map(lambda x: {"x": _with_bad_point(x)}),
+))
+def test_crack_exact(bad):
+    with pytest.raises(ValueError):
+        crack_exact(**{"sigma0": 1.0, "mu": 1.0, "nu": 0.3, "a": 1.0, "x": 0.0, **bad})
+
+
+@_FEW
+@given(st.one_of(
+    NONFINITE.map(lambda A: (A, 0.0)),
+    OUTSIDE_UNIT_PAST_ROUNDING.map(lambda x: (1.0, _with_bad_point(x))),
+))
+def test_full_example_exact(args):
+    with pytest.raises(ValueError):
+        full_example_exact(*args)
+
+
+_MESH = make_mesh(-1.0, 1.0, 4096)
+
+
+@_FEW
+@given(st.one_of(
+    st.integers(max_value=7),
+    st.integers(min_value=4097),
+    st.floats(min_value=8.0, max_value=4096.0),
+    NONFINITE,
+))
+def test_fredholm_residual(m):
+    problem = FullProblem(mesh=_MESH, rhs=UNTOUCHED_LOAD, kernel=UNTOUCHED_KERNEL)
+    with pytest.raises(ValueError):
+        fredholm_residual(problem, _untouched, m)
+
+
+@_FEW
+@given(NONFINITE, st.integers(min_value=0, max_value=4095))
+def test_solve_full_nonfinite_load(bad, where):
+    # The load is read before the kernel is evaluated.
+    def load(x):
+        values = np.ones_like(x)
+        values[where] = bad
+        return values
+
+    problem = FullProblem(mesh=_MESH, rhs=RightHandSide(fprime=load), kernel=UNTOUCHED_KERNEL)
+    with pytest.raises(ValueError):
+        solve_full(problem)
 
 
 @_FEW

@@ -188,8 +188,9 @@ def test_screen_oracle_default_terms_converged(ka, a):
 
 
 def test_screen_default_terms_follow_the_wavenumber(tmp_path, capsys):
-    # At k = 40 a fixed N = 32 read max_abs_error=2.280305e-01; the default
-    # N = 80 reads the converged 1.573532e-01 of N = 160.
+    # At k = 40 the default N = 80 reads the converged max_abs_error of
+    # N = 160: 4.990026e-02 with the kernel integrated over each cell (the
+    # one-point rule read 1.573532e-01, and a fixed N = 32 2.280305e-01).
     errors = []
     for flags in ([], ["--N", "160"]):
         out = tmp_path / "screen.csv"
@@ -197,7 +198,7 @@ def test_screen_default_terms_follow_the_wavenumber(tmp_path, capsys):
         err = capsys.readouterr().err
         errors.append(float(re.search(r"max_abs_error=(\S+)", err).group(1)))
     assert errors[0] == pytest.approx(errors[1], rel=1e-12)
-    assert errors[1] == pytest.approx(0.1573532, rel=1e-6)
+    assert errors[1] == pytest.approx(0.04990026, rel=1e-6)
 
 
 _EDGE = [-0.0, 5e-324, 1.7976931348623157e308, 1.0 / 3.0, np.inf, -np.inf]

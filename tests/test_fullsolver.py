@@ -58,10 +58,13 @@ def test_zero_kernel_matrix_is_bitwise_characteristic():
 
 
 def test_zero_kernel_solution_matches_characteristic(semicircle_rhs):
-    problem = benchmark_problem(24, zero_kernel())
-    full = solve_full(problem)
-    char = solve_characteristic(problem.mesh, semicircle_rhs)
-    assert np.array_equal(full.values, char.values)
+    # Also when the zero kernel is declared even, and its table mirrored.
+    for kernel in (zero_kernel(), dataclasses.replace(zero_kernel(), even=True)):
+        problem = benchmark_problem(24, kernel)
+        full = solve_full(problem)
+        char = solve_characteristic(problem.mesh, semicircle_rhs)
+        assert np.array_equal(full.values, char.values)
+        assert full.condition == char.condition
 
 
 def test_linear_kernel_benchmark_forty_subintervals():
@@ -161,7 +164,8 @@ def test_kernel_evaluation_failure_reports_offending_pair():
 
 def test_batch_kernel_failure_probes_differences_not_pairs():
     # The batch path fails near d = 0 while pointwise evaluation would not:
-    # the failure must be located among the 2n - 1 differences, without
+    # the failure must be located among the 2n - 1 cells, one cell's two
+    # Gauss points a call and then a point of the failing cell, without
     # falling back to n^2 pointwise calls.
     batch_calls, eval_calls = [], []
 
@@ -182,6 +186,8 @@ def test_batch_kernel_failure_probes_differences_not_pairs():
         assemble_full(benchmark_problem(n, kernel))
     assert abs(info.value.x - info.value.t) < 0.1
     assert len(batch_calls) <= 2 * n
+    first, *located, point = batch_calls
+    assert first == 2 * (2 * n - 1) and point == 1 and set(located) <= {1, 2}
     assert not eval_calls
 
 
@@ -239,12 +245,14 @@ def test_kernel_raising_is_wrapped():
 
 
 def test_difference_table_matches_direct_evaluation():
-    # The 2n-1 entry convolution shortcut must agree with pointwise eval.
+    # The 2n-1 entry convolution shortcut must agree with the integral of
+    # the linear kernel over each cell, h times its value at the cell's
+    # midpoint t = x_j, evaluated pointwise.
     kernel = polynomial_kernel(2.5)
     problem = benchmark_problem(15, kernel)
     table = assemble_full(problem) - assemble_characteristic(problem.mesh)
     mesh = problem.mesh
-    direct = mesh.h * kernel.eval(mesh.colloc[:, None], mesh.nodes[None, 1:])
+    direct = mesh.h * kernel.eval(mesh.colloc[:, None], mesh.colloc[None, :])
     assert np.max(np.abs(table - direct)) <= 1e-14
 
 
@@ -254,7 +262,8 @@ def test_difference_table_matches_direct_evaluation():
         # The characteristic equation takes the closed-form route: no LAPACK.
         pytest.param(lambda: crack_problem(CrackParams(1.0, 1.0, 0.3, 1.0), 40), [],
                      id="crack"),
-        pytest.param(lambda: screen_problem(ScreenParams(k=1.3, a=1.0), 40), [(40, 3)],
+        # The screen's kernel is even: e_0 and the load.
+        pytest.param(lambda: screen_problem(ScreenParams(k=1.3, a=1.0), 40), [(40, 2)],
                      id="screen"),
         # A real matrix with a complex load: b's real and imaginary parts.
         pytest.param(lambda: dataclasses.replace(
@@ -266,7 +275,8 @@ def test_difference_table_matches_direct_evaluation():
 def test_toeplitz_solve_makes_one_lapack_call(problem, gesv_calls, monkeypatch):
     # A dense Toeplitz solve is one gesv for the first and last columns of
     # A^{-1}, which serve every probe of the condition estimate, and the
-    # right-hand side.
+    # right-hand side; a symmetric matrix's last column is its first
+    # reversed, and only e_0 is solved for.
     problem = problem()
     calls = count_gesv(monkeypatch)
     solution = solve_full(problem)
@@ -297,6 +307,37 @@ def ones_int(x, t):
     return np.ones(np.broadcast(x, t).shape, dtype=int)
 
 
+def log_moments(lower, upper):
+    # int ln|d| and int d ln|d| over [lower, upper], from the antiderivatives.
+    def antiderivatives(d):
+        log = np.log(np.abs(d))
+        return d * log - d, 0.5 * d * d * log - 0.25 * d * d
+
+    (i0, i1), (j0, j1) = antiderivatives(lower), antiderivatives(upper)
+    return j0 - i0, j1 - i1
+
+
+def pointwise_cell_rule(mesh, kernel):
+    # Entry (i, j) of the kernel's table, the integral of K0(x_i - t) over
+    # cell j, pair by pair: ``eval`` at the cell's Gauss points
+    # t = x_j -+ h/(2 sqrt 3), and for a declared log_coefficient the
+    # product weights of the linear interpolant of S against ln|d|.
+    h = mesh.h
+    x, t = mesh.colloc[:, None], mesh.colloc[None, :]
+    offset = h / (2.0 * np.sqrt(3.0))
+    values = kernel.eval(x, t + offset), kernel.eval(x, t - offset)
+    table = 0.5 * h * (values[0] + values[1])
+    if kernel.log_coefficient is not None:
+        centre = x - t
+        log, first = log_moments(centre - 0.5 * h, centre + 0.5 * h)
+        first = first - centre * log  # int (d - centre) ln|d|
+        for sign, value in zip((-1.0, 1.0), values):
+            weight = 0.5 * log + sign * first / (2.0 * offset)
+            weight = weight - 0.5 * h * np.log(np.abs(centre + sign * offset))
+            table = table + weight * kernel.log_coefficient(value)
+    return table
+
+
 @pytest.mark.parametrize("kernel", [
     pytest.param(lambda: screen_problem(ScreenParams(k=1.3, a=1.0), 12).kernel,
                  id="difference"),
@@ -305,18 +346,101 @@ def ones_int(x, t):
 def test_assembled_matrices_are_writable(kernel):
     # The solve path holds views, but the public assemblers return arrays of
     # their own.  A general kernel's integer table is scaled into a fresh
-    # array, h * table + M bit for bit.
+    # array, h * table + M bit for bit, by the one-point rule
+    # h K0(x_i, t_{j+1}); a difference kernel's is its integral over each
+    # cell, here the screen's with its logarithm's product weights.
     problem = benchmark_problem(12, kernel())
     full = assemble_full(problem)
     char = assemble_characteristic(problem.mesh)
     for matrix in (full, char):
         assert matrix.flags.writeable and matrix.flags.c_contiguous
-    direct = problem.mesh.h * problem.kernel.eval(
-        problem.mesh.colloc[:, None], problem.mesh.nodes[None, 1:]
-    )
     if problem.kernel.profile_batch is None:
+        direct = problem.mesh.h * problem.kernel.eval(
+            problem.mesh.colloc[:, None], problem.mesh.nodes[None, 1:]
+        )
         assert np.array_equal(full, direct + char)
+    else:
+        direct = pointwise_cell_rule(problem.mesh, problem.kernel)
     assert np.max(np.abs(full - direct - char)) <= 1e-14 * np.max(np.abs(full))
+
+
+def test_cell_rule_integrates_low_degree_kernels_exactly():
+    # Two Gauss points integrate a cubic exactly over each cell.  With a
+    # declared log_coefficient, K0 = S ln|d| + R, the product weights
+    # integrate S ln|d| exactly for a linear S, and R by the Gauss points:
+    # here S = 1 + d/2 and R = -i (pi/2) S, so that S = -(2/pi) Im K0 as for
+    # the screen.  Against the closed-form antiderivatives on all 2n - 1
+    # cells, including the one around d = 0.
+    n = 24
+    mesh = make_mesh(-1.0, 1.0, n)
+    lower, upper = (np.arange(1 - n, n) + np.array([[-0.5], [0.5]])) * mesh.h
+
+    def cubic_antiderivative(d):
+        return d - d**2 + d**3 / 6 + d**4 / 16
+
+    cubic = RegularKernel(profile_batch=lambda d: 1 - 2 * d + 0.5 * d**2 + 0.25 * d**3)
+    want = cubic_antiderivative(upper) - cubic_antiderivative(lower)
+    got = fullsolver._kernel_table(benchmark_problem(n, cubic))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def slope_log(d):
+        d = np.asarray(d, dtype=float)
+        return (1 + 0.5 * d) * (np.log(np.abs(d)) - 0.5j * np.pi)
+
+    logarithmic = RegularKernel(profile_batch=slope_log,
+                                log_coefficient=lambda v: (-2 / np.pi) * np.imag(v))
+    log, first = log_moments(lower, upper)
+    plain = (upper - lower) + 0.25 * (upper**2 - lower**2)
+    want = log + 0.5 * first - 0.5j * np.pi * plain
+    got = fullsolver._kernel_table(benchmark_problem(n, logarithmic))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_even_kernel_table_is_mirrored_bit_for_bit():
+    # An even kernel is evaluated on the n cells m >= 0 at their 2n Gauss
+    # points and mirrored: its profile is symmetric bit for bit, and equal
+    # to rounding to the same kernel evaluated on all 2n - 1 cells.
+    n = 50
+    mesh = make_mesh(-1.0, 1.0, n)
+    kernel = screen_problem(ScreenParams(k=10.0, a=1.0), n).kernel
+    batches = []
+    batch = kernel.profile_batch
+
+    def counted(d):
+        batches.append(np.size(d))
+        return batch(d)
+
+    table = fullsolver._difference_table(mesh, dataclasses.replace(kernel, profile_batch=counted))
+    assert np.array_equal(table, table[::-1]) and batches == [2 * n]
+    full = fullsolver._difference_table(mesh, dataclasses.replace(kernel, even=False))
+    assert np.max(np.abs(full - table)) <= 1e-14 * np.max(np.abs(table))
+
+
+def one_point_rule(mesh, kernel):
+    # The paper's table: h K0 at each cell's right node, d = (m - 1/2) h.
+    n = mesh.n
+    return mesh.h * kernel.profile_batch((np.arange(2 * n - 1) - (n - 1) - 0.5) * mesh.h)
+
+
+@pytest.mark.parametrize("k", [2.5, 10.0, 40.0])
+def test_cell_rule_cuts_the_screen_interior_error(k):
+    # At the collocation points with |x| <= 1/2, relative to the oracle's
+    # peak, the screen's error under the cell rule is at least 4x below the
+    # one-point rule's: measured 5.2x, 7.0x and 16.5x at n = 400.  The
+    # one-point system is solved by numpy.linalg.solve.
+    n = 400
+    problem = screen_problem(ScreenParams(k=k, a=1.0), n)
+    mesh = problem.mesh
+    terms = int(np.ceil(1.6 * k)) + 16
+    want = solve_spectral(problem.kernel, problem.rhs, terms, 2 * terms,
+                          interval=(-1.0, 1.0))(mesh.colloc)
+    profile = one_point_rule(mesh, problem.kernel)
+    matrix = assemble_characteristic(mesh) + profile[np.subtract.outer(range(n), range(n)) + n - 1]
+    paper = np.linalg.solve(matrix, _load_values(problem.rhs.fprime, mesh.colloc, "load"))
+    interior = np.abs(mesh.colloc) <= 0.5
+    errors = [np.max(np.abs(values - want)[interior]) / np.max(np.abs(want))
+              for values in (solve_full(problem).values, paper)]
+    assert errors[1] >= 4.0 * errors[0]
 
 
 def test_oversized_matrix_refused_before_assembly():
@@ -430,7 +554,7 @@ def test_gmres_cap_falls_back_to_dense_route_bit_for_bit(monkeypatch, caplog):
     calls = count_gesv(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="hypersing.fullsolver"):
         capped = solve_full(problem)
-    assert calls == [(N0, 3)]  # the dense source: e_0, e_{n-1} and b in one gesv
+    assert calls == [(N0, 2)]  # the dense source: e_0 and b in one gesv
     assert np.array_equal(capped.values, dense.values)
     assert capped.condition == dense.condition
     messages = [record.getMessage() for record in caplog.records]
@@ -459,32 +583,50 @@ def test_gmres_route_refuses_bad_load_and_kernel():
         assert abs(info.value.x - info.value.t) < 0.01
 
 
-@pytest.mark.parametrize("problem", [
-    pytest.param(lambda: screen_problem(ScreenParams(k=2.5, a=1.0), N0), id="screen"),
-    pytest.param(lambda: benchmark_problem(N0, polynomial_kernel(3.0)), id="real"),
+@pytest.mark.parametrize("problem, runs", [
+    pytest.param(lambda: screen_problem(ScreenParams(k=2.5, a=1.0), N0), 1, id="screen"),
+    pytest.param(lambda: benchmark_problem(N0, polynomial_kernel(3.0)), 2, id="real"),
     pytest.param(lambda: dataclasses.replace(
         benchmark_problem(N0, polynomial_kernel(3.0)),
         rhs=RightHandSide(fprime=lambda x: np.exp(1j * np.asarray(x))),
-    ), id="real-complex-load"),
+    ), 2, id="real-complex-load"),
 ])
-def test_gmres_runs_only_the_two_generator_rows(problem, monkeypatch):
-    # GMRES solves for e_0 and e_{n-1} alone; the load comes from the
-    # Gohberg-Semencul probe of their solutions, within 1e-12 of LAPACK.
+def test_gmres_runs_only_the_two_generator_rows(problem, runs, monkeypatch):
+    # GMRES solves only for the generators x = A^{-1} e_0 and
+    # y = A^{-1} e_{n-1}, one (n,) row a call: the even screen kernel's
+    # symmetric A has y = J x and takes one call, the linear kernel two.
+    # The load comes from the Gohberg-Semencul probe of x and y, within
+    # 1e-12 of LAPACK.
     problem = problem()
     want, _ = dense_route(problem)
     rows = []
     gmres = fullsolver._gmres
 
     def counted(operator, rhs):
-        rows.append(rhs.shape[0])
+        rows.append(rhs.shape)
         return gmres(operator, rhs)
 
     monkeypatch.setattr(fullsolver, "_gmres", counted)
     calls = count_gesv(monkeypatch)
     got = solve_full(problem)
-    assert rows == [2] and calls == []
+    assert rows == [(N0,)] * runs and calls == []
     assert got.values.dtype == want.dtype
     assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [80, N0])
+def test_one_row_route_matches_two_row_route(n, monkeypatch):
+    # The screen kernel declared even solves for x alone and takes y = J x;
+    # declared not even, the same kernel solves for x and y: on the dense
+    # source (n = 80) and on GMRES (n = N0) the answers agree to 1e-13.
+    problem = screen_problem(ScreenParams(k=10.0, a=1.0), n)
+    runs = capture_operator(monkeypatch)
+    one = solve_full(problem)
+    two = solve_full(dataclasses.replace(
+        problem, kernel=dataclasses.replace(problem.kernel, even=False)))
+    assert len(runs) == (3 if n >= N0 else 0)
+    assert np.max(np.abs(one.values - two.values)) <= 1e-13 * np.max(np.abs(two.values))
+    assert one.condition == pytest.approx(two.condition, rel=1e-12)
 
 
 def test_load_failing_backward_error_falls_back_bit_for_bit(monkeypatch, caplog):
@@ -510,7 +652,7 @@ def test_load_failing_backward_error_falls_back_bit_for_bit(monkeypatch, caplog)
     calls = count_gesv(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="hypersing.fullsolver"):
         fallen = solve_full(problem)
-    assert calls == [(N0, 3)] and len(built) == 2
+    assert calls == [(N0, 2)] and len(built) == 2
     assert np.array_equal(fallen.values, dense.values)
     assert fallen.condition == dense.condition
     messages = [record.getMessage() for record in caplog.records]
@@ -554,7 +696,7 @@ def test_operator_is_identity_plus_preconditioned_table(problem, bits, monkeypat
     problem = problem()
     runs = capture_operator(monkeypatch)
     solve_full(problem)
-    ((operator, rhs),) = runs
+    operator, rhs = runs[0]
     n = problem.mesh.n
     table = fullsolver._kernel_table(problem)
     fft, ifft = (np.fft.fft, np.fft.ifft) if np.iscomplexobj(table) else (np.fft.rfft, np.fft.irfft)
@@ -582,9 +724,10 @@ def test_operator_is_identity_plus_preconditioned_table(problem, bits, monkeypat
 def test_krylov_step_costs_four_transforms_and_no_apply(problem, transforms, monkeypatch):
     # Each Krylov step makes at most four FFT calls (complex for the
     # screen, real for a real table) and no ``CharacteristicInverse.apply``
-    # call; GMRES starts from M^{-1} e_0 and M^{-1} e_{n-1} in closed form;
-    # and one stacked probe solves the load together with Hager's first
-    # sweep, whose later sweeps probe one vector each.
+    # call; GMRES starts from M^{-1} e_0 and M^{-1} e_{n-1} in closed form,
+    # with no transform between its runs; and one stacked probe solves the
+    # load together with Hager's first sweep, whose later sweeps probe one
+    # vector each.
     problem = problem()
     n = problem.mesh.n
     transformed = []
@@ -602,7 +745,7 @@ def test_krylov_step_costs_four_transforms_and_no_apply(problem, transforms, mon
         return apply(self, r)
 
     monkeypatch.setattr(CharacteristicInverse, "apply", counted_apply)
-    before, steps = [], []
+    steps = []
     gmres = fullsolver._gmres
 
     def counted_gmres(operator, rhs):
@@ -612,9 +755,8 @@ def test_krylov_step_costs_four_transforms_and_no_apply(problem, transforms, mon
             steps.append(transformed[before:])
             return out
 
-        before.extend(transformed)
         solved = gmres(step, rhs)
-        assert transformed[len(before):] == [name for calls in steps for name in calls]
+        assert transformed[2:] == [name for calls in steps for name in calls]
         return solved
 
     monkeypatch.setattr(fullsolver, "_gmres", counted_gmres)
@@ -634,7 +776,7 @@ def test_krylov_step_costs_four_transforms_and_no_apply(problem, transforms, mon
     solve_full(problem)
     # Before GMRES only the Cauchy and the kernel spectra are transformed:
     # the start columns take none.
-    assert len(before) == 2 and applied == []
+    assert applied == []
     assert steps and all(len(calls) <= 4 and set(calls) == transforms for calls in steps)
     first, *later = probed
     assert first.shape == (2, n) and np.all(first[-1] == 1.0 / n)
@@ -643,20 +785,21 @@ def test_krylov_step_costs_four_transforms_and_no_apply(problem, transforms, mon
 
 @pytest.mark.parametrize("n", [80, N0 - 1])
 def test_screen_below_threshold_stays_on_one_dense_factorization(n, monkeypatch):
-    # One gesv call for e_0, e_{n-1} and the load, and no lu_factor call.
+    # One gesv call for e_0 and the load, and no lu_factor call.
     factored = count_lu_factor(monkeypatch)
     calls = count_gesv(monkeypatch)
     solve_full(screen_problem(ScreenParams(k=1.5, a=1.0), n))
-    assert calls == [(n, 3)] and factored == []
+    assert calls == [(n, 2)] and factored == []
 
 
 def test_zero_corner_of_the_inverse_goes_to_lu_factor(monkeypatch):
     # At n = 2 on (-1, 1), h = 1 and the singular profile is (4/3, -4, 4/3):
-    # this kernel makes the collocation matrix the swap [[0, 1], [1, 0]],
+    # this kernel, constant on each cell, makes the table (-1/3, 4, -1/3)
+    # and the collocation matrix the swap [[0, 1], [1, 0]],
     # whose inverse has (A^{-1})_00 = 0, where the Gohberg-Semencul formula
     # does not hold.  After the dense source's one gesv call, the view goes
     # through the general lu_factor, which returns the swapped load.
-    kernel = RegularKernel(profile_batch=lambda d: np.where(np.isclose(d, -0.5), 4.0, -1 / 3))
+    kernel = RegularKernel(profile_batch=lambda d: np.where(np.abs(d) < 0.5, 4.0, -1 / 3))
     problem = FullProblem(make_mesh(-1.0, 1.0, 2), RightHandSide(fprime=lambda x: 2.5 + x),
                           kernel)
     assert np.array_equal(assemble_full(problem), [[0.0, 1.0], [1.0, 0.0]])
@@ -691,13 +834,19 @@ def test_gmres_rows_step_alone_and_stop_at_the_cap(monkeypatch):
     # which is solved by 0 with no 0/0; a run that needs more steps than
     # the cap gives no answer.
     diagonal = np.arange(1.0, 9.0)
-    rhs = np.zeros((3, 8))
-    rhs[0] = 1.0
-    rhs[2, 3] = 2.0
-    solutions, iterations, residual = fullsolver._gmres(lambda v: diagonal * v, rhs)
+    full, eigenvector = np.ones(8), np.zeros(8)
+    eigenvector[3] = 2.0
+
+    def operator(v):
+        assert v.shape == (8,)
+        return diagonal * v
+
+    solution, iterations, residual = fullsolver._gmres(operator, full)
     assert iterations == 8 and residual <= fullsolver._GMRES_TOL
-    assert np.max(np.abs(solutions[0] - 1.0 / diagonal)) <= 1e-14
-    assert np.array_equal(solutions[1], np.zeros(8))
-    assert solutions[2, 3] == 0.5 and np.count_nonzero(solutions[2]) == 1
+    assert np.max(np.abs(solution - 1.0 / diagonal)) <= 1e-14
+    solution, iterations, _ = fullsolver._gmres(operator, eigenvector)
+    assert iterations == 1 and solution[3] == 0.5 and np.count_nonzero(solution) == 1
+    solution, iterations, residual = fullsolver._gmres(operator, np.zeros(8))
+    assert np.array_equal(solution, np.zeros(8)) and iterations == 0 and residual == 0.0
     monkeypatch.setattr(fullsolver, "_GMRES_MAX_ITER", 7)
-    assert fullsolver._gmres(lambda v: diagonal * v, rhs) is None
+    assert fullsolver._gmres(operator, full) is None

@@ -24,6 +24,7 @@ from hypersing import (
     solve_full,
     zero_kernel,
 )
+from hypersing import fullsolver
 from hypersing.analytic import RightHandSide
 from tests.conftest import gaussian_symbol
 
@@ -241,17 +242,16 @@ def test_crack_zero_load_and_linear_scaling():
 
 def test_screen_problem_is_scaled_raw_operator():
     # The canonical system must be exactly -pi times the operator of the
-    # unnormalized equation (singular part -1/pi, kernel K0, rhs -ik).
+    # unnormalized equation (singular part -1/pi, kernel K0, rhs -ik): the
+    # raw kernel's cell integrals, its logarithm's product weights included,
+    # scale with the kernel.
     params = ScreenParams(k=0.5, a=1.0)
     problem = screen_problem(params, 16)
     canonical = assemble_full(problem)
-    raw_kernel = acoustic_kernel(params)
     mesh = problem.mesh
     char = assemble_characteristic(mesh)
-    diffs = mesh.colloc[:, None] - mesh.nodes[None, 1:]
-    raw_matrix = (-1.0 / np.pi) * char + mesh.h * raw_kernel.profile_batch(
-        diffs.ravel()
-    ).reshape(16, 16)
+    profile = fullsolver._difference_table(mesh, acoustic_kernel(params))
+    raw_matrix = (-1.0 / np.pi) * char + profile[np.subtract.outer(range(16), range(16)) + 15]
     assert np.max(np.abs(canonical - (-np.pi) * raw_matrix)) <= 1e-10
     rhs_val = problem.rhs.fprime(np.array([0.0]))[0]
     assert rhs_val == pytest.approx(np.pi * 0.5j, rel=1e-15)
