@@ -1,25 +1,27 @@
 """Collocation solver for the hypersingular equation, with or without a regular kernel.
 
-The singular part is the characteristic matrix.  The paper's scheme takes
-the regular kernel by the one-point rule h*K0(x_i, t_{j+1}), at each
-cell's right node; a general kernel (``eval`` only) still does.  A
-difference kernel is integrated over each cell instead: entry (i, j) is
-the integral of K0(x_i - t) over cell j, by its two Gauss points, with
-product weights for the logarithm of a kernel that declares
-``log_coefficient``.  Like the singular part it depends only on i - j on
-the uniform mesh, so its table is 2n - 1 cell integrals and the whole
-matrix is one Toeplitz matrix of their sum.  An ``even`` kernel is
+The singular part is the characteristic matrix.  The regular kernel is
+integrated over each cell, whichever form it is given in: entry (i, j) is
+the integral of K0(x_i, t) over cell j by its two Gauss points
+t = x_j -+ h/(2 sqrt 3), with product weights for the logarithm of a
+kernel that declares ``log_coefficient``.  (The paper's one-point rule
+h*K0(x_i, t_{j+1}) at each cell's right node survives only as the
+reference the tests build.)  A difference kernel's entry depends only on
+i - j on the uniform mesh, so its table is 2n - 1 cell integrals and the
+whole matrix is one Toeplitz matrix of their sum.  An ``even`` kernel is
 evaluated on the cells with i - j >= 0 and mirrored, so its matrix is
-symmetric bit for bit.  A general kernel is evaluated at all n^2 pairs,
-by the grid table that the spectral oracle uses too.  Both tables go
-through one checked evaluation: one call for the whole table, a shape and
-finiteness check, and a failure locator that names the raising point or
-pair in O(n) further calls, a row at a time (a cell's two points, or a
-row of pairs) and then the entries of the failing row.
+symmetric bit for bit.  A general kernel (``eval`` only) is evaluated at
+its n^2 pairs on each of the two Gauss grids, by the grid table that the
+spectral oracle uses too.  Both tables go through one checked evaluation:
+one call for the whole table (a general kernel's, a block of rows at a
+time from n = 1025 on), a shape and finiteness check, and a failure
+locator that names the raising point or pair in O(n) further calls, a row
+at a time (a cell's two points, or a row of pairs) and then the entries
+of the failing row.
 With no kernel the problem is the characteristic equation:
 ``solve_characteristic`` is that case of ``solve_full``.  ``solve_full``
-solves it, and a difference kernel whose checked table is identically
-zero, through ``characteristic.characteristic_inverse``, the closed-form
+solves it, and a kernel whose checked table is identically zero (and
+real), through ``characteristic.characteristic_inverse``, the closed-form
 inverse M^{-1} of the characteristic matrix: O(n log n) with no n x n
 array, and the exact condition number.
 
@@ -209,6 +211,15 @@ def _grid_table(kernel, x: np.ndarray, t: np.ndarray) -> np.ndarray:
 # The two Gauss points of a cell sit at its centre -+ _GAUSS_OFFSET h.
 _GAUSS_OFFSET = 0.5 / math.sqrt(3.0)
 
+# Entries of a general kernel's table per pair of eval calls.  With the
+# whole n x n table of one Gauss grid held while the kernel evaluates the
+# other, the kernel's own temporaries made a third n x n array: an n = 2048
+# solve of RegularKernel(eval=polynomial_kernel(3.0).eval) reached 128 MB of
+# max RSS, against 107 MB with these blocks, as with the one-point table of
+# a single grid (2-core host, numpy 2.4.6).  Up to n = 1024 the table is one
+# block.
+_GRID_BLOCK = 1 << 20
+
 
 def _difference_table(mesh: Mesh, kernel) -> np.ndarray:
     # The 2n - 1 profile of the kernel: at index m + n - 1, the integral of
@@ -240,6 +251,23 @@ def _difference_table(mesh: Mesh, kernel) -> np.ndarray:
     return np.concatenate((cells[:0:-1], cells)) if kernel.even else cells
 
 
+def _cell_table(mesh: Mesh, kernel) -> np.ndarray:
+    # A general kernel's n x n table: entry (i, j) the integral of
+    # K0(x_i, t) over cell j by its Gauss points, (h/2) (K0(x_i, x_j - o)
+    # + K0(x_i, x_j + o)) with o = h/(2 sqrt 3).  A block of rows at a time
+    # goes through two checked grid tables, one per Gauss grid, so the
+    # located pair is a Gauss point's.  The table is a fresh array: the
+    # kernel's own may be an integer array or a broadcast view.
+    offset = _GAUSS_OFFSET * mesh.h
+    left, right = mesh.colloc - offset, mesh.colloc + offset
+    step = max(1, _GRID_BLOCK // mesh.n)
+    blocks = []
+    for start in range(0, mesh.n, step):
+        x = mesh.colloc[start : start + step]
+        blocks.append(0.5 * mesh.h * (_grid_table(kernel, x, left) + _grid_table(kernel, x, right)))
+    return np.concatenate(blocks)
+
+
 def _log_weights(m: np.ndarray, h: float, points: np.ndarray) -> np.ndarray:
     # Weights w with w_0 S(d_0) + w_1 S(d_1) = the integral of S ln|d| over
     # cell m, for S linear through the cell's Gauss points d_0, d_1, less
@@ -264,24 +292,25 @@ def _log_weights(m: np.ndarray, h: float, points: np.ndarray) -> np.ndarray:
 
 
 def _kernel_table(problem: FullProblem):
-    # h K0 on the mesh, or None for the characteristic equation: no kernel,
-    # or a difference kernel whose checked table is identically zero (and
-    # real).  A difference kernel's table is its 2n - 1 profile h K0 at the
-    # differences m = i - j, at index m + n - 1; a general kernel's is the
-    # n x n array h K0(x_i, t_j), a fresh array, as the kernel's own table
-    # may be an integer array or a broadcast view and is never scaled in
-    # place.  The n x n size is refused before any kernel is evaluated.
+    # The integrals of K0 over each cell, or None for the characteristic
+    # equation: no kernel, or a checked table that is identically zero (and
+    # real).  A kernel's form decides only how its table is stored: a
+    # difference kernel's is its 2n - 1 profile, the integral at the
+    # differences m = i - j at index m + n - 1, a general kernel's the
+    # n x n array of ``_cell_table``.  The n x n size is refused before any
+    # kernel is evaluated.
     kernel = problem.kernel
     if kernel is None:
         return None
     mesh = problem.mesh
     check_dense_size("n", mesh.n, mesh.n, mesh.n)
     if kernel.profile_batch is not None:
-        row = _difference_table(mesh, kernel)
-        if not np.iscomplexobj(row) and not np.any(row):
-            return None
-        return row
-    return mesh.h * _grid_table(kernel, mesh.colloc, mesh.nodes[1:])
+        table = _difference_table(mesh, kernel)
+    else:
+        table = _cell_table(mesh, kernel)
+    if not np.iscomplexobj(table) and not np.any(table):
+        return None
+    return table
 
 
 def _matrix(mesh: Mesh, table: np.ndarray) -> np.ndarray:
@@ -295,7 +324,7 @@ def _matrix(mesh: Mesh, table: np.ndarray) -> np.ndarray:
 
 
 def assemble_full(problem: FullProblem) -> np.ndarray:
-    """Collocation matrix of the full equation: characteristic part plus h*K table.
+    """Collocation matrix of the full equation: characteristic part plus the kernel's cell integrals.
 
     With no kernel, or an identically zero one, the result is bit-identical
     to the characteristic matrix.  The result is a writable array.  An
@@ -477,8 +506,8 @@ def _solve_toeplitz(mesh: Mesh, table: np.ndarray, b: np.ndarray, even: bool = F
 def solve_full(problem: FullProblem) -> DiscreteSolution:
     """Solve the equation by collocation on the problem's mesh.
 
-    The characteristic equation (no kernel, or a difference kernel whose
-    table is identically zero) is solved by ``characteristic_inverse``,
+    The characteristic equation (no kernel, or a kernel whose table is
+    identically zero) is solved by ``characteristic_inverse``,
     the closed-form inverse of its matrix, in O(n log n) with no n x n
     array; its ``condition`` is exact.  Any other difference kernel takes
     one Toeplitz route, which needs the first and last columns of A^{-1}:

@@ -77,7 +77,10 @@ class RegularKernel:
     derived from it here (an ``eval`` passed with it is replaced), and
     solvers use it to collapse the n x n kernel table to the 2n - 1
     distinct differences a uniform mesh produces.  A general kernel is
-    given by ``eval(x, t)``, which must broadcast over numpy arrays.
+    given by ``eval(x, t)``, which must broadcast over numpy arrays.  The
+    collocation solver integrates either form over each cell by its two
+    Gauss points, so the form decides only how the table is stored, never
+    what it holds.
     ``k1``, when present, is an antiderivative of the kernel in its first
     argument.  ``even`` declares K0(-d) = K0(d) for a difference kernel;
     on the mirror-symmetric Gauss-Chebyshev grids K0(x_i - t_j) then equals

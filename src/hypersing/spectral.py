@@ -84,10 +84,12 @@ def _sine_rows(count: int, angle: np.ndarray) -> np.ndarray:
 def chebyshev_U(j: int, x):
     """Chebyshev polynomial of the second kind, U_j(x) for |x| <= 1.
 
-    Evaluates the recurrence U_0 = 1, U_1 = 2x,
-    U_{j+1} = 2x U_j - U_{j-1}; accepts scalars or arrays.  Raises
-    ValueError naming j unless it is a nonnegative integer, and before
-    allocating when its (j + 1) x points table is over the dense budget.
+    Evaluates U_j(cos theta) = sin((j + 1) theta) / sin theta at
+    theta = arccos|x|, with U_j(-x) = (-1)^j U_j(x), in O(points) for any
+    j; U_j(+-1) = (+-1)^j (j + 1) exactly.  theta is taken from |x| because
+    sin(arccos(-1)) rounds to 1.2e-16, not 0.  Accepts scalars or arrays.
+    Raises ValueError naming j unless it is a nonnegative integer, and for
+    |x| > 1.
     """
     j = check_integer("j", j)
     if j < 0:
@@ -95,10 +97,13 @@ def chebyshev_U(j: int, x):
     xs = np.asarray(x, dtype=float)
     if not np.all(np.abs(xs) <= 1.0 + _DOMAIN_SLACK):
         raise ValueError("|x| must not exceed 1")
-    check_dense_size("j", j, j + 1, max(xs.size, 1))
-    scalar = xs.ndim == 0
-    vals = _u_matrix(j + 1, np.atleast_1d(xs))[j]
-    return float(vals[0]) if scalar else vals
+    theta = np.arccos(np.minimum(np.abs(xs), 1.0))
+    end = theta == 0.0
+    values = np.sin(float(j + 1) * theta) / np.where(end, 1.0, np.sin(theta))
+    values = np.where(end, float(j + 1), values)
+    if j % 2:
+        values = np.where(xs < 0.0, -values, values)
+    return float(values) if xs.ndim == 0 else values
 
 
 @dataclass

@@ -49,22 +49,45 @@ def assert_spectral_reports_pair(kernel, calls: list, match=None) -> None:
     assert len(calls) <= 2 * 32 + 2
 
 
+def zero_kernels():
+    # The zero kernel as a profile, declared even (its table mirrored), and
+    # by ``eval`` alone: a kernel's form decides how its table is stored,
+    # never whether it takes the closed-form route.
+    return (zero_kernel(), dataclasses.replace(zero_kernel(), even=True),
+            RegularKernel(eval=zero_kernel().eval))
+
+
 def test_zero_kernel_matrix_is_bitwise_characteristic():
-    problem = benchmark_problem(24, zero_kernel())
-    full = assemble_full(problem)
-    char = assemble_characteristic(problem.mesh)
-    assert full.dtype == char.dtype == np.float64
-    assert np.array_equal(full, char)
+    for kernel in zero_kernels():
+        problem = benchmark_problem(24, kernel)
+        full = assemble_full(problem)
+        char = assemble_characteristic(problem.mesh)
+        assert full.dtype == char.dtype == np.float64
+        assert np.array_equal(full, char)
 
 
 def test_zero_kernel_solution_matches_characteristic(semicircle_rhs):
-    # Also when the zero kernel is declared even, and its table mirrored.
-    for kernel in (zero_kernel(), dataclasses.replace(zero_kernel(), even=True)):
-        problem = benchmark_problem(24, kernel)
-        full = solve_full(problem)
-        char = solve_characteristic(problem.mesh, semicircle_rhs)
-        assert np.array_equal(full.values, char.values)
-        assert full.condition == char.condition
+    for n in (24, 40):
+        for kernel in zero_kernels():
+            problem = benchmark_problem(n, kernel)
+            full = solve_full(problem)
+            char = solve_characteristic(problem.mesh, semicircle_rhs)
+            assert np.array_equal(full.values, char.values)
+            assert full.condition == char.condition
+
+
+@pytest.mark.parametrize("n", [40, 400])
+def test_eval_and_profile_forms_solve_alike(n):
+    # One rule for both forms: the linear kernel by ``eval`` alone (a dense
+    # n x n table and LU) matches its profile (Toeplitz route) to rounding;
+    # the paper's one-point rule for the eval form was 2.9e-3 of the peak
+    # away at n = 400.
+    profile = benchmark_problem(n, polynomial_kernel(3.0))
+    general = benchmark_problem(n, RegularKernel(eval=polynomial_kernel(3.0).eval))
+    want, got = assemble_full(profile), assemble_full(general)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    want, got = solve_full(profile).values, solve_full(general).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_linear_kernel_benchmark_forty_subintervals():
@@ -231,6 +254,30 @@ def test_general_kernel_failure_located_in_linear_calls():
     assert len(calls) <= 2 * n + 1
 
 
+def test_general_kernel_failure_located_on_the_second_gauss_grid():
+    # A kernel that raises only at the right Gauss points t = x_j + h/(2 sqrt 3)
+    # costs one more call, the left grid's whole-table call, and the pair it
+    # names is a right Gauss point.
+    calls = []
+    n = 1000
+    mesh = make_mesh(-1.0, 1.0, n)
+
+    def right_only(x, t):
+        calls.append(1)
+        x, t = np.broadcast_arrays(x, t)
+        right = ((t - mesh.a) / mesh.h) % 1.0 > 0.5  # x_j - o sits at 0.21, x_j + o at 0.79
+        if np.any((x > 0.5) & right):
+            raise ValueError("not on the right")
+        return x - t
+
+    with pytest.raises(KernelEvaluationError, match="not on the right") as info:
+        assemble_full(benchmark_problem(n, RegularKernel(eval=right_only)))
+    assert info.value.x > 0.5
+    gauss = mesh.colloc + mesh.h / (2.0 * np.sqrt(3.0))
+    assert np.min(np.abs(gauss - info.value.t)) <= 1e-15
+    assert len(calls) <= 2 * n + 2
+
+
 def test_kernel_raising_is_wrapped():
     calls = []
 
@@ -345,22 +392,18 @@ def pointwise_cell_rule(mesh, kernel):
 ])
 def test_assembled_matrices_are_writable(kernel):
     # The solve path holds views, but the public assemblers return arrays of
-    # their own.  A general kernel's integer table is scaled into a fresh
-    # array, h * table + M bit for bit, by the one-point rule
-    # h K0(x_i, t_{j+1}); a difference kernel's is its integral over each
-    # cell, here the screen's with its logarithm's product weights.
+    # their own.  Either kernel's table is its integral over each cell: a
+    # general kernel's integer table goes into a fresh float array, the
+    # Gauss rule + M bit for bit; the screen's takes its logarithm's
+    # product weights.
     problem = benchmark_problem(12, kernel())
     full = assemble_full(problem)
     char = assemble_characteristic(problem.mesh)
     for matrix in (full, char):
         assert matrix.flags.writeable and matrix.flags.c_contiguous
+    direct = pointwise_cell_rule(problem.mesh, problem.kernel)
     if problem.kernel.profile_batch is None:
-        direct = problem.mesh.h * problem.kernel.eval(
-            problem.mesh.colloc[:, None], problem.mesh.nodes[None, 1:]
-        )
         assert np.array_equal(full, direct + char)
-    else:
-        direct = pointwise_cell_rule(problem.mesh, problem.kernel)
     assert np.max(np.abs(full - direct - char)) <= 1e-14 * np.max(np.abs(full))
 
 
@@ -370,7 +413,8 @@ def test_cell_rule_integrates_low_degree_kernels_exactly():
     # integrate S ln|d| exactly for a linear S, and R by the Gauss points:
     # here S = 1 + d/2 and R = -i (pi/2) S, so that S = -(2/pi) Im K0 as for
     # the screen.  Against the closed-form antiderivatives on all 2n - 1
-    # cells, including the one around d = 0.
+    # cells, including the one around d = 0, and for a general cubic on
+    # every cell of every row.
     n = 24
     mesh = make_mesh(-1.0, 1.0, n)
     lower, upper = (np.arange(1 - n, n) + np.array([[-0.5], [0.5]])) * mesh.h
@@ -393,6 +437,16 @@ def test_cell_rule_integrates_low_degree_kernels_exactly():
     plain = (upper - lower) + 0.25 * (upper**2 - lower**2)
     want = log + 0.5 * first - 0.5j * np.pi * plain
     got = fullsolver._kernel_table(benchmark_problem(n, logarithmic))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def general_antiderivative(x, t):
+        return t + x * t**2 / 2 - 2 * t**3 / 3 + x * t**4 / 4
+
+    general = RegularKernel(eval=lambda x, t: 1 + x * t - 2 * t**2 + x * t**3)
+    x = mesh.colloc[:, None]
+    want = general_antiderivative(x, mesh.nodes[1:]) - general_antiderivative(x, mesh.nodes[:-1])
+    got = fullsolver._kernel_table(benchmark_problem(n, general))
+    assert got.shape == (n, n)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 

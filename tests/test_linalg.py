@@ -449,7 +449,7 @@ def test_dense_size_budget():
 _CAPPED_CALL = CAP_ADDRESS_SPACE + (
     "import numpy as np\n"
     "from hypersing import (ChebyshevSolution, CrackParams, FullProblem, RightHandSide,\n"
-    "    chebyshev_U, crack_problem, fredholm_residual, invert_characteristic, make_mesh,\n"
+    "    crack_problem, fredholm_residual, invert_characteristic, make_mesh,\n"
     "    polynomial_kernel)\n"
     "from hypersing.analytic import weighted_pv_integral\n"
     "load = RightHandSide(fprime=lambda x: -np.pi + 0.0 * x, f=lambda x: -np.pi * x)\n"
@@ -466,11 +466,10 @@ _CAPPED_CALL = CAP_ADDRESS_SPACE + (
     ("invert_characteristic(load, -1, 1, 10**9)", "m"),
     ("weighted_pv_integral(np.cos, -1, 1, 10**5, np.linspace(-0.9, 0.9, 10**5))", "m"),
     ("ChebyshevSolution.from_function(np.cos, 4, mquad=10**9)", "mquad"),
-    ("chebyshev_U(10**9, 0.5)", "j"),
     ("fredholm_residual(FullProblem(make_mesh(-1, 1, 8), load, polynomial_kernel(3.0)),"
      " np.cos, 10**6)", "m"),
 ], ids=["make_mesh", "crack_problem", "invert_characteristic", "weighted_pv_integral",
-        "from_function", "chebyshev_U", "fredholm_residual"])
+        "from_function", "fredholm_residual"])
 def test_library_refuses_oversized_arrays_by_name(call, name):
     done = subprocess.run(
         [sys.executable, "-c", _CAPPED_CALL.format(call=call)],

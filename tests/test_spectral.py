@@ -1,5 +1,6 @@
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -28,6 +29,29 @@ def test_second_kind_polynomial_values():
     assert chebyshev_U(2, 0.3) == pytest.approx(-0.64, rel=1e-14)
     for j in range(7):
         assert chebyshev_U(j, 1.0) == pytest.approx(j + 1.0, rel=1e-13)
+
+
+def test_second_kind_polynomial_matches_fifty_digits():
+    # sin((j + 1) theta) / sin(theta) at theta = arccos|x|, against
+    # mpmath.chebyu for j <= 200 on a grid with both ends and points within
+    # 1e-15 of them, where sin(arccos(-1)) would not round to 0.
+    ends = [-1.0, 1.0, -1.0 + 1e-15, 1.0 - 1e-15, np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0)]
+    x = np.concatenate((ends, [-1.0 + 1e-8, 1.0 - 1e-8, -0.0], np.linspace(-1.0, 1.0, 41)))
+    with mpmath.workdps(50):
+        for j in range(201):
+            want = [float(mpmath.chebyu(j, mpmath.mpf(float(p)), zeroprec=400)) for p in x]
+            assert np.max(np.abs(chebyshev_U(j, x) - want)) <= 1e-13 * (j + 1)
+    assert chebyshev_U(10, -1.0) == 11.0 and chebyshev_U(3, -1.0) == -4.0
+
+
+def test_second_kind_polynomial_at_any_degree_needs_no_table():
+    # No (j + 1)-row recurrence table: j = 10^9 costs what j = 2 does, the
+    # ends are exact, and U_j(1/2) = sin((j + 1) pi/3) / sin(pi/3) = -1 for
+    # j + 1 = 5 mod 6.
+    for j in (10**9, 10**9 + 1):
+        assert chebyshev_U(j, np.array([1.0]))[0] == j + 1
+        assert chebyshev_U(j, -1.0) == (-1) ** j * (j + 1)
+    assert abs(chebyshev_U(10**9, 0.5) + 1.0) <= 1e-13 * (10**9 + 1)
 
 
 def test_second_kind_polynomial_domain_and_degree():
@@ -284,7 +308,8 @@ def test_even_kernel_half_table_matches_full_table(case, mquad):
 def test_full_table_moments_are_bitwise_reference(kernel, monkeypatch):
     # A kernel declared neither even nor logarithmic takes all rows with
     # factor 1 and no parity mask, so its Galerkin matrix is bit for bit
-    # the plain ux @ (r^2 table) @ ut.T of the tensor rule.
+    # the plain ux @ (r^2 table) @ ut.T of the tensor rule, with its U rows
+    # from the recurrence (chebyshev_U's closed form rounds differently).
     kernel = kernel()
     N, mquad, (a, b) = 8, 40, (0.0, 3.0)
     matrices = []
@@ -299,8 +324,8 @@ def test_full_table_moments_are_bitwise_reference(kernel, monkeypatch):
     center, radius = 0.5 * (a + b), 0.5 * (b - a)
     xi_x, w_x = gauss_chebyshev2(mquad)
     xi_t, w_t = gauss_chebyshev2(mquad + 1)
-    ux = np.array([chebyshev_U(j, xi_x) for j in range(N)]) * w_x
-    ut = np.array([chebyshev_U(j, xi_t) for j in range(N)]) * w_t
+    ux = spectral._u_matrix(N, xi_x) * w_x
+    ut = spectral._u_matrix(N, xi_t) * w_t
     table = kernel.eval((center + radius * xi_x)[:, None], center + radius * xi_t)
     moments = ux @ (radius * radius * table) @ ut.T
     orders = np.arange(1, N + 1)
