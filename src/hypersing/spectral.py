@@ -8,15 +8,17 @@ weighted family turns the equation into the dense system
     -(i+1) (pi^2/2) c_i + sum_j k_ij c_j = f_i,
 
 where k_ij is the double weighted moment of the regular kernel and f_i
-the weighted moment of the right-hand side.  The x integrals use the
-mquad-point Gauss-Chebyshev rule of the second kind.  A smooth kernel's t
-integral uses the second-kind rule on mquad + 1 nodes, so a convolution
-kernel is never asked for its diagonal value.  A kernel that declares
-K0(d) = S(d) ln|d| + R(d) takes its t integral on the mquad + 1 nodes of
-the first kind instead, which never meet the x nodes either: R by the
-plain rule, and S ln|x - t| by product integration (Mason & Handscomb,
-ch. 9; Atkinson, The Numerical Solution of Integral Equations of the
-Second Kind, 1997, sec. 4.2).  S(x - t) (1 - t^2) U_j(t) is
+the weighted moment of the right-hand side.  One rule serves every kernel:
+the x integrals use the mquad-point Gauss-Chebyshev rule of the second
+kind, x_i = cos(i pi/(mquad + 1)), and the t integrals the mquad + 1 nodes
+of the first kind, t_j = cos((2j - 1) pi/(2 (mquad + 1))).  The x angles are
+even and the t angles odd multiples of pi/(2 (mquad + 1)), so no kernel is
+ever asked for x = t.  Both rules weight U_j by its sine form,
+sqrt(1 - x^2) U_j(x) = sin((j+1) arccos x).  A kernel that declares
+K0(d) = S(d) ln|d| + R(d) adds one correction before the t product: R is
+integrated by the plain rule and S ln|x - t| by product integration (Mason
+& Handscomb, ch. 9; Atkinson, The Numerical Solution of Integral Equations
+of the Second Kind, 1997, sec. 4.2).  S(x - t) (1 - t^2) U_j(t) is
 interpolated in T_n(t) at the nodes, and
 
     int ln|x - t| T_n(t) / sqrt(1 - t^2) dt = -(pi/n) T_n(x),  n >= 1,
@@ -25,7 +27,7 @@ with -pi ln 2 for n = 0, so the logarithm is integrated exactly and the
 oracle converges spectrally at mquad = 2N.  The kernel table and the load
 go through the collocation solver's checks, so a failure names its
 (x, t) pair or point; the two share no arithmetic, and the Galerkin
-system is solved here, by one ``numpy.linalg.solve`` call, not by
+system is solved here, by one LAPACK ``gesv`` call, not by
 ``linalg.lu_factor``.
 
 All grids are symmetric about 0, x_{m-1-i} = -x_i and t_{m-j} = -t_j,
@@ -52,11 +54,11 @@ from hypersing.fullsolver import _grid_table
 from hypersing.linalg import (
     _RCOND_MIN,
     SingularMatrixError,
+    _gesv,
     check_dense_size,
     check_integer,
 )
 from hypersing.mesh import _checked_interval
-from hypersing.quadrature import gauss_chebyshev1, gauss_chebyshev2
 
 _DOMAIN_SLACK = 1e-12
 
@@ -64,15 +66,9 @@ _DOMAIN_SLACK = 1e-12
 _LOG_BLOCK = 1 << 16
 
 
-def _u_matrix(count: int, x: np.ndarray) -> np.ndarray:
-    """Rows U_0(x) .. U_{count-1}(x) by the three-term recurrence."""
-    out = np.empty((count, x.size), dtype=float)
-    out[0] = 1.0
-    if count > 1:
-        out[1] = 2.0 * x
-    for j in range(2, count):
-        out[j] = 2.0 * x * out[j - 1] - out[j - 2]
-    return out
+def _second_kind_angles(m: int) -> np.ndarray:
+    """theta_i = i pi/(m + 1), i = 1 .. m: the m-point second-kind nodes' angles."""
+    return np.arange(1, m + 1) * np.pi / (m + 1)
 
 
 def _sine_rows(count: int, angle: np.ndarray) -> np.ndarray:
@@ -167,12 +163,15 @@ class ChebyshevSolution:
     ) -> "ChebyshevSolution":
         """Project a bounded function onto the weighted expansion.
 
-        The coefficients are c_j = (2/pi) int U_j(xi) fn(x(xi)) dxi,
-        evaluated by Gauss-Chebyshev quadrature; ``fn`` must vanish like
-        the square-root distance at the endpoints for the expansion to
-        converge quickly.  Raises ValueError naming ``count`` unless it is an
-        integer >= 1, ``mquad`` unless it is an integer >= 1 or for a count x
-        mquad table over the dense budget, and a nonfinite interval end.
+        The coefficients are c_j = (2/pi) int U_j(xi) fn(x(xi)) dxi; the
+        mquad-point second-kind Gauss-Chebyshev rule at xi_k = cos(theta_k)
+        makes them c_j = (2/(mquad + 1)) sum_k sin((j+1) theta_k) fn(x_k).
+        ``fn`` must vanish like the square-root distance at the endpoints for
+        the expansion to converge quickly.  Raises ValueError naming
+        ``count`` unless it is an integer >= 1, ``mquad`` unless it is an
+        integer >= 1 or for a count x mquad table over the dense budget, a
+        nonfinite interval end, and a nonfinite value of ``fn``, naming its
+        point.  A scalar value of ``fn`` is taken at every point.
         """
         count = check_integer("count", count)
         if count < 1:
@@ -182,10 +181,10 @@ class ChebyshevSolution:
             raise ValueError(f"mquad must be at least 1, got {mquad}")
         a, b = _checked_interval(*interval)
         check_dense_size("mquad", mquad, count, mquad)
-        xi, w = gauss_chebyshev2(mquad)
-        x = 0.5 * (a + b) + 0.5 * (b - a) * xi
-        u = np.asarray(fn(x)) / np.sqrt(1.0 - xi * xi)
-        coeffs = (2.0 / np.pi) * (_u_matrix(count, xi) * w) @ u
+        theta = _second_kind_angles(mquad)
+        x = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(theta)
+        values = _load_values(fn, x, "fn")
+        coeffs = (2.0 / (mquad + 1)) * (_sine_rows(count, theta) @ values)
         return cls(coeffs=coeffs, interval=(a, b))
 
 
@@ -238,11 +237,7 @@ def _solve_galerkin(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """
     if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(rhs))):
         raise ValueError("Galerkin system contains nonfinite moments")
-    n = len(rhs)
-    try:
-        solved = np.linalg.solve(matrix, np.column_stack([rhs, np.eye(n)]))
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"LAPACK found an exactly zero pivot: {exc}") from exc
+    solved = _gesv(matrix, np.column_stack([rhs, np.eye(len(rhs))]))
     condition = np.linalg.norm(matrix, 1) * np.linalg.norm(solved[:, 1:], 1)
     if not condition * _RCOND_MIN < 1.0:
         raise SingularMatrixError(
@@ -268,11 +263,13 @@ def solve_spectral(
     U_j(-x) = (-1)^j U_j(x), the moments are P * (ux_w @ table @ ut.T),
     with ux_w the weighted U rows doubled where the mirror row is not
     evaluated and P[a, b] = 1 for even a + b, else 0.  Any other kernel
-    takes the same product over all rows with factor 1 and P = 1.  A kernel
-    declaring ``log_coefficient`` takes its t integral on the mquad + 1
-    first-kind nodes, its logarithm by product integration, and its U rows
-    as sin((j+1) angle); any other kernel keeps the second-kind tensor rule
-    bit for bit.  Returns the expansion on the requested interval.
+    takes the same product over all rows with factor 1 and P = 1.  Every
+    kernel takes its x integral on the mquad second-kind nodes and its t
+    integral on the mquad + 1 first-kind nodes, with U rows in the sine form
+    sin((j+1) angle); one that declares ``log_coefficient`` differs only in
+    that its logarithm's product-integration correction is added to the
+    table before the t product.  Returns the expansion on the requested
+    interval.
     Raises SingularMatrixError if the truncated system has an exactly zero
     pivot or an exact 1/cond_1 of at most 1e-13, ValueError for a
     nonfinite moment, and ValueError naming N or mquad when it is not an
@@ -292,22 +289,15 @@ def solve_spectral(
     center = 0.5 * (a + b)
     radius = 0.5 * (b - a)
 
-    logarithmic = kernel is not None and kernel.log_coefficient is not None
-    xi_x, w_x = gauss_chebyshev2(mquad)
-    if logarithmic:
-        # The nodes' angles, formed as in gauss_chebyshev2 and gauss_chebyshev1.
-        theta = np.arange(1, mquad + 1) * np.pi / (mquad + 1)
-        phi = (2 * np.arange(1, mquad + 2) - 1) * np.pi / (2 * (mquad + 1))
-        xi_t, w_t = gauss_chebyshev1(mquad + 1)
-        ux = (np.pi / (mquad + 1)) * np.sin(theta) * _sine_rows(N, theta)
-        ut = w_t * np.sin(phi) * _sine_rows(N, phi)
-    else:
-        xi_t, w_t = gauss_chebyshev2(mquad + 1)
-        ux = _u_matrix(N, xi_x) * w_x
-        ut = _u_matrix(N, xi_t) * w_t
-
-    x_phys = center + radius * xi_x
-    t_phys = center + radius * xi_t
+    # The nodes' angles: theta_i for the x grid, phi_j = (2j - 1) pi/(2M),
+    # M = mquad + 1, for the first-kind t grid; pi/M weights both.
+    theta = _second_kind_angles(mquad)
+    phi = (2 * np.arange(1, mquad + 2) - 1) * np.pi / (2 * (mquad + 1))
+    weight = np.pi / (mquad + 1)
+    ux = weight * np.sin(theta) * _sine_rows(N, theta)
+    ut = weight * np.sin(phi) * _sine_rows(N, phi)
+    x_phys = center + radius * np.cos(theta)
+    t_phys = center + radius * np.cos(phi)
     fhat = radius * _load_values(rhs.fprime, x_phys, "right-hand side")
     f_moments = ux @ fhat
 
@@ -318,11 +308,11 @@ def solve_spectral(
         table = _grid_table(kernel, x_phys[:rows], t_phys)
         fold = np.where(np.arange(rows) < mquad - rows, 2.0, 1.0)
         parity = np.add.outer(np.arange(N), np.arange(N)) % 2 == 0
-        if logarithmic:
-            product = _log_corrected_product(kernel, table, x_phys[:rows], t_phys, radius, ut)
-            moments = (ux[:, :rows] * fold) @ (radius * radius * product)
+        if kernel.log_coefficient is None:
+            product = table @ ut.T
         else:
-            moments = (ux[:, :rows] * fold) @ (radius * radius * table) @ ut.T
+            product = _log_corrected_product(kernel, table, x_phys[:rows], t_phys, radius, ut)
+        moments = (ux[:, :rows] * fold) @ (radius * radius * product)
         k_moments = np.where(parity | (not kernel.even), moments, 0.0)
 
     orders = np.arange(1, N + 1)

@@ -29,7 +29,7 @@ from hypersing import (
 from hypersing import fullsolver
 from hypersing.analytic import _load_values
 from hypersing.characteristic import CharacteristicInverse, characteristic_inverse
-from hypersing.quadrature import gauss_chebyshev2
+from hypersing.quadrature import gauss_chebyshev1, gauss_chebyshev2
 from tests.conftest import const_pi_rhs, count_gesv, unit_semicircle
 
 
@@ -39,12 +39,13 @@ def benchmark_problem(n: int, kernel) -> FullProblem:
 
 def assert_spectral_reports_pair(kernel, calls: list, match=None) -> None:
     # The spectral oracle's mquad x (mquad + 1) table goes through the same
-    # check: a pair on its two grids, located in at most 2 mquad + 2 calls.
+    # check: a pair of its second-kind x grid and first-kind t grid, located
+    # in at most 2 mquad + 2 calls.
     calls.clear()
     with pytest.raises(KernelEvaluationError, match=match) as info:
         solve_spectral(kernel, const_pi_rhs(), 8, 32)
     assert info.value.x in gauss_chebyshev2(32)[0]
-    assert info.value.t in gauss_chebyshev2(33)[0]
+    assert info.value.t in gauss_chebyshev1(33)[0]
     assert abs(info.value.x - info.value.t) < 0.1
     assert len(calls) <= 2 * 32 + 2
 

@@ -177,6 +177,28 @@ def test_expansion_fit_round_trip():
     assert np.max(np.abs(fit.coeffs - coeffs)) <= 1e-12
 
 
+def test_expansion_fit_refuses_a_nonfinite_value_by_point():
+    def broken(x):
+        return np.where(x > 0.5, np.nan, np.sqrt(1.0 - x * x))
+
+    with pytest.raises(ValueError, match="nonfinite at x = ") as info:
+        ChebyshevSolution.from_function(broken, 8)
+    assert float(str(info.value).rsplit("= ", 1)[1]) > 0.5
+
+
+def test_expansion_fit_takes_a_scalar_value_at_every_point():
+    # fn = 2 is broadcast to every node: the fit equals that of the array
+    # form, and sum_k sin((j + 1) theta_k) = cot((j + 1) pi/(2 (m + 1))) for
+    # even j and 0 for odd j, so c_j = (4/(m + 1)) times that sum.
+    m = 64
+    fit = ChebyshevSolution.from_function(lambda x: 2.0, 6, mquad=m)
+    array = ChebyshevSolution.from_function(lambda x: np.full(np.shape(x), 2.0), 6, mquad=m)
+    assert np.array_equal(fit.coeffs, array.coeffs)
+    j = np.arange(6)
+    want = np.where(j % 2 == 0, 4.0 / (m + 1) / np.tan((j + 1) * np.pi / (2 * (m + 1))), 0.0)
+    assert np.max(np.abs(fit.coeffs - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_expansion_evaluation_rules():
     solution = ChebyshevSolution(coeffs=np.array([1.0, 0.5]), interval=(-1.0, 1.0))
     assert solution(-1.0) == 0.0
@@ -308,8 +330,9 @@ def test_even_kernel_half_table_matches_full_table(case, mquad):
 def test_full_table_moments_are_bitwise_reference(kernel, monkeypatch):
     # A kernel declared neither even nor logarithmic takes all rows with
     # factor 1 and no parity mask, so its Galerkin matrix is bit for bit
-    # the plain ux @ (r^2 table) @ ut.T of the tensor rule, with its U rows
-    # from the recurrence (chebyshev_U's closed form rounds differently).
+    # the plain ux @ (r^2 (table @ ut.T)) of the one rule: x on the mquad
+    # second-kind nodes, t on the mquad + 1 first-kind nodes, and both U
+    # rows in the sine form, weighted by pi/(mquad + 1).
     kernel = kernel()
     N, mquad, (a, b) = 8, 40, (0.0, 3.0)
     matrices = []
@@ -322,13 +345,13 @@ def test_full_table_moments_are_bitwise_reference(kernel, monkeypatch):
     monkeypatch.setattr(spectral, "_solve_galerkin", recording)
     solve_spectral(kernel, const_pi_rhs(), N, mquad, interval=(a, b))
     center, radius = 0.5 * (a + b), 0.5 * (b - a)
-    xi_x, w_x = gauss_chebyshev2(mquad)
-    xi_t, w_t = gauss_chebyshev2(mquad + 1)
-    ux = spectral._u_matrix(N, xi_x) * w_x
-    ut = spectral._u_matrix(N, xi_t) * w_t
-    table = kernel.eval((center + radius * xi_x)[:, None], center + radius * xi_t)
-    moments = ux @ (radius * radius * table) @ ut.T
+    theta = np.arange(1, mquad + 1) * np.pi / (mquad + 1)
+    phi = (2 * np.arange(1, mquad + 2) - 1) * np.pi / (2 * (mquad + 1))
     orders = np.arange(1, N + 1)
+    ux = np.pi / (mquad + 1) * np.sin(theta) * np.sin(orders[:, None] * theta)
+    ut = np.pi / (mquad + 1) * np.sin(phi) * np.sin(orders[:, None] * phi)
+    table = kernel.eval((center + radius * np.cos(theta))[:, None], center + radius * np.cos(phi))
+    moments = ux @ (radius * radius * (table @ ut.T))
     assert np.array_equal(matrices[0], np.diag(-orders * (np.pi**2 / 2.0)) + moments)
 
 
@@ -405,13 +428,26 @@ def test_log_kernel_moments_are_exact(interval, even, mquad, monkeypatch):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def absolute_kernel(even=True):
+    """K0(d) = |d|, declaring no log part; asked for d = 0 it raises."""
+
+    def profile_batch(d):
+        d = np.abs(np.atleast_1d(np.asarray(d, dtype=float)))
+        if np.any(d == 0.0):
+            raise ValueError("|d| asked for d = 0")
+        return d
+
+    return RegularKernel(profile_batch=profile_batch, even=even)
+
+
 def test_log_kernel_never_asked_for_a_zero_difference():
-    # The x nodes sit at even and the t nodes at odd multiples of
-    # pi/(2 (mquad + 1)), so no difference is 0 for any mquad; the kernel
-    # above raises if one is.
+    # Every kernel takes x at even and t at odd multiples of
+    # pi/(2 (mquad + 1)), so no difference is 0 for any mquad, whether or
+    # not the kernel declares a log part; ln|d| and |d| raise if one is.
     for mquad in range(4, 200):
         for even in (True, False):
-            solve_spectral(log_kernel(even), const_pi_rhs(), 2, mquad)
+            for kernel in (log_kernel(even), absolute_kernel(even)):
+                solve_spectral(kernel, const_pi_rhs(), 2, mquad)
 
 
 def test_log_kernel_failure_located_on_the_first_kind_grid():
@@ -454,9 +490,10 @@ def test_screen_oracle_converged_at_its_floor(k, a, interval):
 
 
 def test_tensor_rule_converges_to_the_log_oracle_at_first_order():
-    # The plain second-kind tensor rule, which shares no weights with the
-    # product integration, tends to the same oracle as mquad grows, with
-    # error halving per doubling: a first-order rule across ln|x - t|.
+    # The screen kernel with its log declaration dropped takes the plain
+    # first-kind t rule, with no product-integration correction.  It tends
+    # to the same oracle as mquad grows, with error halving per doubling:
+    # a first-order rule across ln|x - t|.
     kernel, rhs = screen_case(2.5)
     nodes = np.linspace(-1.0, 1.0, 81)
     want = solve_spectral(kernel, rhs, 32, 64)(nodes)
@@ -467,6 +504,16 @@ def test_tensor_rule_converges_to_the_log_oracle_at_first_order():
         errors.append(np.max(np.abs(got - want)) / np.max(np.abs(want)))
     assert errors[1] <= errors[0] / 3.0
     assert errors[1] <= 1e-3
+
+
+def test_smooth_kernel_oracle_converged_at_mquad_2n():
+    # The Gaussian symbol kernel declares no log part; at N = 16 and
+    # mquad = 2N the one rule is within 1e-13 of N = 48 at mquad = 4N.
+    kernel, rhs = symbol_case()
+    nodes = np.linspace(-1.0, 1.0, 161)
+    want = solve_spectral(kernel, rhs, 48, 192)(nodes)
+    got = solve_spectral(kernel, rhs, 16, 32)(nodes)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_sine_form_evaluation_matches_recurrence():
