@@ -161,13 +161,8 @@ def _require_finite(**params: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-def crack_exact(sigma0: float, mu: float, nu: float, a: float, x):
-    """Opening of a straight crack of half-length a under constant normal load.
-
-    Returns (sigma0/mu) * (1 - nu) * sqrt(a^2 - x^2); valid for shear
-    modulus mu > 0 and Poisson ratio 0 < nu < 1/2.  Raises ValueError
-    naming a nonfinite parameter.
-    """
+def _check_crack(sigma0: float, mu: float, nu: float, a: float) -> None:
+    # ValueError unless every parameter is finite, mu > 0, 0 < nu < 1/2 and a > 0.
     _require_finite(sigma0=sigma0, mu=mu, nu=nu, a=a)
     if mu <= 0:
         raise ValueError(f"shear modulus must be positive, got {mu}")
@@ -175,6 +170,16 @@ def crack_exact(sigma0: float, mu: float, nu: float, a: float, x):
         raise ValueError(f"Poisson ratio must lie in (0, 1/2), got {nu}")
     if a <= 0:
         raise ValueError(f"half-length must be positive, got {a}")
+
+
+def crack_exact(sigma0: float, mu: float, nu: float, a: float, x):
+    """Opening of a straight crack of half-length a under constant normal load.
+
+    Returns (sigma0/mu) * (1 - nu) * sqrt(a^2 - x^2); valid for shear
+    modulus mu > 0 and Poisson ratio 0 < nu < 1/2.  Raises ValueError
+    naming a nonfinite parameter.
+    """
+    _check_crack(sigma0, mu, nu, a)
     xs = np.asarray(x, dtype=float)
     if not np.all(np.abs(xs) <= a * (1 + 1e-15)):
         raise ValueError(f"|x| must not exceed the half-length {a}")

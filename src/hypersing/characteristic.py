@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from hypersing.linalg import _fft_length, _toeplitz_norm1, check_dense_size
+from hypersing.linalg import _fft_length, _join, _split, _toeplitz_norm1, check_dense_size
 from hypersing.mesh import Mesh
 
 
@@ -155,9 +155,11 @@ class CharacteristicInverse:
     def apply(self, r) -> np.ndarray:
         """M^{-1} r for r of shape (n,) or (n, c), in one forward and one inverse real FFT.
 
-        Each real or imaginary part is a column of its own, so a complex r
-        with zero imaginary part gives the real result bit for bit.  Raises
-        ValueError for another shape or a nonfinite entry.
+        A complex r is split by ``linalg._split``, as a real matrix's
+        right-hand side is in ``lu_factor``: each real or imaginary part is
+        a column of its own, so a complex r with zero imaginary part gives
+        the real result bit for bit.  Raises ValueError for another shape
+        or a nonfinite entry.
         """
         n = len(self.left)
         r = np.asarray(r)
@@ -167,16 +169,11 @@ class CharacteristicInverse:
             raise ValueError("rhs contains nonfinite entries")
         # Each column is a row here, so every FFT and the cumulative sum run
         # along contiguous memory.
-        rows = r.reshape(n, -1).T
-        if np.iscomplexobj(r):
-            rows = np.concatenate((rows.real, rows.imag))
-        out = self._apply_rows(rows, self.spectrum)
-        if np.iscomplexobj(r):
-            out = out[: len(out) // 2] + 1j * out[len(out) // 2 :]
-        return out.T.reshape(r.shape)
+        rows = _split(r.reshape(n, -1).T, False, np.iscomplexobj(r))
+        return _join(self._apply_rows(rows, self.spectrum)).T.reshape(r.shape)
 
     def _apply_rows(self, rows: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-        """M^{-1} applied to an (n,) array or each row of a (c, n) one, unchecked.
+        """M^{-1} applied to an (n,) array or each row of a (..., n) stack, unchecked.
 
         One forward and one inverse FFT along the rows, then the scaling by
         ``left`` and a reversed cumulative sum.  Real rows take real FFTs

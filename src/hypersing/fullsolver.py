@@ -94,6 +94,9 @@ from hypersing.linalg import (
     _fft_length,
     _gesv,
     _gohberg_semencul,
+    _join,
+    _real_view,
+    _split,
     _toeplitz_norm1,
     check_dense_size,
     check_integer,
@@ -428,25 +431,22 @@ def _solve_toeplitz(mesh: Mesh, table: np.ndarray, b: np.ndarray, even: bool = F
     # ``table``, from the first and last columns x, y of A^{-1} by GMRES or
     # by one gesv call, as the module docstring says.  ``even`` declares a
     # symmetric table, so that A is symmetric and y = J x: x alone is
-    # solved for.  A table holding real values is solved in real
-    # arithmetic, a complex load then as its real and imaginary parts.  A
-    # GMRES failure falls back to the dense source, whose
-    # SingularMatrixError is the caller's.
+    # solved for.  ``b`` is a load that ``solve_full`` has checked.  A
+    # table holding real values is solved in real arithmetic
+    # (``linalg._real_view``), a complex answer then as the real and
+    # imaginary parts of the load (``linalg._split``).  A GMRES failure
+    # falls back to the dense source, whose SingularMatrixError is the
+    # caller's.
     n = mesh.n
-    b = _checked_rhs(b, n)
+    complex_answer = np.iscomplexobj(b) or np.iscomplexobj(table)
+    table = _real_view(table)
+    real = not np.iscomplexobj(table)
     profile = _singular_profile(mesh) + table
     if not np.all(np.isfinite(profile)):
         raise ValueError("matrix contains nonfinite entries")
-    real = not np.any(table.imag)
-    split = real and (np.iscomplexobj(b) or np.iscomplexobj(table))
-    if real:
-        table, profile = table.real, profile.real
-    dtype = np.dtype(np.float64 if real else np.complex128)
-    loads = np.array([b.real, b.imag] if split else [b], dtype=dtype)
+    dtype = table.dtype
+    loads = _split(b, not real, complex_answer)
     norm1 = _toeplitz_norm1(profile)
-
-    def join(rows):
-        return rows[0] + 1j * rows[1] if split else rows[0]
 
     def from_end_columns(x, y, parts=None):
         # (values, condition, backward error) from x and y, or None where the
@@ -464,12 +464,12 @@ def _solve_toeplitz(mesh: Mesh, table: np.ndarray, b: np.ndarray, even: bool = F
             length = _fft_length(n)
             fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
             products = ifft(fft(profile, length) * fft(parts, length), length)
-            error = float(np.abs(b - join(products[:, n - 1 : 2 * n - 1])).sum())
-            scale = norm1 * float(np.abs(join(parts)).sum()) + float(np.abs(b).sum())
+            error = float(np.abs(b - _join(products[:, n - 1 : 2 * n - 1])).sum())
+            scale = norm1 * float(np.abs(_join(parts)).sum()) + float(np.abs(b).sum())
             backward = error / scale if scale else error  # b = 0 is solved by g = 0
             if not backward <= _GMRES_TOL:
                 return None
-        return join(parts), _checked_condition(norm1, n, dtype, *probes, first=first), backward
+        return _join(parts), _checked_condition(norm1, n, dtype, *probes, first=first), backward
 
     if n >= _GMRES_MIN_N:
         inverse = characteristic_inverse(mesh)
@@ -540,13 +540,14 @@ def solve_full(problem: FullProblem) -> DiscreteSolution:
     scalar field is complex exactly when the kernel or the right-hand side
     is complex; a real problem never leaves real arithmetic.  Raises
     SingularMatrixError for a degenerate system and ValueError for a
-    nonfinite right-hand side, read before the kernel, or an over-budget
-    size.
+    right-hand side that is nonfinite or not one value per collocation
+    point (shape (n,)), both read before the kernel on every route, or an
+    over-budget size.
     """
     mesh = problem.mesh
     if problem.rhs.f is not None:
         problem.rhs.validate_pair(mesh.a, mesh.b)
-    b = _load_values(problem.rhs.fprime, mesh.colloc, "right-hand side")
+    b = _checked_rhs(_load_values(problem.rhs.fprime, mesh.colloc, "right-hand side"), mesh.n)
     table = _kernel_table(problem)
     if table is None:
         inverse = characteristic_inverse(mesh)

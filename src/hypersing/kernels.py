@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from hypersing.analytic import RightHandSide, _require_finite
+from hypersing.analytic import RightHandSide, _check_crack, _require_finite
 from hypersing.fullsolver import FullProblem
 from hypersing.mesh import make_mesh
 from hypersing.quadrature import adaptive_gauss
@@ -171,13 +171,7 @@ class CrackParams:
     a: float
 
     def __post_init__(self) -> None:
-        _require_finite(**asdict(self))
-        if self.mu <= 0:
-            raise ValueError(f"shear modulus must be positive, got {self.mu}")
-        if not (0.0 < self.nu < 0.5):
-            raise ValueError(f"Poisson ratio must lie in (0, 1/2), got {self.nu}")
-        if self.a <= 0:
-            raise ValueError(f"half-length must be positive, got {self.a}")
+        _check_crack(**asdict(self))
 
 
 @dataclass

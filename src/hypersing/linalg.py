@@ -15,7 +15,12 @@ general kernel's matrix and a Toeplitz matrix with (A^{-1})_00 = 0;
 ``fullsolver`` solves every other collocation matrix from its 2n - 1
 profile.
 
-For those Toeplitz solves this module holds the shared pieces.  Given the
+Every solver takes its input rules from here: a load is one finite value
+per point (``_checked_rhs``), a real operator solves a complex load as its
+real and imaginary parts (``_split``, undone by ``_join``), and complex
+storage holding only real values is solved in float64 (``_real_view``).
+
+For the Toeplitz solves of ``fullsolver`` this module holds the shared pieces.  Given the
 first and last columns x and y of A^{-1}, with x_0 != 0, the
 Gohberg-Semencul formula
 
@@ -122,25 +127,18 @@ class LUFactorization:
         return np.conj(self._solve(self.matrix.T, np.conj(b)))
 
     def _solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # One single-column gesv per part: the real and imaginary parts of a
-        # complex answer from a real matrix are each the same calculation as
-        # a real solve.
-        return _join([_gesv(a, column) for column in self._columns(b)])
-
-    def _columns(self, b: np.ndarray) -> np.ndarray:
-        # The checked rhs as rows of gesv columns in the matrix's scalar type:
-        # b itself, or its real and imaginary parts when a real matrix must
-        # give a complex answer.
-        b = _checked_rhs(b, self.n)
-        if np.iscomplexobj(self.matrix):
-            return b.astype(np.complex128)[None]
-        if np.iscomplexobj(b) or self.dtype.kind == "c":
-            return np.stack([b.real, b.imag], dtype=np.float64)
-        return b.astype(np.float64)[None]
+        # One single-column gesv per row of ``_split``.
+        rows = _split(
+            _checked_rhs(b, self.n),
+            np.iscomplexobj(self.matrix),
+            np.iscomplexobj(b) or self.dtype.kind == "c",
+        )
+        return _join([_gesv(a, row) for row in rows])
 
 
 def _checked_rhs(b, n: int) -> np.ndarray:
-    # b as an array, refused unless it has shape (n,) and finite entries.
+    # b as an array, refused unless it has shape (n,) and finite entries:
+    # one value per point, the contract of every solve's load.
     b = np.asarray(b)
     if b.shape != (n,):
         raise ValueError(f"rhs must have shape ({n},), got {b.shape}")
@@ -149,9 +147,30 @@ def _checked_rhs(b, n: int) -> np.ndarray:
     return b
 
 
-def _join(columns: np.ndarray) -> np.ndarray:
-    # Inverse of ``_columns``: one solved column, or real and imaginary parts.
-    return columns[0] if len(columns) == 1 else columns[0] + 1j * columns[1]
+def _real_view(a: np.ndarray) -> np.ndarray:
+    # a in complex128 when it holds a nonzero imaginary part, else its real
+    # part in float64: real-valued complex storage is solved in real
+    # arithmetic, the same calculation with the bits of the real path.
+    if np.iscomplexobj(a) and np.any(a.imag):
+        return a.astype(np.complex128, copy=False)
+    return a.real.astype(np.float64, copy=False)
+
+
+def _split(b: np.ndarray, complex_operator: bool, complex_answer: bool) -> np.ndarray:
+    # The rows an operator solves for b, stacked on a new first axis: b
+    # itself for a complex operator; b's real and imaginary parts for a
+    # real one whose answer is complex, each part the same calculation as
+    # a real solve; else b alone.  ``_join`` puts the answer back together.
+    if complex_operator:
+        return b.astype(np.complex128, copy=False)[None]
+    if complex_answer:
+        return np.stack([b.real, b.imag], dtype=np.float64)
+    return b.astype(np.float64, copy=False)[None]
+
+
+def _join(rows) -> np.ndarray:
+    # Inverse of ``_split``: one solved row, or real and imaginary parts.
+    return rows[0] if len(rows) == 1 else rows[0] + 1j * rows[1]
 
 
 def lu_factor(a: np.ndarray, rhs: np.ndarray | None = None) -> LUFactorization:
@@ -162,7 +181,11 @@ def lu_factor(a: np.ndarray, rhs: np.ndarray | None = None) -> LUFactorization:
     nonfinite entry raises ValueError before LAPACK runs.  Given ``rhs``,
     the result also carries ``solution`` = A^{-1} rhs, solved after the
     estimate; ``rhs`` is checked for shape and finiteness (ValueError)
-    before LAPACK runs.
+    before LAPACK runs.  Complex storage holding only real values is
+    solved in float64 (``_real_view``), and a complex answer of a real
+    matrix as the real and imaginary parts of the right-hand side, the
+    rows of ``_split`` that the Toeplitz route of ``fullsolver`` and
+    ``CharacteristicInverse.apply`` share.
 
     Raises SingularMatrixError, before any solution is returned, when
     LAPACK meets an exactly zero pivot, or when the estimated reciprocal
@@ -178,10 +201,7 @@ def lu_factor(a: np.ndarray, rhs: np.ndarray | None = None) -> LUFactorization:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains nonfinite entries")
-    if np.iscomplexobj(a) and np.any(a.imag):
-        matrix = a.astype(np.complex128, copy=False)
-    else:
-        matrix = a.real.astype(np.float64, copy=False)
+    matrix = _real_view(a)
     dtype = np.dtype(np.complex128 if np.iscomplexobj(a) else np.float64)
     fact = LUFactorization(matrix=matrix, dtype=dtype)
     if rhs is not None:

@@ -54,6 +54,7 @@ from hypersing.fullsolver import _grid_table
 from hypersing.linalg import (
     _RCOND_MIN,
     SingularMatrixError,
+    _checked_rhs,
     _gesv,
     check_dense_size,
     check_integer,
@@ -169,21 +170,23 @@ class ChebyshevSolution:
         ``fn`` must vanish like the square-root distance at the endpoints for
         the expansion to converge quickly.  Raises ValueError naming
         ``count`` unless it is an integer >= 1, ``mquad`` unless it is an
-        integer >= 1 or for a count x mquad table over the dense budget, a
-        nonfinite interval end, and a nonfinite value of ``fn``, naming its
-        point.  A scalar value of ``fn`` is taken at every point.
+        integer >= count (with fewer nodes the coefficients alias) or for
+        a count x mquad table over the dense budget,
+        a nonfinite interval end, a nonfinite value of ``fn``, naming its
+        point, and values that are not one per node (shape (mquad,)).  A
+        scalar value of ``fn`` is taken at every point.
         """
         count = check_integer("count", count)
         if count < 1:
             raise ValueError(f"count must be at least 1, got {count}")
         mquad = max(2 * count, 64) if mquad is None else check_integer("mquad", mquad)
-        if mquad < 1:
-            raise ValueError(f"mquad must be at least 1, got {mquad}")
+        if mquad < count:
+            raise ValueError(f"mquad must be at least count = {count}, got {mquad}")
         a, b = _checked_interval(*interval)
         check_dense_size("mquad", mquad, count, mquad)
         theta = _second_kind_angles(mquad)
         x = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(theta)
-        values = _load_values(fn, x, "fn")
+        values = _checked_rhs(_load_values(fn, x, "fn"), mquad)
         coeffs = (2.0 / (mquad + 1)) * (_sine_rows(count, theta) @ values)
         return cls(coeffs=coeffs, interval=(a, b))
 
@@ -275,8 +278,9 @@ def solve_spectral(
     nonfinite moment, and ValueError naming N or mquad when it is not an
     integer, for a nonfinite or empty interval, or before any allocation
     if the mquad x (mquad + 1) kernel table is above
-    ``linalg.MAX_DENSE_ELEMENTS``; a nonfinite load or a failing kernel
-    raises as in ``solve_full``.
+    ``linalg.MAX_DENSE_ELEMENTS``; a load that is nonfinite or not one
+    value per x node (shape (mquad,)), read before the kernel, or a
+    failing kernel raises as in ``solve_full``.
     """
     N = check_integer("N", N)
     mquad = check_integer("mquad", mquad)
@@ -290,15 +294,16 @@ def solve_spectral(
     radius = 0.5 * (b - a)
 
     # The nodes' angles: theta_i for the x grid, phi_j = (2j - 1) pi/(2M),
-    # M = mquad + 1, for the first-kind t grid; pi/M weights both.
+    # M = mquad + 1, for the first-kind t grid; pi/M weights both.  The
+    # load is read and checked on the x grid before any other work.
     theta = _second_kind_angles(mquad)
+    x_phys = center + radius * np.cos(theta)
+    fhat = radius * _checked_rhs(_load_values(rhs.fprime, x_phys, "right-hand side"), mquad)
     phi = (2 * np.arange(1, mquad + 2) - 1) * np.pi / (2 * (mquad + 1))
     weight = np.pi / (mquad + 1)
     ux = weight * np.sin(theta) * _sine_rows(N, theta)
     ut = weight * np.sin(phi) * _sine_rows(N, phi)
-    x_phys = center + radius * np.cos(theta)
     t_phys = center + radius * np.cos(phi)
-    fhat = radius * _load_values(rhs.fprime, x_phys, "right-hand side")
     f_moments = ux @ fhat
 
     if kernel is None:

@@ -8,6 +8,7 @@ the dense budget are refused before allocating too; those run in the
 address-space-capped subprocesses of test_linalg.py and test_cli.py.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from hypersing import (
     cauchy_pv,
     chebyshev_U,
     crack_exact,
+    crack_problem,
     finite_part,
     finite_part_constant,
     fredholm_residual,
@@ -35,10 +37,14 @@ from hypersing import (
     invert_characteristic,
     kernel_from_symbol,
     make_mesh,
+    polynomial_kernel,
+    screen_problem,
     solve_full,
     solve_spectral,
+    zero_kernel,
 )
 from hypersing.analytic import weighted_pv_integral
+from hypersing.fullsolver import _GMRES_MIN_N
 
 _FEW = settings(max_examples=25, deadline=None)
 
@@ -256,6 +262,50 @@ def test_solve_full_nonfinite_load(bad, where):
     problem = FullProblem(mesh=_MESH, rhs=RightHandSide(fprime=load), kernel=UNTOUCHED_KERNEL)
     with pytest.raises(ValueError):
         solve_full(problem)
+
+
+def _two_columns(x):
+    return np.stack([np.ones_like(x), x], axis=-1)
+
+
+_TWO_COLUMNS = RightHandSide(fprime=_two_columns)
+
+
+def _unevaluated(kernel):
+    # The kernel with its evaluation failing the test: its form, evenness
+    # and log coefficient, which pick the solve's route, are kept.
+    if kernel.profile_batch is None:
+        return dataclasses.replace(kernel, eval=_untouched)
+    return dataclasses.replace(kernel, profile_batch=_untouched)
+
+
+def _solve_screen(n):
+    problem = screen_problem(ScreenParams(k=1.3, a=1.0), n)
+    return solve_full(dataclasses.replace(
+        problem, rhs=_TWO_COLUMNS, kernel=_unevaluated(problem.kernel)))
+
+
+@pytest.mark.parametrize("solve", [
+    pytest.param(lambda: solve_full(dataclasses.replace(
+        crack_problem(CrackParams(1.0, 1.0, 0.3, 1.0), 8), rhs=_TWO_COLUMNS)),
+                 id="closed-form-crack"),
+    pytest.param(lambda: solve_full(FullProblem(
+        make_mesh(-1.0, 1.0, 8), _TWO_COLUMNS, _unevaluated(zero_kernel()))),
+                 id="closed-form-zero-kernel"),
+    pytest.param(lambda: _solve_screen(80), id="toeplitz-dense-screen"),
+    pytest.param(lambda: _solve_screen(_GMRES_MIN_N), id="toeplitz-gmres-screen"),
+    pytest.param(lambda: solve_full(FullProblem(
+        make_mesh(-1.0, 1.0, 8), _TWO_COLUMNS, RegularKernel(eval=_untouched))),
+                 id="general-kernel"),
+    pytest.param(lambda: solve_spectral(
+        _unevaluated(polynomial_kernel(3.0)), _TWO_COLUMNS, 8, 16), id="spectral-oracle"),
+    pytest.param(lambda: ChebyshevSolution.from_function(_two_columns, 2), id="expansion-fit"),
+])
+def test_two_column_load_is_refused_before_the_kernel(solve):
+    # A load is one value per point on every route: two values per point
+    # are refused by their shape, not solved column by column or dropped.
+    with pytest.raises(ValueError, match=r"got \(\d+, 2\)"):
+        solve()
 
 
 @_FEW

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypersing import ScreenParams, cli, screen_problem, solve_spectral
+from hypersing import ScreenParams, cli, full_example_exact, screen_problem, solve_spectral
 from hypersing.cli import main
 from tests.conftest import CAP_ADDRESS_SPACE, capped_env
 
@@ -403,10 +403,13 @@ def test_file_io_error_exits_one(tmp_path, capsys):
 
 
 
-def _readme_commands():
+def _readme_blocks(language):
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.MULTILINE | re.DOTALL)
-    return [line for block in blocks for line in block.splitlines()
+    return re.findall(rf"^```{language}\n(.*?)^```", text, flags=re.MULTILINE | re.DOTALL)
+
+
+def _readme_commands():
+    return [line for block in _readme_blocks("sh") for line in block.splitlines()
             if line.startswith("hypersing ")]
 
 
@@ -427,3 +430,16 @@ _README_KNOWN_RED = "hypersing finite-part --density cheb --j 2 --n 40"
 def test_readme_command_examples_exit_zero(command, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(shlex.split(command)[1:]) == 0
+
+
+@pytest.mark.parametrize("code", [
+    pytest.param(code, id=f"block-{i}") for i, code in enumerate(_readme_blocks("python"))
+])
+def test_readme_python_example_prints_the_exact_oracle_value(code, capsys):
+    # The library example prints the collocation value, the oracle value
+    # and the condition number at x = 0 of the linear kernel with A = 3,
+    # whose exact value there is 32/41.
+    exec(compile(code, "README.md", "exec"), {})
+    oracle = float(capsys.readouterr().out.split()[1])
+    exact = full_example_exact(3.0, 0.0)
+    assert abs(oracle - exact) <= 1e-12 * exact

@@ -905,3 +905,6 @@ def test_gmres_rows_step_alone_and_stop_at_the_cap(monkeypatch):
     assert np.array_equal(solution, np.zeros(8)) and iterations == 0 and residual == 0.0
     monkeypatch.setattr(fullsolver, "_GMRES_MAX_ITER", 7)
     assert fullsolver._gmres(operator, full) is None
+    # An operator that sends the first Krylov vector to 0 leaves a
+    # singular Hessenberg matrix, and no answer.
+    assert fullsolver._gmres(lambda v: np.array([v[0], 0.0]), np.array([0.0, 1.0])) is None

@@ -177,6 +177,19 @@ def test_expansion_fit_round_trip():
     assert np.max(np.abs(fit.coeffs - coeffs)) <= 1e-12
 
 
+def test_expansion_fit_refuses_fewer_nodes_than_coefficients():
+    # With 3 nodes for 6 coefficients the rule aliases: c_5 of
+    # sqrt(1 - x^2) (U_0 + U_1/2) read -0.5, where it is 0.  From
+    # mquad = count on, the rule integrates U_j (1 + x) exactly.
+    def target(x):
+        return np.sqrt(1.0 - x * x) * (1.0 + x)
+
+    with pytest.raises(ValueError, match="^mquad must be at least count = 6, got 3"):
+        ChebyshevSolution.from_function(target, 6, mquad=3)
+    fit = ChebyshevSolution.from_function(target, 6, mquad=6)
+    assert np.max(np.abs(fit.coeffs - [1.0, 0.5, 0.0, 0.0, 0.0, 0.0])) <= 1e-15
+
+
 def test_expansion_fit_refuses_a_nonfinite_value_by_point():
     def broken(x):
         return np.where(x > 0.5, np.nan, np.sqrt(1.0 - x * x))
