@@ -26,13 +26,22 @@ linearly through exactly that data.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from hypersing.linalg import _fft_length, _join, _split, _toeplitz_norm1, check_dense_size
+from hypersing.linalg import (
+    _fft_length,
+    _frozen,
+    _full_spectrum,
+    _join,
+    _split,
+    _toeplitz_norm1,
+    check_dense_size,
+)
 from hypersing.mesh import Mesh
 
 
@@ -143,7 +152,10 @@ class CharacteristicInverse:
     M = (1/h) D1 C D2 U^{-1} in the unit-step variables x_i - t_0 = i - 1/2
     and t_j - t_0 = j, so M^{-1} r = h U diag(-alpha_i / i) T diag(beta_j (j - 1/2)) r
     with T = C^T.  ``left`` and ``right`` are those two scalings, ``spectrum``
-    the real FFT of T's 2n - 1 values and ``norm1`` = ||M||_1.
+    the real FFT of T's 2n - 1 values and ``norm1`` = ||M||_1.  Every array
+    is read-only, so one inverse can serve every solve on its mesh; the
+    complex spectrum and the end columns that the Krylov route needs are
+    built on first use and kept with it.
     """
 
     h: float
@@ -170,43 +182,43 @@ class CharacteristicInverse:
         # Each column is a row here, so every FFT and the cumulative sum run
         # along contiguous memory.
         rows = _split(r.reshape(n, -1).T, False, np.iscomplexobj(r))
-        return _join(self._apply_rows(rows, self.spectrum)).T.reshape(r.shape)
+        return _join(self._apply_rows(rows)).T.reshape(r.shape)
 
-    def _apply_rows(self, rows: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    def _apply_rows(self, rows: np.ndarray) -> np.ndarray:
         """M^{-1} applied to an (n,) array or each row of a (..., n) stack, unchecked.
 
         One forward and one inverse FFT along the rows, then the scaling by
         ``left`` and a reversed cumulative sum.  Real rows take real FFTs
-        and ``spectrum`` = ``self.spectrum``, the arithmetic of ``apply``.
-        Complex rows take complex FFTs and ``spectrum`` =
-        ``_complex_spectrum()``, which a caller that applies M^{-1} many
-        times builds once.
+        and ``spectrum``, the arithmetic of ``apply``; complex rows take
+        complex FFTs and ``_complex_spectrum``.
         """
         n = len(self.left)
         length = _fft_length(n)
-        real = not np.iscomplexobj(rows)
-        fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+        if np.iscomplexobj(rows):
+            fft, ifft, spectrum = np.fft.fft, np.fft.ifft, self._complex_spectrum
+        else:
+            fft, ifft, spectrum = np.fft.rfft, np.fft.irfft, self.spectrum
         product = ifft(fft(self.right * rows, length) * spectrum, length)
         return np.cumsum((self.left * product[..., n - 1 : 2 * n - 1])[..., ::-1], axis=-1)[..., ::-1]
 
+    @functools.cached_property
     def _complex_spectrum(self) -> np.ndarray:
-        # The complex FFT of T's real values: ``spectrum`` and its
-        # conjugate mirror image, with no transform.
-        length = _fft_length(len(self.left))
-        tail = self.spectrum[1 : length - len(self.spectrum) + 1]
-        return np.concatenate((self.spectrum, tail[::-1].conj()))
+        """The complex FFT of T's real values, built on first use and kept read-only."""
+        return _full_spectrum(self.spectrum, _fft_length(len(self.left)))
 
+    @functools.cached_property
     def _end_columns(self) -> np.ndarray:
-        """M^{-1} e_0 and M^{-1} e_{n-1} as two rows, in O(n) with no transform.
+        """M^{-1} e_0 and M^{-1} e_{n-1} as two read-only rows, in O(n) with no transform.
 
         T diag(right) e_j is right_j times column j of T, whose entry i is
         -1/(i - j + 1/2); ``left`` and the reversed cumulative sum follow,
-        as in ``_apply_rows``.
+        as in ``_apply_rows``.  Built on first use and kept, contiguous, as
+        the rows GMRES starts from.
         """
         n = len(self.left)
         ends = np.array([0, n - 1])
         columns = self.right[ends, None] / (ends[:, None] - np.arange(n) - 0.5)
-        return np.cumsum((self.left * columns)[:, ::-1], axis=-1)[:, ::-1]
+        return _frozen(np.cumsum((self.left * columns)[:, ::-1], axis=-1)[:, ::-1].copy())
 
     @property
     def condition(self) -> float:
@@ -251,7 +263,8 @@ def characteristic_inverse(mesh: Mesh) -> CharacteristicInverse:
     # for d = 1-n..n-1, so (T v)_j is output j + n - 1 of c convolved with v.
     spectrum = np.fft.rfft(-1.0 / (np.arange(1 - n, n) + 0.5), _fft_length(n))
     norm1 = _toeplitz_norm1(_singular_profile(mesh))
-    return CharacteristicInverse(mesh.h, -mesh.h * alpha / k, beta * (k - 0.5), spectrum, norm1)
+    left, right = -mesh.h * alpha / k, beta * (k - 0.5)
+    return CharacteristicInverse(mesh.h, _frozen(left), _frozen(right), _frozen(spectrum), norm1)
 
 
 def characteristic_determinant_closed_form(mesh: Mesh) -> float:

@@ -37,15 +37,17 @@ form (I + M^{-1} T) g = M^{-1} r for r = e_0, and for r = e_{n-1} in a
 second run unless the kernel is even, with T the kernel's Toeplitz table
 applied by FFT (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986;
 Chan and Ng, SIAM Rev. 38, 1996): O(n log n) per iteration, a few to a
-few dozen iterations, and no n x n array.  The operator is built once per
-solve and takes each Krylov step in four bare FFT calls of the 5-smooth
-length ``linalg._fft_length(n)``: T by the kernel's spectrum, then M^{-1}
-by the Cauchy spectrum between its two scalings and a reversed cumulative
-sum, complex transforms for a complex table and real ones for a real
-table; GMRES starts from M^{-1} e_0 and M^{-1} e_{n-1} in closed form.
-The load is then one product with A^{-1} by the formula, taken in one
-stacked probe with the first sweep of Hager's estimate, and accepted when
-its normwise backward error is at most _GMRES_TOL.  Below that n, where
+few dozen iterations, and no n x n array.  The operator takes each
+Krylov step in four bare FFT calls of the 5-smooth length
+``linalg._fft_length(n)``: T by the kernel's spectrum, the one transform
+a solve makes before GMRES on a warm plan, then M^{-1} by the Cauchy
+spectrum between its two scalings and a reversed cumulative sum, complex
+transforms for a complex table and real ones for a real table; GMRES
+starts from M^{-1} e_0 and M^{-1} e_{n-1} in closed form.  The load is
+then one product with A^{-1} by the formula, taken in one stacked probe
+with the first sweep of Hager's estimate, and accepted when its normwise
+backward error is at most _GMRES_TOL, with A g taken by the sum of the
+kernel's spectrum and the singular profile's.  Below that n, where
 LAPACK is faster, and whenever GMRES gives no answer (no convergence in
 _GMRES_MAX_ITER iterations, a load that fails that test, or an estimate
 that reads singular), one ``gesv`` call on the read-only Toeplitz view of
@@ -59,6 +61,19 @@ arithmetic.  Only where (A^{-1})_00 = 0, and the formula does not hold,
 does the view go through ``linalg.lu_factor``, which also takes a general
 kernel's dense matrix.
 
+What the Toeplitz route needs of the mesh alone is built once per
+(n, h) and kept in a plan (``_Plan``): the closed-form inverse with its
+complex Cauchy spectrum and its end columns, the singular profile and its
+spectrum, and the product weights of the logarithm for even and other
+kernels.  Each part is built on first use by the arithmetic a solve used
+before, so a solve on a warm plan is bit for bit one on a cold plan, and
+every array is read-only.  Only the plan of the last mesh solved on is
+kept (``_PLANS_KEPT``).  With every part built it holds 192 bytes per
+cell, and 16 more for the mesh it keeps: 0.85 MB at n = 4096.  The
+screen's GMRES route builds 160 of the 192, the linear kernel's 80 and a
+dense Toeplitz solve 32.  The closed-form route builds its inverse per
+solve and keeps nothing: the crack's mesh changes with its length.
+
 ``fredholm_residual`` measures how well a solution satisfies the
 equivalent second-kind equation obtained by inverting the singular part:
 
@@ -71,8 +86,10 @@ gates the solve path.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -92,6 +109,8 @@ from hypersing.linalg import (
     _checked_condition,
     _checked_rhs,
     _fft_length,
+    _frozen,
+    _full_spectrum,
     _gesv,
     _gohberg_semencul,
     _join,
@@ -233,10 +252,7 @@ def _difference_table(mesh: Mesh, kernel) -> np.ndarray:
     # evaluated on the cells m >= 0 only and mirrored, so its profile is
     # symmetric bit for bit.  The points go through one checked
     # (cells, 2) table, whose locator probes one cell's two points a call.
-    n, h = mesh.n, mesh.h
-    m = np.arange(0 if kernel.even else 1 - n, n)
-    offset = _GAUSS_OFFSET * h
-    points = (m * h)[:, None] + np.array([-offset, offset])
+    m, points = _gauss_points(mesh.n, mesh.h, kernel.even)
 
     def evaluate(i, j):
         d = points[i, j]
@@ -248,10 +264,20 @@ def _difference_table(mesh: Mesh, kernel) -> np.ndarray:
         return float(x), float(x - points[i, j])
 
     values = _checked_table(evaluate, points.shape, pair)
-    cells = 0.5 * h * (values[:, 0] + values[:, 1])
+    cells = 0.5 * mesh.h * (values[:, 0] + values[:, 1])
     if kernel.log_coefficient is not None:
-        cells = cells + (_log_weights(m, h, points) * kernel.log_coefficient(values)).sum(axis=1)
+        weights = _plan(mesh).log_weights(kernel.even)
+        cells = cells + (weights * kernel.log_coefficient(values)).sum(axis=1)
     return np.concatenate((cells[:0:-1], cells)) if kernel.even else cells
+
+
+def _gauss_points(n: int, h: float, even: bool) -> tuple[np.ndarray, np.ndarray]:
+    # The cell offsets m, from 0 for an even kernel and from 1 - n for any
+    # other, and each cell's two Gauss points m h -+ h/(2 sqrt 3) as an
+    # (m.size, 2) array.
+    m = np.arange(0 if even else 1 - n, n)
+    offset = _GAUSS_OFFSET * h
+    return m, (m * h)[:, None] + np.array([-offset, offset])
 
 
 def _cell_table(mesh: Mesh, kernel) -> np.ndarray:
@@ -292,6 +318,74 @@ def _log_weights(m: np.ndarray, h: float, points: np.ndarray) -> np.ndarray:
     moment[zero] = h * (math.log(0.5 * h) - 1.0)
     slope = c * c * (r - (1.0 - r * r) * atanh) / (2.0 * _GAUSS_OFFSET * h)  # 0 at m = 0
     return 0.5 * (moment[:, None] - h * np.log(np.abs(points))) + np.stack((-slope, slope), axis=1)
+
+
+class _Plan:
+    """What every solve on a mesh of n cells of width h shares, built on first use.
+
+    ``inverse`` is the mesh's ``CharacteristicInverse`` (its complex Cauchy
+    spectrum and end columns are kept with it), ``profile`` the singular
+    profile c_m, ``spectrum`` its real FFT at ``linalg._fft_length(n)``,
+    ``complex_spectrum`` its complex one, and ``log_weights(even)`` the
+    product weights of ``_log_weights`` for the cells of an even kernel or
+    of any other.  Each part is built by the arithmetic that a solve would
+    use with no plan, so a solve on a warm plan is bit for bit one on a
+    cold plan, and every array is read-only.  Only n and h of ``mesh`` are
+    read, but the mesh is kept: 16 bytes per cell beside the 192 of every
+    part together.
+    """
+
+    def __init__(self, mesh: Mesh):
+        self.mesh = mesh
+        self._weights = {}
+
+    @functools.cached_property
+    def inverse(self) -> CharacteristicInverse:
+        return characteristic_inverse(self.mesh)
+
+    @functools.cached_property
+    def profile(self) -> np.ndarray:
+        return _frozen(_singular_profile(self.mesh))
+
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        return _frozen(np.fft.rfft(self.profile, _fft_length(self.mesh.n)))
+
+    @functools.cached_property
+    def complex_spectrum(self) -> np.ndarray:
+        return _full_spectrum(self.spectrum, _fft_length(self.mesh.n))
+
+    def log_weights(self, even: bool) -> np.ndarray:
+        if even not in self._weights:
+            m, points = _gauss_points(self.mesh.n, self.mesh.h, even)
+            self._weights[even] = _frozen(_log_weights(m, self.mesh.h, points))
+        return self._weights[even]
+
+
+# The plans of the meshes solved on last, keyed by (n, h), oldest first.
+# One is kept: a run of solves on one mesh (a sweep over k, many loads)
+# reuses it, and the cache never holds a plan beside the one a solve is
+# building, since the old one is dropped first.  A second slot would keep
+# two alternating meshes warm, but would double what the cache holds
+# through another mesh's solve: 0.85 MB at today's cap of n = 4096, and
+# 208 MB at n = 10^6 once difference kernels are solved past that cap.
+_PLANS_KEPT = 1
+_plans: dict[tuple[int, float], _Plan] = {}
+_plans_lock = threading.Lock()
+
+
+def _plan(mesh: Mesh) -> _Plan:
+    # The plan of meshes with ``mesh``'s n and h, from the cache or new.
+    # Two threads that build one part at once build the same bits, so only
+    # the cache itself is locked.
+    key = (mesh.n, mesh.h)
+    with _plans_lock:
+        plan = _plans.get(key)
+        if plan is None:
+            while len(_plans) >= _PLANS_KEPT:
+                del _plans[next(iter(_plans))]
+            plan = _plans[key] = _Plan(mesh)
+    return plan
 
 
 def _kernel_table(problem: FullProblem):
@@ -349,8 +443,10 @@ def _gmres(operator: Callable, rhs: np.ndarray):
     # at most _GMRES_TOL, which a next Arnoldi vector of norm 0 gives at
     # once; a zero rhs is solved by 0.  Returns (solution, iterations,
     # relative residual), or None when it has not converged after
-    # _GMRES_MAX_ITER steps or its Hessenberg matrix is singular.
-    beta = float(np.linalg.norm(rhs))
+    # _GMRES_MAX_ITER steps or its Hessenberg matrix is singular.  Each
+    # operator call returns a fresh array, which the two passes update in
+    # place.
+    beta = _norm2(rhs)
     if beta == 0.0:
         return np.zeros_like(rhs), 0, 0.0
     # The basis, grown by doubling up to _GMRES_MAX_ITER + 1 vectors: no
@@ -367,11 +463,11 @@ def _gmres(operator: Callable, rhs: np.ndarray):
         for _ in range(2):
             # v^H w as conj(v conj(w)): no conjugate copy of the basis.
             projections = (v @ w.conj()).conj()
-            w = w - projections @ v
+            w -= projections @ v
             column = column + projections
-        norm = float(np.linalg.norm(w))
+        norm = _norm2(w)
         if norm > 0:
-            basis[steps] = w / norm
+            np.divide(w, norm, out=basis[steps])
         column = column.tolist()
         for i, (c, s) in enumerate(rotations):
             column[i], column[i + 1] = (
@@ -395,6 +491,14 @@ def _gmres(operator: Callable, rhs: np.ndarray):
     return None
 
 
+def _norm2(w: np.ndarray) -> float:
+    # ||w||_2 of a 1-D array by the arithmetic of ``np.linalg.norm``, the
+    # dots of the real and imaginary parts, without its checks and dispatch.
+    if np.iscomplexobj(w):
+        return math.sqrt(w.real.dot(w.real) + w.imag.dot(w.imag))
+    return math.sqrt(w.dot(w))
+
+
 def _back_substitute(triangle: list, g: list) -> np.ndarray:
     # y with R y = g[:m] for the upper triangular R whose column j is triangle[j].
     m = len(triangle)
@@ -404,24 +508,23 @@ def _back_substitute(triangle: list, g: list) -> np.ndarray:
     return np.array(y)
 
 
-def _preconditioned_operator(inverse: CharacteristicInverse, table: np.ndarray) -> Callable:
-    # v -> v + M^{-1} T v on an (n,) Krylov vector or (rows, n) rows, T the Toeplitz matrix
-    # of the kernel profile ``table``, in four bare FFT calls: T v by the
-    # kernel's spectrum, then M^{-1} by ``inverse._apply_rows``.  Complex
-    # rows take complex transforms; a real table keeps real ones and the
-    # arithmetic of ``inverse.apply``.  The kernel's spectrum, and the
-    # Cauchy one for complex rows, are built here, once per solve.
+def _preconditioned_operator(
+    inverse: CharacteristicInverse, spectrum: np.ndarray, real: bool
+) -> Callable:
+    # v -> v + M^{-1} T v on an (n,) Krylov vector or (rows, n) rows, T the
+    # Toeplitz matrix of a kernel profile whose FFT at ``_fft_length(n)`` is
+    # ``spectrum``, real for a ``real`` profile, in four bare FFT calls: T v
+    # by that spectrum, then M^{-1} by ``inverse._apply_rows``.  Complex
+    # rows take complex transforms and the Cauchy spectrum that the inverse
+    # keeps; a real table keeps real ones and the arithmetic of
+    # ``inverse.apply``.
     n = len(inverse.left)
     length = _fft_length(n)
-    if np.iscomplexobj(table):
-        fft, ifft, cauchy = np.fft.fft, np.fft.ifft, inverse._complex_spectrum()
-    else:
-        fft, ifft, cauchy = np.fft.rfft, np.fft.irfft, inverse.spectrum
-    spectrum = fft(table, length)
+    fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
 
     def operator(v):
         product = ifft(spectrum * fft(v, length), length)[..., n - 1 : 2 * n - 1]
-        return v + inverse._apply_rows(product, cauchy)
+        return v + inverse._apply_rows(product)
 
     return operator
 
@@ -436,17 +539,22 @@ def _solve_toeplitz(mesh: Mesh, table: np.ndarray, b: np.ndarray, even: bool = F
     # (``linalg._real_view``), a complex answer then as the real and
     # imaginary parts of the load (``linalg._split``).  A GMRES failure
     # falls back to the dense source, whose SingularMatrixError is the
-    # caller's.
+    # caller's.  What depends on the mesh alone comes from its plan.
     n = mesh.n
+    plan = _plan(mesh)
     complex_answer = np.iscomplexobj(b) or np.iscomplexobj(table)
     table = _real_view(table)
     real = not np.iscomplexobj(table)
-    profile = _singular_profile(mesh) + table
+    profile = plan.profile + table
     if not np.all(np.isfinite(profile)):
         raise ValueError("matrix contains nonfinite entries")
     dtype = table.dtype
     loads = _split(b, not real, complex_answer)
     norm1 = _toeplitz_norm1(profile)
+    length = _fft_length(n)
+    fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+    # The kernel profile's FFT, which GMRES applies T by.
+    spectrum = fft(table, length) if n >= _GMRES_MIN_N else None
 
     def from_end_columns(x, y, parts=None):
         # (values, condition, backward error) from x and y, or None where the
@@ -454,16 +562,16 @@ def _solve_toeplitz(mesh: Mesh, table: np.ndarray, b: np.ndarray, even: bool = F
         # one stacked A^{-1} probe with the estimate's first sweep, and None
         # is returned unless their normwise backward error
         # ||b - A g||_1 / (||A||_1 ||g||_1 + ||b||_1), with A g one FFT
-        # product with the whole profile, is at most _GMRES_TOL.
+        # product by the whole profile's spectrum, the plan's singular one
+        # plus the kernel's, is at most _GMRES_TOL.
         probes = _gohberg_semencul(x, y)
         if probes is None:
             return None
         first = backward = None
         if parts is None:
             *parts, first = probes[0](np.array([*loads, np.full(n, 1.0 / n)], dtype=dtype))
-            length = _fft_length(n)
-            fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
-            products = ifft(fft(profile, length) * fft(parts, length), length)
+            singular = plan.spectrum if real else plan.complex_spectrum
+            products = ifft((singular + spectrum) * fft(parts, length), length)
             error = float(np.abs(b - _join(products[:, n - 1 : 2 * n - 1])).sum())
             scale = norm1 * float(np.abs(_join(parts)).sum()) + float(np.abs(b).sum())
             backward = error / scale if scale else error  # b = 0 is solved by g = 0
@@ -472,9 +580,9 @@ def _solve_toeplitz(mesh: Mesh, table: np.ndarray, b: np.ndarray, even: bool = F
         return _join(parts), _checked_condition(norm1, n, dtype, *probes, first=first), backward
 
     if n >= _GMRES_MIN_N:
-        inverse = characteristic_inverse(mesh)
-        operator = _preconditioned_operator(inverse, table)
-        starts = inverse._end_columns().astype(dtype)
+        inverse = plan.inverse
+        operator = _preconditioned_operator(inverse, spectrum, real)
+        starts = inverse._end_columns.astype(dtype, copy=False)
         runs = [_gmres(operator, start) for start in starts[: 1 if even else 2]]
         solved = None
         if None not in runs:
@@ -517,8 +625,8 @@ def solve_full(problem: FullProblem) -> DiscreteSolution:
     for.  From n = _GMRES_MIN_N on, GMRES solves for those columns, one
     run each, on the second-kind form (I + M^{-1} T) g = M^{-1} r,
     preconditioned by the closed-form inverse, with O(n log n) work per
-    iteration and no n x n array: the operator, built once, takes four FFT
-    calls per iteration, and GMRES starts from M^{-1} e_0 and M^{-1} e_{n-1}
+    iteration and no n x n array: the operator takes four FFT calls per
+    iteration, and GMRES starts from M^{-1} e_0 and M^{-1} e_{n-1}
     in closed form.  The solution is then one product with A^{-1} by the
     formula, which also takes the first sweep of the estimate, accepted
     when its normwise backward error ||b - A g||_1 / (||A||_1 ||g||_1 +
@@ -532,7 +640,11 @@ def solve_full(problem: FullProblem) -> DiscreteSolution:
     LAPACK's copy.  Where (A^{-1})_00 = 0 the formula does not apply and
     that view goes through ``lu_factor``.  A general kernel assembles the
     dense matrix, one more n x n array, and solves it through LAPACK in
-    the ``lu_factor`` call that takes the condition estimate.  Every
+    the ``lu_factor`` call that takes the condition estimate.  What the
+    Toeplitz route needs of the mesh alone (the closed-form inverse, the
+    singular profile and its spectrum, the logarithm's product weights) is
+    built once per (n, h) and kept for the next solve on that mesh, with
+    the same bits as a first solve's.  Every
     route's condition number is attached to the result; a warning is
     logged above 1e12, and the route taken (with the GMRES iterations summed
     over its runs, the largest final relative residual and the load's
@@ -547,7 +659,8 @@ def solve_full(problem: FullProblem) -> DiscreteSolution:
     mesh = problem.mesh
     if problem.rhs.f is not None:
         problem.rhs.validate_pair(mesh.a, mesh.b)
-    b = _checked_rhs(_load_values(problem.rhs.fprime, mesh.colloc, "right-hand side"), mesh.n)
+    load = _load_values(problem.rhs.fprime, mesh.colloc, "right-hand side")
+    b = _checked_rhs(load, mesh.n, "right-hand side")
     table = _kernel_table(problem)
     if table is None:
         inverse = characteristic_inverse(mesh)

@@ -129,21 +129,22 @@ class LUFactorization:
     def _solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # One single-column gesv per row of ``_split``.
         rows = _split(
-            _checked_rhs(b, self.n),
+            _checked_rhs(b, self.n, "b"),
             np.iscomplexobj(self.matrix),
             np.iscomplexobj(b) or self.dtype.kind == "c",
         )
         return _join([_gesv(a, row) for row in rows])
 
 
-def _checked_rhs(b, n: int) -> np.ndarray:
+def _checked_rhs(b, n: int, name: str) -> np.ndarray:
     # b as an array, refused unless it has shape (n,) and finite entries:
-    # one value per point, the contract of every solve's load.
+    # one value per point, the contract of every solve's load.  A refusal
+    # names b as the caller's argument ``name``.
     b = np.asarray(b)
     if b.shape != (n,):
-        raise ValueError(f"rhs must have shape ({n},), got {b.shape}")
+        raise ValueError(f"{name} must have shape ({n},), got {b.shape}")
     if not np.all(np.isfinite(b)):
-        raise ValueError("rhs contains nonfinite entries")
+        raise ValueError(f"{name} contains nonfinite entries")
     return b
 
 
@@ -205,7 +206,7 @@ def lu_factor(a: np.ndarray, rhs: np.ndarray | None = None) -> LUFactorization:
     dtype = np.dtype(np.complex128 if np.iscomplexobj(a) else np.float64)
     fact = LUFactorization(matrix=matrix, dtype=dtype)
     if rhs is not None:
-        _checked_rhs(rhs, fact.n)
+        _checked_rhs(rhs, fact.n, "rhs")
     fact.condition = _checked_condition(
         _norm1(matrix), fact.n, matrix.dtype, fact.solve, fact.solve_adjoint
     )
@@ -276,6 +277,20 @@ def _fft_length(n: int) -> int:
             odd *= 3
         odd5 *= 5
     return best
+
+
+def _full_spectrum(spectrum: np.ndarray, length: int) -> np.ndarray:
+    # The complex FFT of length ``length`` of a real sequence, read-only,
+    # from its real FFT ``spectrum``: the conjugate mirror image supplies
+    # the rest, with no transform.
+    tail = spectrum[1 : length - len(spectrum) + 1]
+    return _frozen(np.concatenate((spectrum, tail[::-1].conj())))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    # a, made read-only: an array that is built once and then shared.
+    a.setflags(write=False)
+    return a
 
 
 def _gohberg_semencul(x: np.ndarray, y: np.ndarray):

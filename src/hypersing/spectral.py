@@ -186,7 +186,7 @@ class ChebyshevSolution:
         check_dense_size("mquad", mquad, count, mquad)
         theta = _second_kind_angles(mquad)
         x = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(theta)
-        values = _checked_rhs(_load_values(fn, x, "fn"), mquad)
+        values = _checked_rhs(_load_values(fn, x, "fn"), mquad, "fn")
         coeffs = (2.0 / (mquad + 1)) * (_sine_rows(count, theta) @ values)
         return cls(coeffs=coeffs, interval=(a, b))
 
@@ -298,7 +298,8 @@ def solve_spectral(
     # load is read and checked on the x grid before any other work.
     theta = _second_kind_angles(mquad)
     x_phys = center + radius * np.cos(theta)
-    fhat = radius * _checked_rhs(_load_values(rhs.fprime, x_phys, "right-hand side"), mquad)
+    load = _load_values(rhs.fprime, x_phys, "right-hand side")
+    fhat = radius * _checked_rhs(load, mquad, "right-hand side")
     phi = (2 * np.arange(1, mquad + 2) - 1) * np.pi / (2 * (mquad + 1))
     weight = np.pi / (mquad + 1)
     ux = weight * np.sin(theta) * _sine_rows(N, theta)

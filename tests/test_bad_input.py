@@ -308,6 +308,16 @@ def test_two_column_load_is_refused_before_the_kernel(solve):
         solve()
 
 
+def test_two_column_load_refusal_names_the_callers_argument():
+    # The refusal names the argument that the caller passed: the fit's fn,
+    # and the full solve's right-hand side, never the solver's own rhs.
+    with pytest.raises(ValueError, match=r"^fn must have shape \(64,\), got \(64, 2\)$"):
+        ChebyshevSolution.from_function(_two_columns, 2)
+    with pytest.raises(ValueError, match=r"^right-hand side must have shape \(8,\), got \(8, 2\)$"):
+        solve_full(dataclasses.replace(
+            crack_problem(CrackParams(1.0, 1.0, 0.3, 1.0), 8), rhs=_TWO_COLUMNS))
+
+
 @_FEW
 @given(st.one_of(
     NONPOSITIVE.map(lambda cap: (cap, 1e-8)),

@@ -299,7 +299,7 @@ def test_end_columns_match_apply(n):
     inverse = characteristic_inverse(build_mesh(-1.0, 1.0, n))
     unit = np.eye(n)
     want = np.array([inverse.apply(unit[0]), inverse.apply(unit[-1])])
-    got = inverse._end_columns()
+    got = inverse._end_columns
     assert got.shape == (2, n)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 

@@ -1,5 +1,7 @@
 import dataclasses
 import logging
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -782,9 +784,11 @@ def test_krylov_step_costs_four_transforms_and_no_apply(problem, transforms, mon
     # call; GMRES starts from M^{-1} e_0 and M^{-1} e_{n-1} in closed form,
     # with no transform between its runs; and one stacked probe solves the
     # load together with Hager's first sweep, whose later sweeps probe one
-    # vector each.
+    # vector each.  Before GMRES a cold plan transforms the kernel and the
+    # Cauchy spectra, and a warm one the kernel's alone.
     problem = problem()
     n = problem.mesh.n
+    kernel_transform = "fft" if "fft" in transforms else "rfft"
     transformed = []
     for name in ("fft", "ifft", "rfft", "irfft"):
         def counted(*args, _name=name, _transform=getattr(np.fft, name), **kwargs):
@@ -800,7 +804,7 @@ def test_krylov_step_costs_four_transforms_and_no_apply(problem, transforms, mon
         return apply(self, r)
 
     monkeypatch.setattr(CharacteristicInverse, "apply", counted_apply)
-    steps = []
+    steps, before_gmres = [], []
     gmres = fullsolver._gmres
 
     def counted_gmres(operator, rhs):
@@ -810,8 +814,11 @@ def test_krylov_step_costs_four_transforms_and_no_apply(problem, transforms, mon
             steps.append(transformed[before:])
             return out
 
+        if not steps:
+            before_gmres[:] = transformed
+        start = len(before_gmres)
         solved = gmres(step, rhs)
-        assert transformed[2:] == [name for calls in steps for name in calls]
+        assert transformed[start:] == [name for calls in steps for name in calls]
         return solved
 
     monkeypatch.setattr(fullsolver, "_gmres", counted_gmres)
@@ -828,14 +835,17 @@ def test_krylov_step_costs_four_transforms_and_no_apply(problem, transforms, mon
         return probe, inverse_adjoint
 
     monkeypatch.setattr(fullsolver, "_gohberg_semencul", counted_builder)
-    solve_full(problem)
-    # Before GMRES only the Cauchy and the kernel spectra are transformed:
-    # the start columns take none.
-    assert applied == []
-    assert steps and all(len(calls) <= 4 and set(calls) == transforms for calls in steps)
-    first, *later = probed
-    assert first.shape == (2, n) and np.all(first[-1] == 1.0 / n)
-    assert all(r.shape == (n,) for r in later)
+    fullsolver._plans.clear()
+    for spectra in ([kernel_transform, "rfft"], [kernel_transform]):
+        for record in (transformed, steps, probed):
+            record.clear()
+        solve_full(problem)
+        assert before_gmres == spectra
+        assert applied == []
+        assert steps and all(len(calls) <= 4 and set(calls) == transforms for calls in steps)
+        first, *later = probed
+        assert first.shape == (2, n) and np.all(first[-1] == 1.0 / n)
+        assert all(r.shape == (n,) for r in later)
 
 
 @pytest.mark.parametrize("n", [80, N0 - 1])
@@ -881,6 +891,74 @@ def test_gmres_route_logs_iterations_and_residual(caplog):
     assert 0.0 <= backward <= fullsolver._GMRES_TOL
     assert np.array_equal(logged.values, quiet.values)
     assert logged.condition == quiet.condition
+
+
+@pytest.mark.parametrize("problem", [
+    pytest.param(lambda: screen_problem(ScreenParams(k=2.5, a=1.0), 400), id="screen-gmres"),
+    pytest.param(lambda: screen_problem(ScreenParams(k=2.5, a=1.0), 80), id="screen-dense"),
+    pytest.param(lambda: benchmark_problem(400, polynomial_kernel(3.0)), id="linear-gmres"),
+])
+def test_plan_reuse_leaves_no_trace_in_the_results(problem):
+    # A solve on a cold plan, on the warm one, and on a new one after other
+    # meshes have evicted it gives the same values and condition bit for
+    # bit; the plan's arrays are read-only, and the cache never holds more
+    # than _PLANS_KEPT plans.
+    problem = problem()
+    mesh = problem.mesh
+    fullsolver._plans.clear()
+    cold = solve_full(problem)
+    plan = fullsolver._plan(mesh)
+    warm = solve_full(problem)
+    assert fullsolver._plan(mesh) is plan
+    for extra in range(1, fullsolver._PLANS_KEPT + 1):
+        solve_full(screen_problem(ScreenParams(k=2.5, a=1.0), mesh.n + extra))
+        assert len(fullsolver._plans) <= fullsolver._PLANS_KEPT
+    assert (mesh.n, mesh.h) not in fullsolver._plans
+    evicted = solve_full(problem)
+    assert fullsolver._plan(mesh) is not plan
+    for run in (warm, evicted):
+        assert run.values.tobytes() == cold.values.tobytes()
+        assert run.condition == cold.condition
+    inverse = plan.inverse
+    for array in (plan.profile, plan.spectrum, plan.complex_spectrum, plan.log_weights(True),
+                  plan.log_weights(False), inverse.left, inverse.right, inverse.spectrum,
+                  inverse._complex_spectrum, inverse._end_columns):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_plan_cache_holds_under_threads():
+    # Threads that look up and solve on two meshes at once, each evicting
+    # the other's plan, get the plan of the mesh they ask for and the bits
+    # of a lone solve, and the cache keeps its bound.
+    problems = [screen_problem(ScreenParams(k=2.5, a=1.0), n) for n in (N0, N0 + 1)]
+    want = [solve_full(problem).values.tobytes() for problem in problems]
+    same, failures = [], []
+
+    def work(start):
+        try:
+            for i in range(10000):
+                mesh = problems[(start + i) % 2].mesh
+                assert fullsolver._plan(mesh).mesh.n == mesh.n
+                assert len(fullsolver._plans) <= fullsolver._PLANS_KEPT
+            for i in range(6):
+                j = (start + i) % 2
+                same.append(solve_full(problems[j]).values.tobytes() == want[j])
+        except Exception as exc:  # reported by the main thread below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == [] and len(same) == 24 and all(same)
 
 
 def test_gmres_rows_step_alone_and_stop_at_the_cap(monkeypatch):
