@@ -63,8 +63,8 @@ class DiscreteSolution:
     condition: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if len(self.values) != self.mesh.n:
-            raise ValueError(f"expected {self.mesh.n} values, got {len(self.values)}")
+        if np.shape(self.values) != (self.mesh.n,):
+            raise ValueError(f"expected {self.mesh.n} values, got shape {np.shape(self.values)}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("solution values contain nonfinite entries")
 

@@ -114,7 +114,10 @@ def _run_crack(args: argparse.Namespace):
 
 
 def _against_oracle(problem: FullProblem, interval, N: int):
-    # The oracle runs at mquad = 2N; its 2N x (2N + 1) table is refused before either solve.
+    # The oracle runs at mquad = 2N; too few terms, or a 2N x (2N + 1) table
+    # over budget, is refused before either solve.
+    if N < 2:
+        raise ValueError(f"N={N}: need at least 2 expansion terms")
     check_dense_size("N", N, 2 * N, 2 * N + 1)
     # Collocation before the oracle: perfbench pins the kernel batches in this order.
     solution = solve_full(problem)

@@ -32,22 +32,23 @@ A^{-1}: from them the Gohberg-Semencul formula
 estimate, and the 1-norm comes from the profile in O(n).  An even
 kernel's A is symmetric, and as every Toeplitz matrix is persymmetric,
 y = J x, the reverse of x: only x is solved for.  x and y come from one
-of two sources.  From n = _GMRES_MIN_N on, GMRES solves the second-kind
-form (I + M^{-1} T) g = M^{-1} r for r = e_0, and for r = e_{n-1} in a
-second run unless the kernel is even, with T the kernel's Toeplitz table
-applied by FFT (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986;
-Chan and Ng, SIAM Rev. 38, 1996): O(n log n) per iteration, a few to a
-few dozen iterations, and no n x n array.  The operator takes each
-Krylov step in four bare FFT calls of the 5-smooth length
-``linalg._fft_length(n)``: T by the kernel's spectrum, the one transform
-a solve makes before GMRES on a warm plan, then M^{-1} by the Cauchy
-spectrum between its two scalings and a reversed cumulative sum, complex
-transforms for a complex table and real ones for a real table; GMRES
-starts from M^{-1} e_0 and M^{-1} e_{n-1} in closed form.  The load is
-then one product with A^{-1} by the formula, taken in one stacked probe
-with the first sweep of Hager's estimate, and accepted when its normwise
-backward error is at most _GMRES_TOL, with A g taken by the sum of the
-kernel's spectrum and the singular profile's.  Below that n, where
+of two sources.  From n = _GMRES_MIN_N on, GMRES (``_gmres_source``)
+solves the second-kind form (I + M^{-1} T) g = M^{-1} r for r = e_0, and
+for r = e_{n-1} in a second run unless the kernel is even, with T the
+kernel's Toeplitz table applied by FFT (Saad and Schultz, SIAM J. Sci.
+Stat. Comput. 7, 1986; Chan and Ng, SIAM Rev. 38, 1996): O(n log n) per
+iteration, a few to a few dozen iterations, and no n x n array.  The
+operator takes each Krylov step in four bare FFT calls of the 5-smooth
+length ``linalg._fft_length(n)``: T by the kernel's spectrum, the one
+transform a solve makes before GMRES on a warm plan, then M^{-1} by the
+Cauchy spectrum between its two scalings and a reversed cumulative sum,
+complex transforms for a complex table and real ones for a real table;
+GMRES starts from M^{-1} e_0 and M^{-1} e_{n-1} in closed form.  The
+load is then one product with A^{-1} by the formula, taken in one
+stacked probe with the first sweep of Hager's estimate, and accepted
+when its normwise backward error is at most _GMRES_TOL, with A g taken
+by the same padded product as T v, by the sum of the kernel's spectrum
+and the singular profile's.  Below that n, where
 LAPACK is faster, and whenever GMRES gives no answer (no convergence in
 _GMRES_MAX_ITER iterations, a load that fails that test, or an estimate
 that reads singular), one ``gesv`` call on the read-only Toeplitz view of
@@ -67,8 +68,9 @@ complex Cauchy spectrum and its end columns, the singular profile and its
 spectrum, and the product weights of the logarithm for even and other
 kernels.  Each part is built on first use by the arithmetic a solve used
 before, so a solve on a warm plan is bit for bit one on a cold plan, and
-every array is read-only.  Only the plan of the last mesh solved on is
-kept (``_PLANS_KEPT``).  With every part built it holds 192 bytes per
+every array is read-only.  One slot keeps the plan of the last mesh
+solved on; a solve on another mesh puts an empty plan in its place
+before building any part.  With every part built it holds 192 bytes per
 cell, and 16 more for the mesh it keeps: 0.85 MB at n = 4096.  The
 screen's GMRES route builds 160 of the 192, the linear kernel's 80 and a
 dense Toeplitz solve 32.  The closed-form route builds its inverse per
@@ -89,7 +91,6 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -362,29 +363,22 @@ class _Plan:
         return self._weights[even]
 
 
-# The plans of the meshes solved on last, keyed by (n, h), oldest first.
-# One is kept: a run of solves on one mesh (a sweep over k, many loads)
-# reuses it, and the cache never holds a plan beside the one a solve is
-# building, since the old one is dropped first.  A second slot would keep
-# two alternating meshes warm, but would double what the cache holds
-# through another mesh's solve: 0.85 MB at today's cap of n = 4096, and
-# 208 MB at n = 10^6 once difference kernels are solved past that cap.
-_PLANS_KEPT = 1
-_plans: dict[tuple[int, float], _Plan] = {}
-_plans_lock = threading.Lock()
+# The plan of the mesh solved on last.  A run of solves on one mesh (a
+# sweep over k, many loads) reuses it; a solve on another mesh puts an
+# empty plan in its place before building any part, so one plan's arrays
+# are kept at most: 0.85 MB at today's cap of n = 4096, and 208 MB at
+# n = 10^6 once difference kernels are solved past that cap.
+_last_plan: _Plan | None = None
 
 
 def _plan(mesh: Mesh) -> _Plan:
-    # The plan of meshes with ``mesh``'s n and h, from the cache or new.
-    # Two threads that build one part at once build the same bits, so only
-    # the cache itself is locked.
-    key = (mesh.n, mesh.h)
-    with _plans_lock:
-        plan = _plans.get(key)
-        if plan is None:
-            while len(_plans) >= _PLANS_KEPT:
-                del _plans[next(iter(_plans))]
-            plan = _plans[key] = _Plan(mesh)
+    # The plan of meshes with ``mesh``'s n and h: the slot's, or a new one.
+    # The slot is read once, so a thread gets the plan of its own mesh, and
+    # two threads that build one part at once build the same bits.
+    global _last_plan
+    plan = _last_plan
+    if plan is None or (plan.mesh.n, plan.mesh.h) != (mesh.n, mesh.h):
+        plan = _last_plan = _Plan(mesh)
     return plan
 
 
@@ -508,153 +502,110 @@ def _back_substitute(triangle: list, g: list) -> np.ndarray:
     return np.array(y)
 
 
-def _preconditioned_operator(
-    inverse: CharacteristicInverse, spectrum: np.ndarray, real: bool
-) -> Callable:
-    # v -> v + M^{-1} T v on an (n,) Krylov vector or (rows, n) rows, T the
-    # Toeplitz matrix of a kernel profile whose FFT at ``_fft_length(n)`` is
-    # ``spectrum``, real for a ``real`` profile, in four bare FFT calls: T v
-    # by that spectrum, then M^{-1} by ``inverse._apply_rows``.  Complex
-    # rows take complex transforms and the Cauchy spectrum that the inverse
-    # keeps; a real table keeps real ones and the arithmetic of
-    # ``inverse.apply``.
-    n = len(inverse.left)
+def _gmres_source(plan: _Plan, table: np.ndarray, b, loads, norm1: float, even: bool):
+    # (values, condition) from the end columns x, y of A^{-1} that GMRES
+    # solves for on (I + M^{-1} T) g = M^{-1} r, or None when it gives no
+    # answer.  One padded FFT product by a spectrum at ``_fft_length(n)``,
+    # real for a real table, takes both T v in each Krylov step and A g in
+    # the load's normwise backward error ||b - A g||_1 / (||A||_1 ||g||_1
+    # + ||b||_1), there by the plan's singular spectrum plus the kernel's.
+    # The loads are one stacked A^{-1} probe with the first sweep of
+    # Hager's estimate.
+    n = plan.mesh.n
     length = _fft_length(n)
+    real = not np.iscomplexobj(table)
     fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+    spectrum = fft(table, length)
 
-    def operator(v):
-        product = ifft(spectrum * fft(v, length), length)[..., n - 1 : 2 * n - 1]
-        return v + inverse._apply_rows(product)
+    def product(spectrum, v):
+        return ifft(spectrum * fft(v, length), length)[..., n - 1 : 2 * n - 1]
 
-    return operator
+    inverse = plan.inverse
+    starts = inverse._end_columns[: 1 if even else 2].astype(table.dtype, copy=False)
+    runs = [_gmres(lambda v: v + inverse._apply_rows(product(spectrum, v)), r) for r in starts]
+    if None in runs:
+        return None
+    x = runs[0][0]
+    probes = _gohberg_semencul(x, x[::-1] if even else runs[1][0])
+    if probes is None:
+        return None
+    *parts, first = probes[0](np.array([*loads, np.full(n, 1.0 / n)], dtype=table.dtype))
+    singular = plan.spectrum if real else plan.complex_spectrum
+    values = _join(parts)
+    error = float(np.abs(b - _join(product(singular + spectrum, parts))).sum())
+    scale = norm1 * float(np.abs(values).sum()) + float(np.abs(b).sum())
+    backward = error / scale if scale else error  # b = 0 is solved by g = 0
+    if not backward <= _GMRES_TOL:
+        return None
+    try:
+        condition = _checked_condition(norm1, n, table.dtype, *probes, first=first)
+    except SingularMatrixError:
+        return None
+    logger.debug("GMRES route at n=%d: %d iterations, relative residual %.3e,"
+                 " load backward error %.3e", n, sum(run[1] for run in runs),
+                 max(run[2] for run in runs), backward)
+    return values, condition
 
 
 def _solve_toeplitz(mesh: Mesh, table: np.ndarray, b: np.ndarray, even: bool = False):
     # (values, condition) of the Toeplitz system with kernel profile
-    # ``table``, from the first and last columns x, y of A^{-1} by GMRES or
-    # by one gesv call, as the module docstring says.  ``even`` declares a
-    # symmetric table, so that A is symmetric and y = J x: x alone is
-    # solved for.  ``b`` is a load that ``solve_full`` has checked.  A
-    # table holding real values is solved in real arithmetic
-    # (``linalg._real_view``), a complex answer then as the real and
-    # imaginary parts of the load (``linalg._split``).  A GMRES failure
+    # ``table``, from the first and last columns x, y of A^{-1} by
+    # ``_gmres_source`` or by one gesv call, as the module docstring says.
+    # ``even`` declares a symmetric table, so that A is symmetric and
+    # y = J x: x alone is solved for.  ``b`` is a load that ``solve_full``
+    # has checked.  A table holding real values is solved in real
+    # arithmetic (``linalg._real_view``), a complex answer then as the real
+    # and imaginary parts of the load (``linalg._split``).  A GMRES failure
     # falls back to the dense source, whose SingularMatrixError is the
     # caller's.  What depends on the mesh alone comes from its plan.
     n = mesh.n
     plan = _plan(mesh)
     complex_answer = np.iscomplexobj(b) or np.iscomplexobj(table)
     table = _real_view(table)
-    real = not np.iscomplexobj(table)
     profile = plan.profile + table
     if not np.all(np.isfinite(profile)):
         raise ValueError("matrix contains nonfinite entries")
-    dtype = table.dtype
-    loads = _split(b, not real, complex_answer)
+    loads = _split(b, np.iscomplexobj(table), complex_answer)
     norm1 = _toeplitz_norm1(profile)
-    length = _fft_length(n)
-    fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
-    # The kernel profile's FFT, which GMRES applies T by.
-    spectrum = fft(table, length) if n >= _GMRES_MIN_N else None
-
-    def from_end_columns(x, y, parts=None):
-        # (values, condition, backward error) from x and y, or None where the
-        # formula does not hold.  With no ``parts`` (GMRES), the loads are
-        # one stacked A^{-1} probe with the estimate's first sweep, and None
-        # is returned unless their normwise backward error
-        # ||b - A g||_1 / (||A||_1 ||g||_1 + ||b||_1), with A g one FFT
-        # product by the whole profile's spectrum, the plan's singular one
-        # plus the kernel's, is at most _GMRES_TOL.
-        probes = _gohberg_semencul(x, y)
-        if probes is None:
-            return None
-        first = backward = None
-        if parts is None:
-            *parts, first = probes[0](np.array([*loads, np.full(n, 1.0 / n)], dtype=dtype))
-            singular = plan.spectrum if real else plan.complex_spectrum
-            products = ifft((singular + spectrum) * fft(parts, length), length)
-            error = float(np.abs(b - _join(products[:, n - 1 : 2 * n - 1])).sum())
-            scale = norm1 * float(np.abs(_join(parts)).sum()) + float(np.abs(b).sum())
-            backward = error / scale if scale else error  # b = 0 is solved by g = 0
-            if not backward <= _GMRES_TOL:
-                return None
-        return _join(parts), _checked_condition(norm1, n, dtype, *probes, first=first), backward
-
     if n >= _GMRES_MIN_N:
-        inverse = plan.inverse
-        operator = _preconditioned_operator(inverse, spectrum, real)
-        starts = inverse._end_columns.astype(dtype, copy=False)
-        runs = [_gmres(operator, start) for start in starts[: 1 if even else 2]]
-        solved = None
-        if None not in runs:
-            x = runs[0][0]
-            try:
-                solved = from_end_columns(x, x[::-1] if even else runs[1][0])
-            except SingularMatrixError:
-                pass
+        solved = _gmres_source(plan, table, b, loads, norm1, even)
         if solved is not None:
-            logger.debug("GMRES route at n=%d: %d iterations, relative residual %.3e,"
-                         " load backward error %.3e", n, sum(run[1] for run in runs),
-                         max(run[2] for run in runs), solved[2])
-            return solved[:2]
+            return solved
         logger.debug("GMRES route at n=%d gave no answer", n)
     ends = [0] if even else [0, n - 1]
-    columns = np.zeros((len(ends) + len(loads), n), dtype=dtype)
+    columns = np.zeros((len(ends) + len(loads), n), dtype=table.dtype)
     columns[range(len(ends)), ends] = 1.0
     columns[len(ends) :] = loads
     view = _toeplitz_view(profile)
     x, *parts = _gesv(view, columns.T).T
-    solved = from_end_columns(x, x[::-1] if even else parts.pop(0), parts)
-    if solved is None:  # (A^{-1})_00 = 0
-        fact = lu_factor(view, b)
-        solved = fact.solution, condition_estimate_1norm(fact)
+    probes = _gohberg_semencul(x, x[::-1] if even else parts.pop(0))
     logger.debug("dense route at n=%d", n)
-    return solved[:2]
+    if probes is None:  # (A^{-1})_00 = 0
+        fact = lu_factor(view, b)
+        return fact.solution, condition_estimate_1norm(fact)
+    return _join(parts), _checked_condition(norm1, n, table.dtype, *probes)
 
 
 def solve_full(problem: FullProblem) -> DiscreteSolution:
     """Solve the equation by collocation on the problem's mesh.
 
-    The characteristic equation (no kernel, or a kernel whose table is
-    identically zero) is solved by ``characteristic_inverse``,
-    the closed-form inverse of its matrix, in O(n log n) with no n x n
-    array; its ``condition`` is exact.  Any other difference kernel takes
-    one Toeplitz route, which needs the first and last columns of A^{-1}:
-    the Gohberg-Semencul formula gives from them Hager's condition
-    estimate, in FFT products.  An ``even`` kernel's matrix is symmetric,
-    and its last column is its first reversed, so only the first is solved
-    for.  From n = _GMRES_MIN_N on, GMRES solves for those columns, one
-    run each, on the second-kind form (I + M^{-1} T) g = M^{-1} r,
-    preconditioned by the closed-form inverse, with O(n log n) work per
-    iteration and no n x n array: the operator takes four FFT calls per
-    iteration, and GMRES starts from M^{-1} e_0 and M^{-1} e_{n-1}
-    in closed form.  The solution is then one product with A^{-1} by the
-    formula, which also takes the first sweep of the estimate, accepted
-    when its normwise backward error ||b - A g||_1 / (||A||_1 ||g||_1 +
-    ||b||_1) is at most _GMRES_TOL.  Below _GMRES_MIN_N, where LAPACK is
-    faster, and when GMRES gives no answer (no relative residual of
-    _GMRES_TOL in _GMRES_MAX_ITER iterations, a formula that does not
-    apply, a solution that fails that test, or an estimate that reads
-    singular), one ``gesv`` call on the read-only Toeplitz view of the
-    2n - 1 profile solves for those columns and the load together, so
-    the solution comes from LAPACK's LU and the only n x n array is
-    LAPACK's copy.  Where (A^{-1})_00 = 0 the formula does not apply and
-    that view goes through ``lu_factor``.  A general kernel assembles the
-    dense matrix, one more n x n array, and solves it through LAPACK in
-    the ``lu_factor`` call that takes the condition estimate.  What the
-    Toeplitz route needs of the mesh alone (the closed-form inverse, the
-    singular profile and its spectrum, the logarithm's product weights) is
-    built once per (n, h) and kept for the next solve on that mesh, with
-    the same bits as a first solve's.  Every
-    route's condition number is attached to the result; a warning is
-    logged above 1e12, and the route taken (with the GMRES iterations summed
-    over its runs, the largest final relative residual and the load's
-    backward error) at DEBUG.  The
-    scalar field is complex exactly when the kernel or the right-hand side
-    is complex; a real problem never leaves real arithmetic.  Raises
-    SingularMatrixError for a degenerate system and ValueError for a
-    right-hand side that is nonfinite or not one value per collocation
-    point (shape (n,)), both read before the kernel on every route, or an
-    over-budget size.
+    Returns a DiscreteSolution whose ``condition`` is the collocation
+    matrix's 1-norm condition number: exact for the characteristic
+    equation (no kernel, or a kernel whose table is identically zero),
+    Hager's estimate for any other kernel.  The module docstring describes
+    each route.  A warning is logged when the condition exceeds 1e12, and
+    the route taken at DEBUG (on the GMRES route with the iterations, the
+    largest final relative residual and the load's backward error).
+
+    The scalar field is complex exactly when the kernel or the right-hand
+    side is complex; a real problem never leaves real arithmetic.  A solve
+    on the mesh solved on last, which reuses its plan, has the bits of a
+    first solve.
+
+    Raises SingularMatrixError for a degenerate system, and ValueError for
+    a right-hand side that is nonfinite or not one value per collocation
+    point (shape (n,)), both read before the kernel on every route, or for
+    an over-budget size.
     """
     mesh = problem.mesh
     if problem.rhs.f is not None:

@@ -156,8 +156,9 @@ def test_nonfinite_right_hand_side_rejected():
 
 def test_discrete_solution_validation_and_evaluation(semicircle_rhs):
     mesh = make_mesh(-1.0, 1.0, 8)
-    with pytest.raises(ValueError, match="expected 8"):
-        DiscreteSolution(mesh=mesh, values=np.ones(5))
+    for values in (np.ones(5), np.zeros((8, 2)), np.zeros((1, 8)), np.float64(0.0)):
+        with pytest.raises(ValueError, match="expected 8"):
+            DiscreteSolution(mesh=mesh, values=values)
     with pytest.raises(ValueError, match="nonfinite"):
         DiscreteSolution(mesh=mesh, values=np.full(8, np.nan))
     sol = solve_characteristic(mesh, semicircle_rhs)

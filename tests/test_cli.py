@@ -128,20 +128,25 @@ def test_oracle_command_options():
 
 
 # An explicit or default N whose 2N x (2N + 1) oracle table is over the
-# dense budget ends the command before the collocation solve.
-@pytest.mark.parametrize("args, N", [
-    (["screen", "--k", "1", "--N", "3000", "--n", "4"], 3000),
+# dense budget, or an N below the oracle's 2 expansion terms, ends the
+# command before the collocation solve.
+@pytest.mark.parametrize("args, error", [
+    (["screen", "--k", "1", "--N", "3000", "--n", "4"],
+     "N=3000 needs a 6000 x 6001 dense array"),
     # The default N = ceil(1.6 k a) + 16 at k a = 1300.
-    (["screen", "--k", "1300", "--n", "4"], 2096),
-    (["spectral-compare", "--N", "3000", "--n", "4"], 3000),
-], ids=["screen-explicit-N", "screen-default-N", "spectral-compare-explicit-N"])
-def test_oversized_oracle_refused_before_any_solve(args, N, monkeypatch, capsys):
+    (["screen", "--k", "1300", "--n", "4"], "N=2096 needs a 4192 x 4193 dense array"),
+    (["spectral-compare", "--N", "3000", "--n", "4"], "N=3000 needs a 6000 x 6001 dense array"),
+    *((["screen", "--k", "80", "--n", "4096", "--N", N], f"N={N}: need at least 2 expansion terms")
+      for N in ("1", "-3")),
+    *((["spectral-compare", "--n", "4096", "--N", N], f"N={N}: need at least 2 expansion terms")
+      for N in ("1", "-3")),
+], ids=["screen-explicit-N", "screen-default-N", "spectral-compare-explicit-N",
+        "screen-N1", "screen-N-3", "spectral-compare-N1", "spectral-compare-N-3"])
+def test_oversized_oracle_refused_before_any_solve(args, error, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(cli, "solve_full", lambda problem: calls.append(problem))
     assert main(args) == 1
-    assert capsys.readouterr().err.startswith(
-        f"error: ValueError: N={N} needs a {2 * N} x {2 * N + 1} dense array"
-    )
+    assert capsys.readouterr().err.startswith(f"error: ValueError: {error}")
     assert calls == []
 
 

@@ -3,6 +3,7 @@ import logging
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -515,6 +516,14 @@ def test_oversized_matrix_refused_before_assembly():
 N0 = fullsolver._GMRES_MIN_N
 
 
+def replace_plan() -> None:
+    """Solve on a mesh of 7 cells, which no other test solves on, replacing the kept plan.
+
+    The next solve on any other mesh then starts from a new, empty plan.
+    """
+    solve_full(screen_problem(ScreenParams(k=2.5, a=1.0), 7))
+
+
 def count_lu_factor(monkeypatch) -> list:
     """Record the size of every dense ``lu_factor`` call that ``solve_full`` makes."""
     calls = []
@@ -787,6 +796,7 @@ def test_krylov_step_costs_four_transforms_and_no_apply(problem, transforms, mon
     # vector each.  Before GMRES a cold plan transforms the kernel and the
     # Cauchy spectra, and a warm one the kernel's alone.
     problem = problem()
+    replace_plan()
     n = problem.mesh.n
     kernel_transform = "fft" if "fft" in transforms else "rfft"
     transformed = []
@@ -835,7 +845,6 @@ def test_krylov_step_costs_four_transforms_and_no_apply(problem, transforms, mon
         return probe, inverse_adjoint
 
     monkeypatch.setattr(fullsolver, "_gohberg_semencul", counted_builder)
-    fullsolver._plans.clear()
     for spectra in ([kernel_transform, "rfft"], [kernel_transform]):
         for record in (transformed, steps, probed):
             record.clear()
@@ -899,48 +908,49 @@ def test_gmres_route_logs_iterations_and_residual(caplog):
     pytest.param(lambda: benchmark_problem(400, polynomial_kernel(3.0)), id="linear-gmres"),
 ])
 def test_plan_reuse_leaves_no_trace_in_the_results(problem):
-    # A solve on a cold plan, on the warm one, and on a new one after other
-    # meshes have evicted it gives the same values and condition bit for
-    # bit; the plan's arrays are read-only, and the cache never holds more
-    # than _PLANS_KEPT plans.
+    # A solve on a cold plan, on the warm one, and on a new one after a
+    # solve on another mesh has replaced it gives the same values and
+    # condition bit for bit; the plan's arrays are read-only, and the
+    # replaced plan is freed by that one other solve.
     problem = problem()
     mesh = problem.mesh
-    fullsolver._plans.clear()
+    replace_plan()
     cold = solve_full(problem)
     plan = fullsolver._plan(mesh)
     warm = solve_full(problem)
     assert fullsolver._plan(mesh) is plan
-    for extra in range(1, fullsolver._PLANS_KEPT + 1):
-        solve_full(screen_problem(ScreenParams(k=2.5, a=1.0), mesh.n + extra))
-        assert len(fullsolver._plans) <= fullsolver._PLANS_KEPT
-    assert (mesh.n, mesh.h) not in fullsolver._plans
-    evicted = solve_full(problem)
-    assert fullsolver._plan(mesh) is not plan
-    for run in (warm, evicted):
-        assert run.values.tobytes() == cold.values.tobytes()
-        assert run.condition == cold.condition
     inverse = plan.inverse
     for array in (plan.profile, plan.spectrum, plan.complex_spectrum, plan.log_weights(True),
                   plan.log_weights(False), inverse.left, inverse.right, inverse.spectrum,
                   inverse._complex_spectrum, inverse._end_columns):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
+    replaced = weakref.ref(plan)
+    del plan
+    solve_full(screen_problem(ScreenParams(k=2.5, a=1.0), mesh.n + 1))
+    assert replaced() is None
+    evicted = solve_full(problem)
+    for run in (warm, evicted):
+        assert run.values.tobytes() == cold.values.tobytes()
+        assert run.condition == cold.condition
 
 
 def test_plan_cache_holds_under_threads():
-    # Threads that look up and solve on two meshes at once, each evicting
+    # Threads that look up and solve on two meshes at once, each replacing
     # the other's plan, get the plan of the mesh they ask for and the bits
-    # of a lone solve, and the cache keeps its bound.
+    # of a lone solve, and one solve on a third mesh afterwards frees every
+    # plan they made.
     problems = [screen_problem(ScreenParams(k=2.5, a=1.0), n) for n in (N0, N0 + 1)]
     want = [solve_full(problem).values.tobytes() for problem in problems]
-    same, failures = [], []
+    same, failures, plans = [], [], []
 
     def work(start):
         try:
             for i in range(10000):
                 mesh = problems[(start + i) % 2].mesh
-                assert fullsolver._plan(mesh).mesh.n == mesh.n
-                assert len(fullsolver._plans) <= fullsolver._PLANS_KEPT
+                plan = fullsolver._plan(mesh)
+                assert (plan.mesh.n, plan.mesh.h) == (mesh.n, mesh.h)
+                plans.append(weakref.ref(plan))
             for i in range(6):
                 j = (start + i) % 2
                 same.append(solve_full(problems[j]).values.tobytes() == want[j])
@@ -959,6 +969,8 @@ def test_plan_cache_holds_under_threads():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == [] and len(same) == 24 and all(same)
+    replace_plan()
+    assert len(plans) == 40000 and all(plan() is None for plan in plans)
 
 
 def test_gmres_rows_step_alone_and_stop_at_the_cap(monkeypatch):
