@@ -40,20 +40,20 @@ Stat. Comput. 7, 1986; Chan and Ng, SIAM Rev. 38, 1996): O(n log n) per
 iteration, a few to a few dozen iterations, and no n x n array.  The
 operator takes each Krylov step in four bare FFT calls of the 5-smooth
 length ``linalg._fft_length(n)``: T by the kernel's spectrum, the one
-transform a solve makes before GMRES on a warm plan, then M^{-1} by the
-Cauchy spectrum between its two scalings and a reversed cumulative sum,
-complex transforms for a complex table and real ones for a real table;
-GMRES starts from M^{-1} e_0 and M^{-1} e_{n-1} in closed form.  The
-load is then one product with A^{-1} by the formula, taken in one
-stacked probe with the first sweep of Hager's estimate, and accepted
-when its normwise backward error is at most _GMRES_TOL, with A g taken
-by the same padded product as T v, by the sum of the kernel's spectrum
-and the singular profile's.  Below that n, where
-LAPACK is faster, and whenever GMRES gives no answer (no convergence in
-_GMRES_MAX_ITER iterations, a load that fails that test, or an estimate
-that reads singular), one ``gesv`` call on the read-only Toeplitz view of
-the profile solves e_0 (and e_{n-1} unless the kernel is even) and the
-load together: the load comes from LAPACK's LU, and the only n x n array
+transform a solve makes before GMRES when the mesh's closed-form inverse
+is kept, then M^{-1} by the Cauchy spectrum between its two scalings and
+a reversed cumulative sum, complex transforms for a complex table and
+real ones for a real table; GMRES starts from M^{-1} e_0 and
+M^{-1} e_{n-1} in closed form.  The load is then one product with A^{-1}
+by the formula, taken in one stacked probe with the first sweep of
+Hager's estimate, and accepted when its normwise backward error is at
+most _GMRES_TOL, with A g taken by the same padded product as T v, by
+the spectrum of A's own profile.  Below that n, where LAPACK is faster,
+and whenever GMRES gives no answer (no convergence in _GMRES_MAX_ITER
+iterations, a load that fails that test, or an estimate that reads
+singular), one ``gesv`` call on the read-only Toeplitz view of the
+profile solves e_0 (and e_{n-1} unless the kernel is even) and the load
+together: the load comes from LAPACK's LU, and the only n x n array
 is LAPACK's copy.  Measured with OpenBLAS 0.3.31, a one-column and a
 multi-column ``gesv`` differ in the last bits, while any two multi-column
 counts agree, so a real-valued complex load (two columns for its parts)
@@ -62,19 +62,18 @@ arithmetic.  Only where (A^{-1})_00 = 0, and the formula does not hold,
 does the view go through ``linalg.lu_factor``, which also takes a general
 kernel's dense matrix.
 
-What the Toeplitz route needs of the mesh alone is built once per
-(n, h) and kept in a plan (``_Plan``): the closed-form inverse with its
-complex Cauchy spectrum and its end columns, the singular profile and its
-spectrum, and the product weights of the logarithm for even and other
-kernels.  Each part is built on first use by the arithmetic a solve used
-before, so a solve on a warm plan is bit for bit one on a cold plan, and
-every array is read-only.  One slot keeps the plan of the last mesh
-solved on; a solve on another mesh puts an empty plan in its place
-before building any part.  With every part built it holds 192 bytes per
-cell, and 16 more for the mesh it keeps: 0.85 MB at n = 4096.  The
-screen's GMRES route builds 160 of the 192, the linear kernel's 80 and a
-dense Toeplitz solve 32.  The closed-form route builds its inverse per
-solve and keeps nothing: the crack's mesh changes with its length.
+Of what depends on the mesh alone, two results are kept for the last
+(n, h) asked for, each by the module that builds it, read-only, and with
+the bits of a fresh build: the closed-form inverse, by
+``characteristic_inverse``, with the complex Cauchy spectrum and end
+columns that GMRES builds on it, and the product weights of the
+logarithm for the cells m = 0 .. n - 1, by ``_log_weights``; a kernel
+that is not even takes cell -m's weights as cell m's, swapped.  The
+singular profile and A's spectrum are rebuilt per solve.  After a solve
+the closed-form route keeps 32 bytes per cell, the linear kernel's GMRES
+route 48, the screen's 96 (0.39 MB at n = 4096) and its dense Toeplitz
+route 16, the log weights alone: a dense Toeplitz solve on another mesh
+leaves the kept inverse in place.
 
 ``fredholm_residual`` measures how well a solution satisfies the
 equivalent second-kind equation obtained by inverting the singular part:
@@ -98,7 +97,6 @@ import numpy as np
 
 from hypersing.analytic import RightHandSide, _load_values, weighted_pv_integral
 from hypersing.characteristic import (
-    CharacteristicInverse,
     DiscreteSolution,
     _singular_profile,
     _toeplitz_view,
@@ -111,10 +109,10 @@ from hypersing.linalg import (
     _checked_rhs,
     _fft_length,
     _frozen,
-    _full_spectrum,
     _gesv,
     _gohberg_semencul,
     _join,
+    _power_of_two,
     _real_view,
     _split,
     _toeplitz_norm1,
@@ -267,7 +265,11 @@ def _difference_table(mesh: Mesh, kernel) -> np.ndarray:
     values = _checked_table(evaluate, points.shape, pair)
     cells = 0.5 * mesh.h * (values[:, 0] + values[:, 1])
     if kernel.log_coefficient is not None:
-        weights = _plan(mesh).log_weights(kernel.even)
+        weights = _log_weights(mesh.n, mesh.h)
+        if not kernel.even:
+            # Cell -m's Gauss points are cell m's negated and swapped, and
+            # so are its weights, bit for bit.
+            weights = np.concatenate((weights[:0:-1, ::-1], weights))
         cells = cells + (weights * kernel.log_coefficient(values)).sum(axis=1)
     return np.concatenate((cells[:0:-1], cells)) if kernel.even else cells
 
@@ -298,88 +300,32 @@ def _cell_table(mesh: Mesh, kernel) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _log_weights(m: np.ndarray, h: float, points: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=1)
+def _log_weights(n: int, h: float) -> np.ndarray:
     # Weights w with w_0 S(d_0) + w_1 S(d_1) = the integral of S ln|d| over
     # cell m, for S linear through the cell's Gauss points d_0, d_1, less
-    # the Gauss rule's (h/2) (S(d_0) ln|d_0| + S(d_1) ln|d_1|).  With c = m h
-    # and u = d - c, S = (S_0 + S_1)/2 + (S_1 - S_0) u / (d_1 - d_0), so the
-    # integral takes the moments I = int ln|d| du and J = int u ln|d| du over
-    # |u| <= h/2.  For m != 0, with r = 1/(2m), ln|d| = ln|c| + ln(1 + u/c)
+    # the Gauss rule's (h/2) (S(d_0) ln|d_0| + S(d_1) ln|d_1|), as a
+    # read-only (n, 2) array for m = 0 .. n - 1, kept for the last (n, h).
+    # With c = m h and u = d - c, S = (S_0 + S_1)/2 + (S_1 - S_0) u / (d_1 - d_0),
+    # so the integral takes the moments I = int ln|d| du and J = int u ln|d| du
+    # over |u| <= h/2.  For m != 0, with r = 1/(2m), ln|d| = ln|c| + ln(1 + u/c)
     # gives I = h ln|c| + c (2 atanh r + r log1p(-r^2) - 2r) and
     # J = c^2 (r - (1 - r^2) atanh r); at m = 0, I = h (ln(h/2) - 1) and
     # J = 0.  The weights then round to about |m| eps h: 6e-13 h at
     # m = 4095 against 50 digits, where differences of the antiderivatives
     # of ln|d| and d ln|d| across the cell read 1e-9 h.
+    m, points = _gauss_points(n, h, True)
     zero = m == 0
     safe = np.where(zero, 1, m)
     r = 0.5 / safe
     atanh = np.arctanh(r)
     c = m * h
-    moment = h * np.log(np.abs(safe) * h) + c * (2.0 * atanh + r * np.log1p(-r * r) - 2.0 * r)
+    moment = h * np.log(safe * h) + c * (2.0 * atanh + r * np.log1p(-r * r) - 2.0 * r)
     moment[zero] = h * (math.log(0.5 * h) - 1.0)
     slope = c * c * (r - (1.0 - r * r) * atanh) / (2.0 * _GAUSS_OFFSET * h)  # 0 at m = 0
-    return 0.5 * (moment[:, None] - h * np.log(np.abs(points))) + np.stack((-slope, slope), axis=1)
-
-
-class _Plan:
-    """What every solve on a mesh of n cells of width h shares, built on first use.
-
-    ``inverse`` is the mesh's ``CharacteristicInverse`` (its complex Cauchy
-    spectrum and end columns are kept with it), ``profile`` the singular
-    profile c_m, ``spectrum`` its real FFT at ``linalg._fft_length(n)``,
-    ``complex_spectrum`` its complex one, and ``log_weights(even)`` the
-    product weights of ``_log_weights`` for the cells of an even kernel or
-    of any other.  Each part is built by the arithmetic that a solve would
-    use with no plan, so a solve on a warm plan is bit for bit one on a
-    cold plan, and every array is read-only.  Only n and h of ``mesh`` are
-    read, but the mesh is kept: 16 bytes per cell beside the 192 of every
-    part together.
-    """
-
-    def __init__(self, mesh: Mesh):
-        self.mesh = mesh
-        self._weights = {}
-
-    @functools.cached_property
-    def inverse(self) -> CharacteristicInverse:
-        return characteristic_inverse(self.mesh)
-
-    @functools.cached_property
-    def profile(self) -> np.ndarray:
-        return _frozen(_singular_profile(self.mesh))
-
-    @functools.cached_property
-    def spectrum(self) -> np.ndarray:
-        return _frozen(np.fft.rfft(self.profile, _fft_length(self.mesh.n)))
-
-    @functools.cached_property
-    def complex_spectrum(self) -> np.ndarray:
-        return _full_spectrum(self.spectrum, _fft_length(self.mesh.n))
-
-    def log_weights(self, even: bool) -> np.ndarray:
-        if even not in self._weights:
-            m, points = _gauss_points(self.mesh.n, self.mesh.h, even)
-            self._weights[even] = _frozen(_log_weights(m, self.mesh.h, points))
-        return self._weights[even]
-
-
-# The plan of the mesh solved on last.  A run of solves on one mesh (a
-# sweep over k, many loads) reuses it; a solve on another mesh puts an
-# empty plan in its place before building any part, so one plan's arrays
-# are kept at most: 0.85 MB at today's cap of n = 4096, and 208 MB at
-# n = 10^6 once difference kernels are solved past that cap.
-_last_plan: _Plan | None = None
-
-
-def _plan(mesh: Mesh) -> _Plan:
-    # The plan of meshes with ``mesh``'s n and h: the slot's, or a new one.
-    # The slot is read once, so a thread gets the plan of its own mesh, and
-    # two threads that build one part at once build the same bits.
-    global _last_plan
-    plan = _last_plan
-    if plan is None or (plan.mesh.n, plan.mesh.h) != (mesh.n, mesh.h):
-        plan = _last_plan = _Plan(mesh)
-    return plan
+    return _frozen(
+        0.5 * (moment[:, None] - h * np.log(np.abs(points))) + np.stack((-slope, slope), axis=1)
+    )
 
 
 def _kernel_table(problem: FullProblem):
@@ -439,7 +385,11 @@ def _gmres(operator: Callable, rhs: np.ndarray):
     # relative residual), or None when it has not converged after
     # _GMRES_MAX_ITER steps or its Hessenberg matrix is singular.  Each
     # operator call returns a fresh array, which the two passes update in
-    # place.
+    # place.  The run solves for rhs divided by the power of two of its
+    # largest magnitude and multiplies the solution back, so the norm of a
+    # start of entries near 1e-160 does not underflow.
+    scale = _power_of_two(np.max(np.abs(rhs), initial=0.0))
+    rhs = rhs / scale
     beta = _norm2(rhs)
     if beta == 0.0:
         return np.zeros_like(rhs), 0, 0.0
@@ -481,7 +431,7 @@ def _gmres(operator: Callable, rhs: np.ndarray):
         g[-2] = c * g[-2]
         relative = abs(g[-1]) / beta
         if relative <= _GMRES_TOL:
-            return _back_substitute(triangle, g) @ basis[:steps], steps, relative
+            return _back_substitute(triangle, g) @ basis[:steps] * scale, steps, relative
     return None
 
 
@@ -502,16 +452,15 @@ def _back_substitute(triangle: list, g: list) -> np.ndarray:
     return np.array(y)
 
 
-def _gmres_source(plan: _Plan, table: np.ndarray, b, loads, norm1: float, even: bool):
+def _gmres_source(mesh: Mesh, profile, table, b, loads, norm1: float, even: bool):
     # (values, condition) from the end columns x, y of A^{-1} that GMRES
     # solves for on (I + M^{-1} T) g = M^{-1} r, or None when it gives no
     # answer.  One padded FFT product by a spectrum at ``_fft_length(n)``,
     # real for a real table, takes both T v in each Krylov step and A g in
     # the load's normwise backward error ||b - A g||_1 / (||A||_1 ||g||_1
-    # + ||b||_1), there by the plan's singular spectrum plus the kernel's.
-    # The loads are one stacked A^{-1} probe with the first sweep of
-    # Hager's estimate.
-    n = plan.mesh.n
+    # + ||b||_1), there by the spectrum of A's own profile.  The loads are
+    # one stacked A^{-1} probe with the first sweep of Hager's estimate.
+    n = mesh.n
     length = _fft_length(n)
     real = not np.iscomplexobj(table)
     fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
@@ -520,7 +469,7 @@ def _gmres_source(plan: _Plan, table: np.ndarray, b, loads, norm1: float, even: 
     def product(spectrum, v):
         return ifft(spectrum * fft(v, length), length)[..., n - 1 : 2 * n - 1]
 
-    inverse = plan.inverse
+    inverse = characteristic_inverse(mesh)
     starts = inverse._end_columns[: 1 if even else 2].astype(table.dtype, copy=False)
     runs = [_gmres(lambda v: v + inverse._apply_rows(product(spectrum, v)), r) for r in starts]
     if None in runs:
@@ -530,9 +479,8 @@ def _gmres_source(plan: _Plan, table: np.ndarray, b, loads, norm1: float, even: 
     if probes is None:
         return None
     *parts, first = probes[0](np.array([*loads, np.full(n, 1.0 / n)], dtype=table.dtype))
-    singular = plan.spectrum if real else plan.complex_spectrum
     values = _join(parts)
-    error = float(np.abs(b - _join(product(singular + spectrum, parts))).sum())
+    error = float(np.abs(b - _join(product(fft(profile, length), parts))).sum())
     scale = norm1 * float(np.abs(values).sum()) + float(np.abs(b).sum())
     backward = error / scale if scale else error  # b = 0 is solved by g = 0
     if not backward <= _GMRES_TOL:
@@ -557,18 +505,17 @@ def _solve_toeplitz(mesh: Mesh, table: np.ndarray, b: np.ndarray, even: bool = F
     # arithmetic (``linalg._real_view``), a complex answer then as the real
     # and imaginary parts of the load (``linalg._split``).  A GMRES failure
     # falls back to the dense source, whose SingularMatrixError is the
-    # caller's.  What depends on the mesh alone comes from its plan.
+    # caller's.
     n = mesh.n
-    plan = _plan(mesh)
     complex_answer = np.iscomplexobj(b) or np.iscomplexobj(table)
     table = _real_view(table)
-    profile = plan.profile + table
+    profile = _singular_profile(mesh) + table
     if not np.all(np.isfinite(profile)):
         raise ValueError("matrix contains nonfinite entries")
     loads = _split(b, np.iscomplexobj(table), complex_answer)
     norm1 = _toeplitz_norm1(profile)
     if n >= _GMRES_MIN_N:
-        solved = _gmres_source(plan, table, b, loads, norm1, even)
+        solved = _gmres_source(mesh, profile, table, b, loads, norm1, even)
         if solved is not None:
             return solved
         logger.debug("GMRES route at n=%d gave no answer", n)
@@ -599,8 +546,8 @@ def solve_full(problem: FullProblem) -> DiscreteSolution:
 
     The scalar field is complex exactly when the kernel or the right-hand
     side is complex; a real problem never leaves real arithmetic.  A solve
-    on the mesh solved on last, which reuses its plan, has the bits of a
-    first solve.
+    that reuses the kept closed-form inverse and log weights of its mesh
+    has the bits of a first solve.
 
     Raises SingularMatrixError for a degenerate system, and ValueError for
     a right-hand side that is nonfinite or not one value per collocation

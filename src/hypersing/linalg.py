@@ -287,6 +287,13 @@ def _full_spectrum(spectrum: np.ndarray, length: int) -> np.ndarray:
     return _frozen(np.concatenate((spectrum, tail[::-1].conj())))
 
 
+def _power_of_two(value) -> float:
+    # The power of two 2^e <= |value| < 2^(e + 1), finite and nonzero for
+    # every finite value: dividing by it brings |value| into [1, 2), and
+    # in the normal range moves no bit of any product, sum or FFT after it.
+    return math.ldexp(1.0, math.frexp(abs(value))[1] - 1)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     # a, made read-only: an array that is built once and then shared.
     a.setflags(write=False)
@@ -302,11 +309,15 @@ def _gohberg_semencul(x: np.ndarray, y: np.ndarray):
     in four FFT calls of length ``_fft_length(n)`` whatever m is: the two
     upper triangular factors share the transform of J r, and the two lower
     ones are summed before one inverse transform.  Each row of a stack
-    gets the bits it gets alone.
+    gets the bits it gets alone.  x and y are divided by the power of two
+    of x_0 and each probe's output multiplied by it, so the products of
+    their entries do not underflow for a matrix of entries near 1e160.
     """
     if x[0] == 0:
         return None
     n = len(x)
+    scale = _power_of_two(x[0])
+    x, y = x / scale, y / scale
     length = _fft_length(n)
     real = not (np.iscomplexobj(x) or np.iscomplexobj(y))
     fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
@@ -322,7 +333,7 @@ def _gohberg_semencul(x: np.ndarray, y: np.ndarray):
         jr = fft(r[..., ::-1], length)
         uppers = ifft([upper_jy * jr, upper_zjx * jr], length)[..., n - 1 :: -1]
         u_jy, u_zjx = fft(uppers, length)
-        return ifft(lower_x * u_jy - lower_zy * u_zjx, length)[..., :n] / x[0]
+        return ifft(lower_x * u_jy - lower_zy * u_zjx, length)[..., :n] / x[0] * scale
 
     def inverse_adjoint(r):
         # J A J = A^T for a Toeplitz A, so A^{-H} r = conj(J A^{-1} J conj(r)).

@@ -33,7 +33,7 @@ class Mesh:
 
 
 def _checked_interval(a: float, b: float) -> tuple[float, float]:
-    """(a, b) as floats; ValueError naming a nonfinite end, or unless b > a."""
+    """(a, b) as floats; ValueError naming a nonfinite end or width, or unless b > a."""
     a = float(a)
     b = float(b)
     for name, value in (("a", a), ("b", b)):
@@ -41,6 +41,8 @@ def _checked_interval(a: float, b: float) -> tuple[float, float]:
             raise ValueError(f"{name} must be finite, got {value}")
     if not (b > a):
         raise ValueError(f"invalid interval: need b > a, got ({a}, {b})")
+    if not math.isfinite(b - a):
+        raise ValueError(f"interval ({a}, {b}) is too wide: its width b - a overflows")
     return a, b
 
 
@@ -49,8 +51,8 @@ def make_mesh(a: float, b: float, n: int) -> Mesh:
 
     Nodes come from the direct formula a + j*h, never from a running sum,
     so there is no accumulation drift at large n; the endpoints are stored
-    exactly.  Raises ValueError for a nonfinite endpoint, an empty
-    interval, an n that is not an integer, n < 2, or n + 1 nodes over
+    exactly.  Raises ValueError for a nonfinite endpoint or width, an
+    empty interval, an n that is not an integer, n < 2, or n + 1 nodes over
     ``linalg.MAX_DENSE_ELEMENTS``.
     """
     a, b = _checked_interval(a, b)

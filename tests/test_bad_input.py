@@ -210,6 +210,24 @@ def test_finite_part_constant(args):
         finite_part_constant(*args)
 
 
+# Finite ends whose width b - a overflows.
+_WIDE = (-1e308, 1e308)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: make_mesh(*_WIDE, 4), id="make_mesh"),
+    pytest.param(lambda: finite_part_constant(*_WIDE, 0.0), id="finite_part_constant"),
+    pytest.param(lambda: solve_spectral(UNTOUCHED_KERNEL, UNTOUCHED_LOAD, 32, 64, interval=_WIDE),
+                 id="solve_spectral"),
+    pytest.param(lambda: ChebyshevSolution.from_function(_untouched, 4, interval=_WIDE),
+                 id="chebyshev_from_function"),
+])
+def test_interval_of_overflowing_width(call):
+    with pytest.raises(ValueError, match=r"too wide: its width b - a overflows"):
+        call()
+
+
 @_FEW
 @given(st.one_of(
     NONFINITE.map(lambda v: {"sigma0": v}),

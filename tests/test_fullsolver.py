@@ -15,6 +15,7 @@ from hypersing import (
     RegularKernel,
     RightHandSide,
     ScreenParams,
+    SingularMatrixError,
     assemble_characteristic,
     assemble_full,
     crack_problem,
@@ -295,6 +296,14 @@ def test_kernel_raising_is_wrapped():
     assert_spectral_reports_pair(kernel, calls, match="no table today")
 
 
+def test_kernel_table_of_wrong_shape_is_refused():
+    # A general kernel's eval that returns one value per point of one axis
+    # only is refused by the table's shape, before any solve.
+    kernel = RegularKernel(eval=lambda x, t: np.zeros(3))
+    with pytest.raises(KernelEvaluationError, match=r"shape \(3,\), expected \(4, 4\)"):
+        solve_full(benchmark_problem(4, kernel))
+
+
 def test_difference_table_matches_direct_evaluation():
     # The 2n-1 entry convolution shortcut must agree with the integral of
     # the linear kernel over each cell, h times its value at the cell's
@@ -516,12 +525,15 @@ def test_oversized_matrix_refused_before_assembly():
 N0 = fullsolver._GMRES_MIN_N
 
 
-def replace_plan() -> None:
-    """Solve on a mesh of 7 cells, which no other test solves on, replacing the kept plan.
+def replace_kept() -> None:
+    """Replace the kept closed-form inverse and log weights with a 7-cell mesh's.
 
-    The next solve on any other mesh then starts from a new, empty plan.
+    No other test solves on 7 cells, so the next solve on any other mesh
+    builds both afresh.
     """
-    solve_full(screen_problem(ScreenParams(k=2.5, a=1.0), 7))
+    mesh = make_mesh(-1.0, 1.0, 7)
+    characteristic_inverse(mesh)
+    fullsolver._log_weights(mesh.n, mesh.h)
 
 
 def count_lu_factor(monkeypatch) -> list:
@@ -725,6 +737,70 @@ def test_load_failing_backward_error_falls_back_bit_for_bit(monkeypatch, caplog)
     assert messages == [f"GMRES route at n={N0} gave no answer", f"dense route at n={N0}"]
 
 
+def test_ill_conditioned_solve_logs_one_warning(caplog):
+    # The linear kernel A (x - t) at A = 1e13 on 100 cells is solved, with
+    # one WARNING naming the estimate, 2.222e12, past the 1e12 threshold.
+    with caplog.at_level(logging.WARNING, logger="hypersing.fullsolver"):
+        solution = solve_full(benchmark_problem(100, polynomial_kernel(1e13)))
+    (record,) = caplog.records
+    assert record.levelno == logging.WARNING
+    assert record.getMessage() == (
+        f"collocation matrix is ill conditioned: estimate {solution.condition:.3e}")
+    assert solution.condition == pytest.approx(2.222e12, rel=1e-3)
+
+
+def test_gmres_estimate_reading_singular_falls_back_to_dense(monkeypatch, caplog):
+    # At A = 5e13 the linear kernel's GMRES runs converge, and a zero load
+    # passes the backward-error gate, but the condition estimate from the
+    # GMRES end columns reads singular: the solve gives no answer there,
+    # and the dense source's own estimate refuses the matrix.  (The load
+    # -pi fails the gate first, with a backward error of 1.2e-3.)
+    refusals = []
+    checked = fullsolver._checked_condition
+
+    def recorded(*args, **kwargs):
+        try:
+            return checked(*args, **kwargs)
+        except SingularMatrixError:
+            refusals.append(len(caplog.records))
+            raise
+
+    monkeypatch.setattr(fullsolver, "_checked_condition", recorded)
+    problem = dataclasses.replace(
+        benchmark_problem(N0, polynomial_kernel(5e13)), rhs=RightHandSide(fprime=lambda x: 0.0)
+    )
+    with caplog.at_level(logging.DEBUG, logger="hypersing.fullsolver"):
+        with pytest.raises(SingularMatrixError):
+            solve_full(problem)
+    messages = [record.getMessage() for record in caplog.records]
+    assert messages == [f"GMRES route at n={N0} gave no answer", f"dense route at n={N0}"]
+    assert refusals == [0, 2]  # the GMRES source's, then the dense source's
+
+
+@pytest.mark.parametrize("n", [80, N0])
+def test_toeplitz_condition_holds_at_tiny_scales(n, caplog):
+    # On a screen of half-width 1e-200 the matrix entries are near 1e200
+    # and those of A^{-1} near 1e-200, so the products of the end columns'
+    # entries and the norm of a GMRES start would underflow without their
+    # power-of-two scaling: the estimate would read 1, and GMRES give no
+    # answer.  The condition is that of half-width 1e-100 to 1e-12.
+    conditions = []
+    for a in (1e-100, 1e-200):
+        with caplog.at_level(logging.DEBUG, logger="hypersing.fullsolver"):
+            conditions.append(solve_full(screen_problem(ScreenParams(k=1.5, a=a), n)).condition)
+    assert conditions[1] == pytest.approx(conditions[0], rel=1e-12)
+    assert conditions[0] > 50.0
+    assert not any("gave no answer" in record.getMessage() for record in caplog.records)
+
+
+def test_huge_linear_kernel_is_refused_as_singular():
+    # A (x - t) at A = 1e200 swamps the characteristic part: the estimate
+    # from the scaled end columns reads singular, where unscaled products
+    # underflowed to a condition of 1.
+    with pytest.raises(SingularMatrixError):
+        solve_full(benchmark_problem(100, polynomial_kernel(1e200)))
+
+
 def test_gmres_route_solves_zero_load_by_zero(monkeypatch):
     # ||b||_1 = ||g||_1 = 0 reads as backward error 0, not 0/0.
     problem = dataclasses.replace(
@@ -793,10 +869,11 @@ def test_krylov_step_costs_four_transforms_and_no_apply(problem, transforms, mon
     # call; GMRES starts from M^{-1} e_0 and M^{-1} e_{n-1} in closed form,
     # with no transform between its runs; and one stacked probe solves the
     # load together with Hager's first sweep, whose later sweeps probe one
-    # vector each.  Before GMRES a cold plan transforms the kernel and the
-    # Cauchy spectra, and a warm one the kernel's alone.
+    # vector each.  Before GMRES a solve with no inverse kept transforms
+    # the kernel and then the Cauchy values, and one that reuses the kept
+    # inverse the kernel alone.
     problem = problem()
-    replace_plan()
+    replace_kept()
     n = problem.mesh.n
     kernel_transform = "fft" if "fft" in transforms else "rfft"
     transformed = []
@@ -908,26 +985,26 @@ def test_gmres_route_logs_iterations_and_residual(caplog):
     pytest.param(lambda: benchmark_problem(400, polynomial_kernel(3.0)), id="linear-gmres"),
 ])
 def test_plan_reuse_leaves_no_trace_in_the_results(problem):
-    # A solve on a cold plan, on the warm one, and on a new one after a
-    # solve on another mesh has replaced it gives the same values and
-    # condition bit for bit; the plan's arrays are read-only, and the
-    # replaced plan is freed by that one other solve.
+    # A solve with nothing kept, one that reuses the kept closed-form
+    # inverse and log weights, and one after a closed-form solve on another
+    # mesh has replaced them give the same values and condition bit for
+    # bit.  Repeated calls on one mesh return the same inverse, every kept
+    # array is read-only, and the replaced inverse is freed by that one
+    # other solve.
     problem = problem()
     mesh = problem.mesh
-    replace_plan()
+    replace_kept()
     cold = solve_full(problem)
-    plan = fullsolver._plan(mesh)
+    inverse = characteristic_inverse(mesh)
     warm = solve_full(problem)
-    assert fullsolver._plan(mesh) is plan
-    inverse = plan.inverse
-    for array in (plan.profile, plan.spectrum, plan.complex_spectrum, plan.log_weights(True),
-                  plan.log_weights(False), inverse.left, inverse.right, inverse.spectrum,
-                  inverse._complex_spectrum, inverse._end_columns):
+    assert characteristic_inverse(mesh) is inverse
+    for array in (fullsolver._log_weights(mesh.n, mesh.h), inverse.left, inverse.right,
+                  inverse.spectrum, inverse._complex_spectrum, inverse._end_columns):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
-    replaced = weakref.ref(plan)
-    del plan
-    solve_full(screen_problem(ScreenParams(k=2.5, a=1.0), mesh.n + 1))
+    replaced = weakref.ref(inverse)
+    del inverse
+    solve_characteristic(make_mesh(-1.0, 1.0, mesh.n + 1), const_pi_rhs())
     assert replaced() is None
     evicted = solve_full(problem)
     for run in (warm, evicted):
@@ -936,21 +1013,21 @@ def test_plan_reuse_leaves_no_trace_in_the_results(problem):
 
 
 def test_plan_cache_holds_under_threads():
-    # Threads that look up and solve on two meshes at once, each replacing
-    # the other's plan, get the plan of the mesh they ask for and the bits
-    # of a lone solve, and one solve on a third mesh afterwards frees every
-    # plan they made.
+    # Threads that look up inverses and solve on two meshes at once, each
+    # replacing the other's kept inverse, get the inverse of the mesh they
+    # ask for and the bits of a lone solve, and one GMRES solve on a third
+    # mesh afterwards frees every inverse they got.
     problems = [screen_problem(ScreenParams(k=2.5, a=1.0), n) for n in (N0, N0 + 1)]
     want = [solve_full(problem).values.tobytes() for problem in problems]
-    same, failures, plans = [], [], []
+    same, failures, kept = [], [], []
 
     def work(start):
         try:
-            for i in range(10000):
+            for i in range(1000):
                 mesh = problems[(start + i) % 2].mesh
-                plan = fullsolver._plan(mesh)
-                assert (plan.mesh.n, plan.mesh.h) == (mesh.n, mesh.h)
-                plans.append(weakref.ref(plan))
+                inverse = characteristic_inverse(mesh)
+                assert (len(inverse.left), inverse.h) == (mesh.n, mesh.h)
+                kept.append(weakref.ref(inverse))
             for i in range(6):
                 j = (start + i) % 2
                 same.append(solve_full(problems[j]).values.tobytes() == want[j])
@@ -969,8 +1046,8 @@ def test_plan_cache_holds_under_threads():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == [] and len(same) == 24 and all(same)
-    replace_plan()
-    assert len(plans) == 40000 and all(plan() is None for plan in plans)
+    solve_full(screen_problem(ScreenParams(k=2.5, a=1.0), N0 + 2))
+    assert len(kept) == 4000 and all(inverse() is None for inverse in kept)
 
 
 def test_gmres_rows_step_alone_and_stop_at_the_cap(monkeypatch):

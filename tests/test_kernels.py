@@ -125,6 +125,17 @@ def test_symbol_tail_bound_enforced():
         kernel_from_symbol(symbol, 20.0, tol=1e-9)
 
 
+@pytest.mark.parametrize("symbol, match", [
+    pytest.param(FourierSymbol(L=np.abs, A=1.0, L0=np.zeros_like, decay=0.0),
+                 "decay exponent must be positive", id="decay-zero"),
+    pytest.param(FourierSymbol(L=lambda s: 2.0 * np.abs(s), A=1.0, L0=np.zeros_like, decay=1.0),
+                 r"does not equal A\|s\| \+ L0\(s\)", id="split-mismatch"),
+])
+def test_symbol_validation_refuses_bad_declarations(symbol, match):
+    with pytest.raises(SymbolDecayError, match=match):
+        symbol.validate()
+
+
 def test_symbol_decay_violation_detected():
     lying = FourierSymbol(
         L=lambda s: np.abs(s) + 1.0 / (1.0 + np.abs(np.asarray(s, dtype=float))),

@@ -37,6 +37,13 @@ def test_invalid_interval_rejected():
             make_mesh(-1.0, bad, 4)
 
 
+def test_too_short_interval_rejected():
+    # At 1e16 the spacing of floats is 2, so 8 cells of width 0.5 put
+    # collocation points on nodes.
+    with pytest.raises(ValueError, match="too short relative to its magnitude"):
+        make_mesh(1e16, 1e16 + 4.0, 8)
+
+
 def test_too_few_subintervals_rejected():
     with pytest.raises(ValueError, match="invalid size"):
         make_mesh(0.0, 1.0, 1)
